@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
 from math import lcm
 from typing import Iterable
 
@@ -791,25 +790,37 @@ def _stems_by_subset(b: BuchiAutomaton, max_len: int):
     return out
 
 
+def _live_words(b: BuchiAutomaton, mask: int, length: int):
+    """Words of the given length in lex order along which some run from the mask survives."""
+    if length == 0:
+        yield ()
+        return
+    for s in b.alphabet.symbols:
+        m2 = b.step_mask(mask, s)
+        if m2:
+            for rest in _live_words(b, m2, length - 1):
+                yield (s,) + rest
+
+
 def _denotation_minimal_lasso(
     b: BuchiAutomaton, baseline: LassoWord, budget: int = 3000
 ) -> LassoWord:
     """Smallest accepted lasso by (stem length, cycle length, stem, cycle).
 
-    Candidates are normalized forms only; acceptance of each is decided by
-    the whole-cycle pair relation.  The baseline (always a valid witness)
-    bounds the search and is returned when the budget runs out, so the
-    result is exact at ordinary sizes and never worse than the baseline.
+    Candidates are normalized forms only, and a cycle is not extended past a
+    prefix on which every run from the stem dies; acceptance of each is
+    decided by the whole-cycle pair relation.  The baseline (always a valid
+    witness) bounds the search and is returned when the budget runs out, so
+    the result is exact at ordinary sizes and never worse than the baseline.
     """
     m_cap = len(baseline.stem)
     p_base = len(baseline.cycle)
     stems = _stems_by_subset(b, m_cap)
-    syms = b.alphabet.symbols
     for m in range(m_cap + 1):
         p_cap = p_base if m == m_cap else max(p_base, 8)
         for p in range(1, p_cap + 1):
             for stem, mask in stems[m]:
-                for cycle in iproduct(syms, repeat=p):
+                for cycle in _live_words(b, mask, p):
                     cand = LassoWord(stem, cycle)
                     if cand.normalize() != cand:
                         continue

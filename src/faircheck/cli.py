@@ -9,6 +9,7 @@ formula or automaton text.  Usage problems and malformed inputs exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -145,6 +146,7 @@ def _emit_report(
     print(json.dumps(report, indent=2))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="faircheck",
@@ -218,6 +220,9 @@ def run(argv: list[str]) -> int:
         return 1
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a formula too deep for the recursive rewrites
+        print("error: formula nested too deeply to process", file=sys.stderr)
         return 2
 
 
@@ -385,3 +390,7 @@ def _dispatch(args: argparse.Namespace, inputs: _Inputs, started: float) -> int:
 
 def main(argv: list[str] | None = None) -> None:
     raise SystemExit(run(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -35,61 +35,82 @@ class NotNormalFormError(ValueError):
 
 
 class Formula:
+    """Formula node; equality and hashing use a flat preorder, safe at any depth."""
+
     __slots__ = ()
 
+    def _preorder(self) -> tuple:
+        out: list = []
+        stack: list[Formula] = [self]
+        while stack:
+            g = stack.pop()
+            out.append(g.name if isinstance(g, Atom) else type(g))
+            stack.extend(reversed(children(g)))
+        return tuple(out)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        if self is other or type(self) is not type(other):
+            return self is other
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+
+@dataclass(frozen=True, eq=False)
 class TrueFormula(Formula):
     def __repr__(self) -> str:
         return "TrueFormula()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Before(Formula):
     """(xi) B (zeta): no zeta strictly before the first xi fails; dual of Until."""
 
@@ -97,12 +118,12 @@ class Before(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     operand: Formula
 
@@ -160,6 +181,19 @@ _TOKEN_RE = re.compile(r"<->|->|[()!&|#]|[A-Za-z_][A-Za-z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
 _KEYWORDS = {"true", "X", "U", "B", "F", "G"}
+_PREFIX_OPS = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+# token -> (precedence, right associative, node); prefix operators bind tighter
+_BINARY_OPS = {
+    "<->": (1, True, Iff),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+    "U": (5, True, Until),
+    "B": (5, True, Before),
+}
+
+# Deeper formula trees are syntax errors; later stages walk trees recursively.
+MAX_FORMULA_DEPTH = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -177,115 +211,75 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.here())
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise FormulaSyntaxError(f"expected {tok!r}", self.here())
-        self.pos += 1
-
-    # precedence, loosest binding first
-    def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek() is not None:
-            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.here())
-        return f
-
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek() == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.until()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok == "U":
-            self.take()
-            return Until(left, self.until())
-        if tok == "B":
-            self.take()
-            return Before(left, self.until())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.unary())
-        if tok == "X":
-            self.take()
-            return Next(self.unary())
-        if tok == "F":
-            self.take()
-            return Eventually(self.unary())
-        if tok == "G":
-            self.take()
-            return Always(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            f = self.iff()
-            self.expect(")")
-            return f
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self.here())
-        if tok == "true":
-            self.take()
-            return TRUE
-        if tok in _KEYWORDS or not re.fullmatch(r"#|[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise FormulaSyntaxError(f"unexpected token {tok!r}", self.here())
-        self.take()
-        return Atom(tok)
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse the surface syntax: true, atoms, ! & | -> <->, X U B F G, parentheses."""
-    return _Parser(text).parse()
+    """Parse the surface syntax: true, atoms, ! & | -> <->, X U B F G, parentheses.
+
+    Operator precedence parsing with explicit stacks, so no input can exhaust
+    the interpreter's recursion; trees deeper than MAX_FORMULA_DEPTH are a
+    FormulaSyntaxError.
+    """
+    operands: list[tuple[Formula, int]] = []  # (formula, depth)
+    pending: list[tuple[str, int]] = []  # operators and open parentheses
+    want_operand = True
+
+    def node(build, depth: int, at: int) -> None:
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at
+            )
+        operands.append((build, depth))
+
+    def reduce_binary() -> None:
+        tok, at = pending.pop()
+        (right, dr), (left, dl) = operands.pop(), operands.pop()
+        node(_BINARY_OPS[tok][2](left, right), max(dl, dr) + 1, at)
+
+    def close_operand() -> None:
+        while pending and pending[-1][0] in _PREFIX_OPS:
+            tok, at = pending.pop()
+            f, depth = operands.pop()
+            node(_PREFIX_OPS[tok](f), depth + 1, at)
+
+    for tok, at in _tokenize(text):
+        if want_operand:
+            if tok in _PREFIX_OPS or tok == "(":
+                pending.append((tok, at))
+                continue
+            if tok == "true":
+                operands.append((TRUE, 1))
+            elif tok in _KEYWORDS or not re.fullmatch(r"#|[A-Za-z_][A-Za-z0-9_]*", tok):
+                raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
+            else:
+                operands.append((Atom(tok), 1))
+            close_operand()
+            want_operand = False
+        elif tok in _BINARY_OPS:
+            prec, right_assoc, _ = _BINARY_OPS[tok]
+            while pending and pending[-1][0] in _BINARY_OPS:
+                top = _BINARY_OPS[pending[-1][0]][0]
+                if top < prec or (top == prec and right_assoc):
+                    break
+                reduce_binary()
+            pending.append((tok, at))
+            want_operand = True
+        elif tok == ")":
+            while pending and pending[-1][0] in _BINARY_OPS:
+                reduce_binary()
+            if not pending:
+                raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
+            pending.pop()
+            close_operand()
+        elif any(t == "(" for t, _ in pending):
+            raise FormulaSyntaxError("expected ')'", at)
+        else:
+            raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
+    if want_operand:
+        raise FormulaSyntaxError("unexpected end of input", len(text))
+    while pending:
+        if pending[-1][0] == "(":
+            raise FormulaSyntaxError("expected ')'", len(text))
+        reduce_binary()
+    return operands[0][0]
 
 
 _PREC_ATOM = 7
@@ -432,47 +426,26 @@ def _n(f: Formula) -> Formula:
     return _rebuild(f, parts)
 
 
-def _t(f: Formula) -> Formula:
+def _t(f: Formula, wrap_boolean: bool) -> Formula:
+    # wrap_boolean: the R rewrite, which also judges each maximal purely
+    # Boolean subformula at the next visible position (bare eps occurs only
+    # as G eps and stays)
+    if wrap_boolean and f != EPS and is_pure_boolean(f):
+        return Until(EPS, _n(f))
     if isinstance(f, (TrueFormula, Atom)):
         return f
     if isinstance(f, Not):
         if isinstance(f.operand, TrueFormula):
             return f
         return And(f, Not(EPS))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _rebuild(f, (_t(f.left), _t(f.right)))
+    parts = tuple(_t(c, wrap_boolean) for c in children(f))
     if isinstance(f, Until):
-        return Until(Or(EPS, _t(f.left)), _t(f.right))
-    if isinstance(f, Before):
-        return Before(_t(f.left), _t(f.right))
-    if isinstance(f, Eventually):
-        return Eventually(_t(f.operand))
+        return Until(Or(EPS, parts[0]), parts[1])
     if isinstance(f, Always):
-        return Always(Or(EPS, _t(f.operand)))
+        return Always(Or(EPS, parts[0]))
     if isinstance(f, Next):
-        return Until(EPS, And(Not(EPS), Next(Until(EPS, _t(f.operand)))))
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _r(f: Formula) -> Formula:
-    if isinstance(f, Always) and f.operand == EPS:
-        # the T route for G eps, with eps carried through unchanged
-        return Always(Or(EPS, EPS))
-    if is_pure_boolean(f):
-        return Until(EPS, _n(f))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _rebuild(f, (_r(f.left), _r(f.right)))
-    if isinstance(f, Until):
-        return Until(Or(EPS, _r(f.left)), _r(f.right))
-    if isinstance(f, Before):
-        return Before(_r(f.left), _r(f.right))
-    if isinstance(f, Eventually):
-        return Eventually(_r(f.operand))
-    if isinstance(f, Always):
-        return Always(Or(EPS, _r(f.operand)))
-    if isinstance(f, Next):
-        return Until(EPS, And(Not(EPS), Next(Until(EPS, _r(f.operand)))))
-    raise TypeError(f"unknown formula node {f!r}")
+        return Until(EPS, And(Not(EPS), Next(Until(EPS, parts[0]))))
+    return _rebuild(f, parts)
 
 
 def transform(f: Formula, mode: str) -> Formula:
@@ -489,9 +462,7 @@ def transform(f: Formula, mode: str) -> Formula:
     _require_transformable(f)
     if mode == "N":
         return _n(f)
-    if mode == "T":
-        return _t(f)
-    return _r(f)
+    return _t(f, mode == "R")
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +540,12 @@ def evaluate_lasso(x: LassoWord, labeling: Labeling, f: Formula) -> bool:
     nxt = [i + 1 for i in range(n)]
     nxt[n - 1] = len(x.stem)
     props = [labeling.props(x.letter_at(i)) for i in range(n)]
-    memo: dict[Formula, list[bool]] = {}
+    memo: dict[int, tuple[Formula, list[bool]]] = {}  # by node identity
 
     def arr(g: Formula) -> list[bool]:
-        got = memo.get(g)
+        got = memo.get(id(g))
         if got is not None:
-            return got
+            return got[1]
         if isinstance(g, TrueFormula):
             v = [True] * n
         elif isinstance(g, Atom):
@@ -609,7 +580,7 @@ def evaluate_lasso(x: LassoWord, labeling: Labeling, f: Formula) -> bool:
             v = [not b for b in arr(Until(Not(g.left), g.right))]
         else:
             raise TypeError(f"unknown formula node {g!r}")
-        memo[g] = v
+        memo[id(g)] = (g, v)  # holding g keeps its id from being reused
         return v
 
     return arr(f)[0]
@@ -629,204 +600,204 @@ def _lfp(n, nxt, step, start):
 
 
 # ---------------------------------------------------------------------------
-# translation to Buchi automata (closure tableau)
+# translation to Buchi automata (reachable-only expansion)
 
-def _desugar(f: Formula) -> Formula:
-    """Rewrite into the core {true, atom, not, and, or, X, U}."""
-    if isinstance(f, (TrueFormula, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(_desugar(f.operand))
-    if isinstance(f, And):
-        return And(_desugar(f.left), _desugar(f.right))
-    if isinstance(f, Or):
-        return Or(_desugar(f.left), _desugar(f.right))
-    if isinstance(f, Implies):
-        return Or(Not(_desugar(f.left)), _desugar(f.right))
-    if isinstance(f, Iff):
-        l, r = _desugar(f.left), _desugar(f.right)
-        return And(Or(Not(l), r), Or(Not(r), l))
-    if isinstance(f, Next):
-        return Next(_desugar(f.operand))
-    if isinstance(f, Until):
-        return Until(_desugar(f.left), _desugar(f.right))
-    if isinstance(f, Before):
-        return Not(Until(Not(_desugar(f.left)), _desugar(f.right)))
-    if isinstance(f, Eventually):
-        return Until(TRUE, _desugar(f.operand))
-    if isinstance(f, Always):
-        return Not(Until(TRUE, Not(_desugar(f.operand))))
-    raise TypeError(f"unknown formula node {f!r}")
+# Node kinds of the negation normal form the translator works on.  Every
+# Boolean subformula (true, false, literals and their combinations) is one
+# letter-set node: the bit mask of the alphabet letters whose labels satisfy it.
+_LETTERS, _AND, _OR, _NEXT, _UNTIL, _RELEASE = range(6)
 
 
-def _strip_not(f: Formula) -> tuple[Formula, bool]:
-    neg = False
-    while isinstance(f, Not):
-        f = f.operand
-        neg = not neg
-    return f, neg
+_NONE: frozenset[int] = frozenset()
 
 
-def _closure(core: Formula) -> list[Formula]:
-    seen: set[Formula] = set()
+def _prune(covers: list) -> list:
+    """Drop repeats, and covers next to one allowing more letters with fewer
+    next obligations and fewer postponed untils."""
+    unique = list(dict.fromkeys(covers))
+    return [
+        c for c in unique
+        if not any(
+            d is not c and not c[0] & ~d[0] and d[1] <= c[1] and d[2] <= c[2]
+            for d in unique
+        )
+    ]
 
-    def walk(g: Formula) -> None:
-        pos, _ = _strip_not(g)
-        if pos not in seen:
-            seen.add(pos)
-        for c in children(g):
-            walk(c)
 
-    walk(core)
-    return sorted(seen, key=format_formula)
+def _product(a: list, b: list) -> list:
+    """Covers meeting both sides at once; those no letter satisfies are dropped."""
+    return _prune(
+        [(ma & mb, na | nb, pa | pb) for ma, na, pa in a for mb, nb, pb in b if ma & mb]
+    )
 
 
-class _Tableau:
-    """Consistent-valuation states of the closure of one core formula."""
+class _Translator:
+    """Buchi automata for formulas over one labeled alphabet.
 
-    def __init__(self, core: Formula, alphabet: Alphabet, labeling: Labeling):
-        self.core = core
+    A formula is put in negation normal form over letter sets, and, or, X, U
+    and R (release: ``x R y`` is ``!(!x U !y)``), with every node interned as
+    a small integer.  A state is the set of obligations the rest of the word
+    must meet, a degeneralization counter over the untils, and whether the
+    step into the state completed a round of that counter (the accepting
+    states).  Each obligation set is expanded once into covers, and only the
+    states reachable from the formula are built.
+    """
+
+    def __init__(self, alphabet: Alphabet, labeling: Labeling):
         self.alphabet = alphabet
-        closure = _closure(core)
-        self.atoms = [g for g in closure if isinstance(g, Atom)]
-        self.nexts = [g for g in closure if isinstance(g, Next)]
-        self.untils = [g for g in closure if isinstance(g, Until)]
-        free = self.atoms + self.nexts + self.untils
-        self.states: list[dict[Formula, bool]] = []
-        for bits in range(1 << len(free)):
-            assign = {g: bool(bits >> i & 1) for i, g in enumerate(free)}
-            vals: dict[Formula, bool] = {}
-            for g in closure:
-                self._eval(g, assign, vals)
-            ok = True
-            for u in self.untils:
-                vu = vals[u]
-                vb = self._lookup(u.right, vals)
-                va = self._lookup(u.left, vals)
-                if (vb and not vu) or (vu and not vb and not va):
-                    ok = False
-                    break
-            if ok:
-                self.states.append(vals)
-        # successor candidates share the X-target values their sources demand
-        self.xtargets = [g.operand for g in self.nexts]
-        buckets: dict[tuple[bool, ...], list[int]] = {}
-        for i, vals in enumerate(self.states):
-            key = tuple(self._lookup(t, vals) for t in self.xtargets)
-            buckets.setdefault(key, []).append(i)
-        self.succ: list[list[int]] = []
-        for vals in self.states:
-            key = tuple(vals[g] for g in self.nexts)
-            forced = [
-                (u, vals[u])
-                for u in self.untils
-                if not self._lookup(u.right, vals) and self._lookup(u.left, vals)
-            ]
-            cands = buckets.get(key, [])
-            self.succ.append(
-                [
-                    j
-                    for j in cands
-                    if all(self.states[j][u] == want for u, want in forced)
-                ]
-            )
-        self.letters: list[list[str]] = []
-        for vals in self.states:
-            self.letters.append(
-                [
-                    a
-                    for a in alphabet
-                    if all(vals[p] == (p.name in labeling.props(a)) for p in self.atoms)
-                ]
-            )
+        self.labeling = labeling
+        self.full = (1 << len(alphabet)) - 1
+        self.nodes: list[tuple[int, int, int]] = []
+        self.ids: dict[tuple[int, int, int], int] = {}
+        self.untils: list[int] = []
+        self.atom_masks: dict[str, int] = {}
+        self.dnf_cache: dict[int, list] = {}
+        self.cover_cache: dict[frozenset[int], list] = {}
+        self.true = self._node(_LETTERS, self.full)
+        self.false = self._node(_LETTERS, 0)
 
-    def _eval(self, g: Formula, assign, vals) -> bool:
-        got = vals.get(g)
+    def _node(self, kind: int, x: int, y: int = -1) -> int:
+        key = (kind, x, y)
+        got = self.ids.get(key)
+        if got is None:
+            got = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            if kind == _UNTIL:
+                self.untils.append(got)
+        return got
+
+    def _atom(self, name: str) -> int:
+        if name not in self.atom_masks:
+            self.atom_masks[name] = sum(
+                1 << i for i, a in enumerate(self.alphabet) if name in self.labeling.props(a)
+            )
+        return self.atom_masks[name]
+
+    def _junction(self, kind: int, x: int, y: int) -> int:
+        (kx, mx, _), (ky, my, _) = self.nodes[x], self.nodes[y]
+        if kx == ky == _LETTERS:
+            return self._node(_LETTERS, mx & my if kind == _AND else mx | my)
+        unit, zero = (self.true, self.false) if kind == _AND else (self.false, self.true)
+        if zero in (x, y):
+            return zero
+        if x == unit or x == y:
+            return y
+        if y == unit:
+            return x
+        return self._node(kind, min(x, y), max(x, y))
+
+    def _temporal(self, kind: int, x: int, y: int = -1) -> int:
+        target = x if kind == _NEXT else y
+        if target in (self.true, self.false) or x == y:
+            return target
+        if (kind, x) in ((_UNTIL, self.false), (_RELEASE, self.true)):
+            return y
+        return self._node(kind, x, y)
+
+    def nnf(self, f: Formula, positive: bool = True) -> int:
+        """Interned negation normal form of f, or of !f when not positive."""
+        if isinstance(f, TrueFormula):
+            return self.true if positive else self.false
+        if isinstance(f, Atom):
+            m = self._atom(f.name)
+            return self._node(_LETTERS, m if positive else self.full & ~m)
+        if isinstance(f, Not):
+            return self.nnf(f.operand, not positive)
+        if isinstance(f, (And, Or)):
+            kind = _AND if isinstance(f, And) == positive else _OR
+            return self._junction(kind, self.nnf(f.left, positive), self.nnf(f.right, positive))
+        if isinstance(f, Implies):  # !l | r
+            l, r = self.nnf(f.left, not positive), self.nnf(f.right, positive)
+            return self._junction(_OR if positive else _AND, l, r)
+        if isinstance(f, Iff):  # (l & r) | (!l & !r)
+            l, nl = self.nnf(f.left), self.nnf(f.left, False)
+            r, nr = self.nnf(f.right), self.nnf(f.right, False)
+            if not positive:
+                r, nr = nr, r
+            return self._junction(_OR, self._junction(_AND, l, r), self._junction(_AND, nl, nr))
+        if isinstance(f, Next):
+            return self._temporal(_NEXT, self.nnf(f.operand, positive))
+        if isinstance(f, (Eventually, Always)):  # true U g, false R g
+            g = self.nnf(f.operand, positive)
+            if isinstance(f, Eventually) == positive:
+                return self._temporal(_UNTIL, self.true, g)
+            return self._temporal(_RELEASE, self.false, g)
+        if isinstance(f, Until):  # !(l U r) = !l R !r
+            l, r = self.nnf(f.left, positive), self.nnf(f.right, positive)
+            return self._temporal(_UNTIL if positive else _RELEASE, l, r)
+        if isinstance(f, Before):  # l B r = l R !r
+            l, r = self.nnf(f.left, positive), self.nnf(f.right, not positive)
+            return self._temporal(_RELEASE if positive else _UNTIL, l, r)
+        raise TypeError(f"unknown formula node {f!r}")
+
+    def _dnf(self, g: int) -> list:
+        """Covers of one node, each expanded once: (letters allowed now,
+        obligations for the next position, untils postponed)."""
+        got = self.dnf_cache.get(g)
         if got is not None:
             return got
-        if isinstance(g, TrueFormula):
-            v = True
-        elif isinstance(g, (Atom, Next, Until)):
-            v = assign[g]
-        elif isinstance(g, And):
-            v = self._eval_signed(g.left, assign, vals) and self._eval_signed(
-                g.right, assign, vals
-            )
-        elif isinstance(g, Or):
-            v = self._eval_signed(g.left, assign, vals) or self._eval_signed(
-                g.right, assign, vals
-            )
-        else:
-            raise TypeError(f"unexpected closure element {g!r}")
-        vals[g] = v
-        return v
+        kind, x, y = self.nodes[g]
+        if kind == _LETTERS:
+            out = [(x, _NONE, _NONE)] if x else []
+        elif kind == _NEXT:
+            out = [(self.full, frozenset({x}), _NONE)]
+        elif kind == _AND:
+            out = _product(self._dnf(x), self._dnf(y))
+        elif kind == _OR:
+            out = _prune(self._dnf(x) + self._dnf(y))
+        elif kind == _UNTIL:  # y now, or x now and the until again next
+            again = [(self.full, frozenset({g}), frozenset({g}))]
+            out = _prune(self._dnf(y) + _product(self._dnf(x), again))
+        else:  # release: x and y now, or y now and the release again next
+            again = [(self.full, frozenset({g}), _NONE)]
+            out = _prune(_product(self._dnf(x), self._dnf(y)) + _product(self._dnf(y), again))
+        self.dnf_cache[g] = out
+        return out
 
-    def _eval_signed(self, g: Formula, assign, vals) -> bool:
-        pos, neg = _strip_not(g)
-        return self._eval(pos, assign, vals) != neg
+    def _covers(self, obligations: frozenset[int]) -> list:
+        """Covers of a whole obligation set: the product of its nodes' covers."""
+        got = self.cover_cache.get(obligations)
+        if got is None:
+            got = [(self.full, _NONE, _NONE)]
+            for g in sorted(obligations):
+                got = _product(got, self._dnf(g))
+            self.cover_cache[obligations] = got
+        return got
 
-    def _lookup(self, g: Formula, vals) -> bool:
-        pos, neg = _strip_not(g)
-        return vals[pos] != neg
-
-    def automaton(self, polarity: bool) -> BuchiAutomaton:
-        """Reduced Buchi automaton for the words whose suffix valuation of the
-        core formula at position 0 equals the polarity."""
-        m = len(self.untils)
-        init = [
-            i for i, vals in enumerate(self.states)
-            if self._lookup(self.core, vals) == polarity
-        ]
-        index: dict[tuple[int, int], int] = {}
-        order: list[tuple[int, int]] = []
-        for i in init:
-            node = (i, 0)
-            if node not in index:
-                index[node] = len(order)
-                order.append(node)
+    def automaton(self, root: int) -> BuchiAutomaton:
+        """Reduced Buchi automaton for the words satisfying the node."""
+        untils = self.untils
+        symbols = self.alphabet.symbols
+        start = (frozenset() if root == self.true else frozenset({root}), 0, False)
+        index = {start: 0}
+        order = [start]
         transitions: set[tuple[int, str, int]] = set()
-        pos = 0
-        while pos < len(order):
-            i, k = order[pos]
-            vals = self.states[i]
-            if m:
-                u = self.untils[k]
-                hit = (not vals[u]) or self._lookup(u.right, vals)
-                k2 = (k + 1) % m if hit else k
-            else:
-                k2 = 0
-            for j in self.succ[i]:
-                node = (j, k2)
-                if node not in index:
-                    index[node] = len(order)
-                    order.append(node)
-                for a in self.letters[i]:
-                    transitions.add((pos, a, index[node]))
-            pos += 1
-        if m:
-            accepting = set()
-            for node, idx in index.items():
-                i, k = node
-                vals = self.states[i]
-                u = self.untils[m - 1]
-                if k == m - 1 and ((not vals[u]) or self._lookup(u.right, vals)):
-                    accepting.add(idx)
-        else:
-            accepting = set(range(len(order)))
+        for pos, (obligations, k, _) in enumerate(order):
+            for mask, nxt, post in self._covers(obligations):
+                # the counter waits at the first until this step postpones
+                j = k
+                while j < len(untils) and untils[j] not in post:
+                    j += 1
+                target = (nxt, 0, True) if j == len(untils) else (nxt, j, False)
+                t = index.get(target)
+                if t is None:
+                    t = index[target] = len(order)
+                    order.append(target)
+                for i, a in enumerate(symbols):
+                    if mask >> i & 1:
+                        transitions.add((pos, a, t))
+        accepting = frozenset(i for i, (_, _, wrapped) in enumerate(order) if wrapped)
         raw = BuchiAutomaton(
-            self.alphabet,
-            len(order),
-            frozenset(range(len(init))),
-            frozenset(accepting),
-            frozenset(transitions),
+            self.alphabet, len(order), frozenset({0}), accepting, frozenset(transitions)
         )
         return reduce_buchi(raw)
 
 
 @lru_cache(maxsize=512)
 def _to_buchi_cached(f: Formula, alphabet: Alphabet, labeling: Labeling):
-    tab = _Tableau(_desugar(f), alphabet, labeling)
-    return tab.automaton(True), tab.automaton(False)
+    t = _Translator(alphabet, labeling)
+    positive, negative = t.nnf(f), t.nnf(f, False)
+    return t.automaton(positive), t.automaton(negative)
 
 
 def to_buchi(
@@ -834,8 +805,9 @@ def to_buchi(
 ) -> tuple[BuchiAutomaton, BuchiAutomaton]:
     """Buchi automata for the formula and for its negation, both reduced.
 
-    The pair partitions the omega-words over the alphabet, which is what lets
-    callers avoid complementation entirely.
+    Each is built from its own negation normal form; the pair partitions the
+    omega-words over the alphabet, which is what lets callers avoid
+    complementation entirely.
     """
     if labeling is None:
         labeling = Labeling.canonical(alphabet)

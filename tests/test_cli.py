@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gen
+import oracles
 from faircheck.automata import (
     Alphabet,
     BuchiAutomaton,
@@ -18,11 +23,13 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
+from faircheck import cli
 from faircheck.cli import run
 from faircheck.formats import format_automaton, parse_automaton
 from faircheck.pltl import Labeling, evaluate_lasso, parse_formula
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 FIG2 = str(FIXTURES / "fig2.aut")
 FIG3 = str(FIXTURES / "fig3.aut")
 HIDE = str(FIXTURES / "hide.hom")
@@ -65,6 +72,26 @@ class TestCheckReports:
             Labeling.canonical(gen.SERVER_SIGMA),
             parse_formula("G F result"),
         )
+
+    @pytest.mark.parametrize(
+        "kind, formula",
+        [
+            ("sat", "G !reject"),
+            ("sat", "G (lock -> X free)"),
+            ("rs", "G (request -> F result)"),
+            ("sat", "G (request -> F result)"),
+        ],
+    )
+    def test_witnesses_are_the_smallest_lasso(self, capsys, kind, formula):
+        # the budgeted refinement must not spend its candidates on cycles no
+        # run survives, or it falls back to the longer "lock;request no reject"
+        assert run(["check", kind, "--system", FIG2, "--formula", formula]) == 1
+        witness = report_of(capsys)["verdict"]["witness"]["lasso"]
+        assert witness == ";lock request no reject free"
+        x = LassoWord((), ("lock", "request", "no", "reject", "free"))
+        assert oracles.buchi_accepts_lasso(limit(canonicalize(gen.releasing_server())), x)
+        labeling = Labeling.canonical(gen.SERVER_SIGMA)
+        assert not evaluate_lasso(x, labeling, parse_formula(formula))
 
     def test_trapping_server_fails_relative_liveness_at_lock(self, capsys):
         code = run(["check", "rl", "--system", FIG3, "--formula", "G F result"])
@@ -349,6 +376,65 @@ class TestErrors:
 
     def test_formula_syntax_error(self, capsys):
         assert run(["check", "rl", "--system", FIG2, "--formula", "G ("]) == 2
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        formula = "!" * 3000 + "a"
+        assert run(["eval", "--formula", formula, "--lasso", ";a"]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_nesting_too_deep_for_the_rewrites_exits_two(self, capsys):
+        # within the parser's limit, but R turns each X into four levels
+        formula = "X " * 900 + "a"
+        assert run(["transform", "--formula", formula, "--mode", "R"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_long_next_chain_is_decided(self, capsys):
+        formula = "X " * 400 + "a"
+        assert run(["safety-class", "--formula", formula, "--alphabet", "a b"]) == 0
+        assert report_of(capsys)["verdict"] == {"is_safety": True}
+
+
+class TestEntryPoints:
+    ARGV = ["eval", "--formula", "G a", "--lasso", ";a"]
+
+    def outputs(self, capsys, argvs):
+        out = []
+        for argv in argvs:
+            code = run(argv)
+            got = capsys.readouterr()
+            out.append((code, re.sub(r'"elapsed_ms": \d+', "", got.out), got.err))
+        return out
+
+    def test_reused_parser_matches_fresh_ones(self, capsys):
+        argvs = [
+            ["check", "sat", "--system", FIG2, "--formula", "G F result"],
+            ["transform", "--formula", "X a", "--mode", "T"],
+            ["safety-class", "--formula", "G a", "--alphabet", "a b"],
+            ["check", "rl", "--system", FIG2],
+            ["eval", "--formula", "F a", "--lasso", "b;a"],
+            ["check", "rs", "--system", FIG3, "--formula", "G F result"],
+        ]
+        reused = self.outputs(capsys, argvs)
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh += self.outputs(capsys, [argv])
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 2, 0, 1]
+        assert "--formula" in reused[3][2]
+
+    @pytest.mark.parametrize("module", ["faircheck", "faircheck.cli"])
+    def test_python_dash_m(self, module):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, *self.ARGV],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verdict"] == {"holds": True, "witness": None}
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ from faircheck.pltl import (
     Atom,
     Before,
     Eventually,
+    MAX_FORMULA_DEPTH,
     FormulaSyntaxError,
     Iff,
     Implies,
@@ -83,6 +84,22 @@ class TestParser:
         for _ in range(300):
             f = gen.random_formula(rng, ("a", "b", "c"), 4)
             assert parse_formula(format_formula(f)) == f
+
+    def test_depth_limit(self):
+        deep = parse_formula("X " * 400 + "a")
+        for _ in range(400):
+            deep = deep.operand
+        assert deep == Atom("a")
+        for text in ("!" * 3000 + "a", " & ".join(["a"] * 3000), "a U " * 3000 + "b"):
+            with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+                parse_formula(text)
+        at_limit = "X " * (MAX_FORMULA_DEPTH - 1) + "a"
+        parse_formula(at_limit)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("X " + at_limit)
+
+    def test_redundant_parentheses_add_no_depth(self):
+        assert parse_formula("(" * 3000 + "a" + ")" * 3000) == Atom("a")
 
     def test_golden_rendering(self):
         f = Until(EPS, And(Not(EPS), Next(Until(EPS, Atom("a")))))
@@ -255,6 +272,13 @@ class TestToBuchi:
         assert lasso_membership(LassoWord(("a", "a"), ("b",)), pos)
         assert lasso_membership(LassoWord((), ("a", "b")), neg)
 
+    def test_recurrence_behind_next_goldens(self):
+        # the fulfilling step must survive next to the postponing one
+        pos, neg = to_buchi(parse_formula("G X F b"), AB)
+        assert lasso_membership(LassoWord((), ("b",)), pos)
+        assert lasso_membership(LassoWord((), ("a", "b")), pos)
+        assert lasso_membership(LassoWord(("b",), ("a",)), neg)
+
     def test_agrees_with_evaluation_and_partitions(self, rng):
         lab = Labeling.canonical(AB)
         for _ in range(60):
@@ -277,6 +301,40 @@ class TestToBuchi:
                 truth = evaluate_lasso(x, lab, f)
                 assert oracles.buchi_accepts_lasso(pos, x) == truth
                 assert oracles.buchi_accepts_lasso(neg, x) == (not truth)
+
+
+    def test_next_chain_stays_linear(self):
+        for k in (1, 2, 12, 16, 100, 400):
+            pos, neg = to_buchi(parse_formula("X " * k + "a"), AB)
+            assert pos.n_states <= k + 2 and neg.n_states <= k + 2
+            hit = LassoWord(("b",) * k + ("a",), ("b",))
+            assert lasso_membership(hit, pos) and not lasso_membership(hit, neg)
+
+    def test_recurrence_conjunction_stays_small(self):
+        letters = tuple(f"a{i}" for i in range(1, 9))
+        sigma = Alphabet(letters)
+        f = parse_formula(" & ".join(f"G F {a}" for a in letters))
+        pos, neg = to_buchi(f, sigma)
+        assert pos.n_states <= 200 and neg.n_states <= 200
+        assert lasso_membership(LassoWord((), letters), pos)
+        assert lasso_membership(LassoWord(letters, letters[:-1]), neg)
+
+    def test_retransformed_formulas_under_hidden_letters(self, rng):
+        # R outputs nest eps U ... around shared subformulas: the hardest
+        # input for cover expansion
+        labelings = [
+            (AB.with_hash(), Labeling.canonical(AB).eps_extension()),
+            (TestAbstractionLemmas.SIGMA, TestAbstractionLemmas.LAB_MIXED),
+        ]
+        for _ in range(40):
+            f = transform(gen.random_nf_formula(rng, ("a", "b"), 3), "R")
+            for alphabet, lab in labelings:
+                pos, neg = to_buchi(f, alphabet, lab)
+                for _ in range(3):
+                    x = gen.random_lasso(rng, alphabet)
+                    truth = evaluate_lasso(x, lab, f)
+                    assert lasso_membership(x, pos) == truth
+                    assert lasso_membership(x, neg) == (not truth)
 
 
 def _image(x: LassoWord, hidden: set[str]) -> LassoWord | None:
