@@ -790,52 +790,57 @@ def _stems_by_subset(b: BuchiAutomaton, max_len: int):
     return out
 
 
-def _live_words(b: BuchiAutomaton, mask: int, length: int):
-    """Words of the given length in lex order along which some run from the mask survives."""
-    if length == 0:
-        yield ()
-        return
-    for s in b.alphabet.symbols:
-        m2 = b.step_mask(mask, s)
-        if m2:
-            for rest in _live_words(b, m2, length - 1):
-                yield (s,) + rest
-
-
 def _denotation_minimal_lasso(
-    b: BuchiAutomaton, baseline: LassoWord, budget: int = 3000
+    b: BuchiAutomaton, baseline: LassoWord, budget: int = 24_000
 ) -> LassoWord:
     """Smallest accepted lasso by (stem length, cycle length, stem, cycle).
 
-    Candidates are normalized forms only, and a cycle is not extended past a
-    prefix on which every run from the stem dies; acceptance of each is
-    decided by the whole-cycle pair relation.  The baseline (always a valid
-    witness) bounds the search and is returned when the budget runs out, so
-    the result is exact at ordinary sizes and never worse than the baseline.
+    Cycles are grown one letter at a time from the live cycles of the
+    previous length, so a prefix on which every run from the stem dies is
+    never extended.  Each live cycle charges its length to the budget, which
+    bounds the work however long the cycles get.  Candidates are normalized
+    forms only, and acceptance of each is decided by the whole-cycle pair
+    relation.  The baseline (always a valid witness) bounds the search and
+    is returned when the budget runs out, so the result is exact at ordinary
+    sizes and never worse than the baseline.
     """
     m_cap = len(baseline.stem)
     p_base = len(baseline.cycle)
+    syms = b.alphabet.symbols
     stems = _stems_by_subset(b, m_cap)
     for m in range(m_cap + 1):
         p_cap = p_base if m == m_cap else max(p_base, 8)
+        # per stem: the live cycles of the current length, in lex order, each
+        # with the state set it leads to
+        live = [[((), mask)] for _, mask in stems[m]]
         for p in range(1, p_cap + 1):
-            for stem, mask in stems[m]:
-                for cycle in _live_words(b, mask, p):
-                    cand = LassoWord(stem, cycle)
-                    if cand.normalize() != cand:
-                        continue
-                    budget -= 1
-                    if budget < 0:
-                        return baseline
-                    if _accepts_periodic_from(b, mask, cycle):
-                        if (m, p, stem, cycle) < (
-                            m_cap,
-                            p_base,
-                            baseline.stem,
-                            baseline.cycle,
-                        ):
-                            return cand
-                        return baseline
+            for i, (stem, mask) in enumerate(stems[m]):
+                longer = []
+                for word, reached in live[i]:
+                    for s in syms:
+                        after = b.step_mask(reached, s)
+                        if not after:
+                            continue
+                        cycle = (*word, s)
+                        longer.append((cycle, after))
+                        budget -= p
+                        if budget < 0:
+                            return baseline
+                        cand = LassoWord(stem, cycle)
+                        if cand.normalize() != cand:
+                            continue
+                        if cand == baseline:  # accepted, and nothing smaller was
+                            return baseline
+                        if _accepts_periodic_from(b, mask, cycle):
+                            if (m, p, stem, cycle) < (
+                                m_cap,
+                                p_base,
+                                baseline.stem,
+                                baseline.cycle,
+                            ):
+                                return cand
+                            return baseline
+                live[i] = longer
     return baseline
 
 

@@ -221,9 +221,6 @@ def run(argv: list[str]) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # a formula too deep for the recursive rewrites
-        print("error: formula nested too deeply to process", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args: argparse.Namespace, inputs: _Inputs, started: float) -> int:

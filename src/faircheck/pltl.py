@@ -151,27 +151,49 @@ def _rebuild(f: Formula, parts: tuple[Formula, ...]) -> Formula:
     return f
 
 
+def _fold(root, combine, kids=children, key=id):
+    """``combine(item, values of kids(item))`` for every item under root, kids first.
+
+    Items are combined in the order a left-to-right recursive walk would
+    finish them, but from an explicit stack, so a formula's depth is bounded
+    by memory and not by the interpreter's recursion limit.  Items with equal
+    keys (by default the same node) are combined once.
+    """
+    done = {}
+    stack = [(root, None)]  # (item, its kids once they are being combined)
+    while stack:
+        item, ks = stack.pop()
+        if ks is not None:
+            done[key(item)] = combine(item, [done[key(c)] for c in ks])
+        elif key(item) not in done:
+            ks = kids(item)
+            stack.append((item, ks))
+            stack.extend([(c, None) for c in reversed(ks)])
+    return done[key(root)]
+
+
 def atoms_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= atoms_of(c)
-    return out
+    def atoms(g: Formula, parts: list) -> frozenset[str]:
+        return frozenset({g.name}) if isinstance(g, Atom) else frozenset().union(*parts)
+
+    return _fold(f, atoms)
 
 
 def substitute_atom(f: Formula, old: str, new: str) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(new) if f.name == old else f
-    parts = tuple(substitute_atom(c, old, new) for c in children(f))
-    return _rebuild(f, parts)
+    def substitute(g: Formula, parts: list) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(new) if g.name == old else g
+        return _rebuild(g, parts)
+
+    return _fold(f, substitute)
+
+
+_TEMPORAL = (Next, Until, Before, Eventually, Always)
 
 
 def is_pure_boolean(f: Formula) -> bool:
     """No temporal operator anywhere; true and negations count as Boolean."""
-    if isinstance(f, (Next, Until, Before, Eventually, Always)):
-        return False
-    return all(is_pure_boolean(c) for c in children(f))
+    return _fold(f, lambda g, parts: not isinstance(g, _TEMPORAL) and all(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +214,9 @@ _BINARY_OPS = {
     "B": (5, True, Before),
 }
 
-# Deeper formula trees are syntax errors; later stages walk trees recursively.
+# Deeper formula trees are syntax errors.  Later stages walk trees without
+# recursion, so the rewrites' deeper outputs (R turns X into four levels) and
+# trees built in code are not bounded by it.
 MAX_FORMULA_DEPTH = 1000
 
 
@@ -309,12 +333,16 @@ def _prec(f: Formula) -> int:
 
 def format_formula(f: Formula) -> str:
     """Minimal-parentheses rendering; parse_formula inverts it exactly."""
+    return _fold(f, _render)
+
+
+def _render(f: Formula, parts: list[str]) -> str:
     if isinstance(f, TrueFormula):
         return "true"
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, _UNARY):
-        sub = format_formula(f.operand)
+        sub = parts[0]
         if _prec(f.operand) < _PREC_UNARY:
             sub = f"({sub})"
         if isinstance(f, Not):
@@ -324,8 +352,7 @@ def format_formula(f: Formula) -> str:
     op = {And: "&", Or: "|", Implies: "->", Iff: "<->", Until: "U", Before: "B"}[type(f)]
     me = _prec(f)
     right_assoc = isinstance(f, (Until, Before, Implies, Iff))
-    lt = format_formula(f.left)
-    rt = format_formula(f.right)
+    lt, rt = parts
     if _prec(f.left) < me or (right_assoc and _prec(f.left) == me):
         lt = f"({lt})"
     if _prec(f.right) < me or (not right_assoc and _prec(f.right) == me):
@@ -338,53 +365,67 @@ def format_formula(f: Formula) -> str:
 
 def to_positive_normal_form(f: Formula) -> Formula:
     """Push negations down to atoms (and the constant true) via the dualities."""
+    return _fold((f, False), _pnf_step, kids=_pnf_kids, key=_polar_key)
+
+
+def _polar_key(item: tuple[Formula, bool]) -> tuple[int, bool]:
+    return id(item[0]), item[1]
+
+
+def _pnf_kids(item: tuple[Formula, bool]) -> list[tuple[Formula, bool]]:
+    # (subformula, negated) pairs the item's positive normal form is made of
+    f, negated = item
     if isinstance(f, Not):
-        return _negated_pnf(f.operand)
-    parts = tuple(to_positive_normal_form(c) for c in children(f))
-    return _rebuild(f, parts)
+        return [(f.operand, not negated)]
+    if not negated:
+        return [(c, False) for c in children(f)]
+    if isinstance(f, Implies):
+        return [(f.left, False), (f.right, True)]
+    if isinstance(f, Iff):
+        return [(f.left, False), (f.right, True), (f.left, True), (f.right, False)]
+    if isinstance(f, (Until, Before)):
+        return [(f.left, True), (f.right, False)]
+    return [(c, True) for c in children(f)]
 
 
-def _negated_pnf(f: Formula) -> Formula:
+def _pnf_step(item: tuple[Formula, bool], parts: list[Formula]) -> Formula:
+    f, negated = item
+    if isinstance(f, Not):
+        return parts[0]
+    if not negated:
+        return _rebuild(f, parts)
     if isinstance(f, (TrueFormula, Atom)):
         return Not(f)
-    if isinstance(f, Not):
-        return to_positive_normal_form(f.operand)
     if isinstance(f, And):
-        return Or(_negated_pnf(f.left), _negated_pnf(f.right))
-    if isinstance(f, Or):
-        return And(_negated_pnf(f.left), _negated_pnf(f.right))
-    if isinstance(f, Implies):
-        return And(to_positive_normal_form(f.left), _negated_pnf(f.right))
+        return Or(*parts)
+    if isinstance(f, (Or, Implies)):
+        return And(*parts)
     if isinstance(f, Iff):
-        return Or(
-            And(to_positive_normal_form(f.left), _negated_pnf(f.right)),
-            And(_negated_pnf(f.left), to_positive_normal_form(f.right)),
-        )
-    if isinstance(f, Next):
-        return Next(_negated_pnf(f.operand))
-    if isinstance(f, Eventually):
-        return Always(_negated_pnf(f.operand))
-    if isinstance(f, Always):
-        return Eventually(_negated_pnf(f.operand))
-    if isinstance(f, Until):
-        return Before(_negated_pnf(f.left), to_positive_normal_form(f.right))
-    if isinstance(f, Before):
-        return Until(_negated_pnf(f.left), to_positive_normal_form(f.right))
+        return Or(And(parts[0], parts[1]), And(parts[2], parts[3]))
+    dual = {Next: Next, Eventually: Always, Always: Eventually, Until: Before, Before: Until}
+    if type(f) in dual:
+        return dual[type(f)](*parts)
     raise TypeError(f"unknown formula node {f!r}")
 
 
 def _pnf_shaped(f: Formula) -> bool:
-    if isinstance(f, Not):
-        return isinstance(f.operand, (Atom, TrueFormula))
-    return all(_pnf_shaped(c) for c in children(f))
+    def shaped(g: Formula, parts: list[bool]) -> bool:
+        if isinstance(g, Not):
+            return isinstance(g.operand, (Atom, TrueFormula))
+        return all(parts)
+
+    return _fold(f, shaped)
 
 
 def _eps_only_under_always(f: Formula) -> bool:
-    if f == EPS:
-        return False
-    if isinstance(f, Always) and f.operand == EPS:
-        return True
-    return all(_eps_only_under_always(c) for c in children(f))
+    def only(g: Formula, parts: list[bool]) -> bool:
+        if g == EPS:
+            return False
+        if isinstance(g, Always) and g.operand == EPS:
+            return True
+        return all(parts)
+
+    return _fold(f, only)
 
 
 def check_normal_form(f: Formula, alphabet: Alphabet, mode: str) -> bool:
@@ -419,33 +460,57 @@ def _require_transformable(f: Formula) -> None:
 
 
 def _n(f: Formula) -> Formula:
-    # negated atoms also demand a visible step
-    if isinstance(f, Not) and isinstance(f.operand, Atom) and f.operand != EPS:
-        return And(f, Not(EPS))
-    parts = tuple(_n(c) for c in children(f))
-    return _rebuild(f, parts)
+    def step(g: Formula, parts: list[Formula]) -> Formula:
+        # negated atoms also demand a visible step
+        if isinstance(g, Not) and isinstance(g.operand, Atom) and g.operand != EPS:
+            return And(g, Not(EPS))
+        return _rebuild(g, parts)
+
+    return _fold(f, step)
 
 
-def _t(f: Formula, wrap_boolean: bool) -> Formula:
-    # wrap_boolean: the R rewrite, which also judges each maximal purely
-    # Boolean subformula at the next visible position (bare eps occurs only
-    # as G eps and stays)
-    if wrap_boolean and f != EPS and is_pure_boolean(f):
-        return Until(EPS, _n(f))
-    if isinstance(f, (TrueFormula, Atom)):
-        return f
-    if isinstance(f, Not):
-        if isinstance(f.operand, TrueFormula):
-            return f
-        return And(f, Not(EPS))
-    parts = tuple(_t(c, wrap_boolean) for c in children(f))
+def _t(f: Formula) -> Formula:
+    def step(g: Formula, parts: list[Formula]) -> Formula:
+        if isinstance(g, (TrueFormula, Atom)):
+            return g
+        if isinstance(g, Not):
+            if isinstance(g.operand, TrueFormula):
+                return g
+            return And(g, Not(EPS))
+        return _retime(g, parts)
+
+    return _fold(f, step)
+
+
+def _r(f: Formula) -> Formula:
+    def wrap(b: Formula) -> Formula:
+        return Until(EPS, _n(b))
+
+    def step(g: Formula, parts: list[Formula | None]) -> Formula | None:
+        # None marks a purely Boolean subformula, wrapped by its nearest
+        # temporal ancestor (or at the root)
+        if isinstance(g, Always) and g.operand == EPS:
+            # the T route for G eps, with eps carried through unchanged
+            return Always(Or(EPS, EPS))
+        if not isinstance(g, _TEMPORAL) and all(p is None for p in parts):
+            return None
+        return _retime(g, [wrap(c) if p is None else p for c, p in zip(children(g), parts)])
+
+    out = _fold(f, step)
+    return wrap(f) if out is None else out
+
+
+def _retime(f: Formula, parts: list[Formula]) -> Formula:
+    """The T/R step at an operator node, given its rewritten operands."""
     if isinstance(f, Until):
         return Until(Or(EPS, parts[0]), parts[1])
     if isinstance(f, Always):
         return Always(Or(EPS, parts[0]))
     if isinstance(f, Next):
         return Until(EPS, And(Not(EPS), Next(Until(EPS, parts[0]))))
-    return _rebuild(f, parts)
+    if isinstance(f, (And, Or, Implies, Iff, Before, Eventually)):
+        return _rebuild(f, parts)
+    raise TypeError(f"unknown formula node {f!r}")
 
 
 def transform(f: Formula, mode: str) -> Formula:
@@ -462,7 +527,9 @@ def transform(f: Formula, mode: str) -> Formula:
     _require_transformable(f)
     if mode == "N":
         return _n(f)
-    return _t(f, mode == "R")
+    if mode == "T":
+        return _t(f)
+    return _r(f)
 
 
 # ---------------------------------------------------------------------------
@@ -540,50 +607,40 @@ def evaluate_lasso(x: LassoWord, labeling: Labeling, f: Formula) -> bool:
     nxt = [i + 1 for i in range(n)]
     nxt[n - 1] = len(x.stem)
     props = [labeling.props(x.letter_at(i)) for i in range(n)]
-    memo: dict[int, tuple[Formula, list[bool]]] = {}  # by node identity
 
-    def arr(g: Formula) -> list[bool]:
-        got = memo.get(id(g))
-        if got is not None:
-            return got[1]
+    def arr(g: Formula, parts: list[list[bool]]) -> list[bool]:
         if isinstance(g, TrueFormula):
-            v = [True] * n
-        elif isinstance(g, Atom):
-            v = [g.name in props[i] for i in range(n)]
-        elif isinstance(g, Not):
-            v = [not b for b in arr(g.operand)]
-        elif isinstance(g, And):
-            l, r = arr(g.left), arr(g.right)
-            v = [l[i] and r[i] for i in range(n)]
-        elif isinstance(g, Or):
-            l, r = arr(g.left), arr(g.right)
-            v = [l[i] or r[i] for i in range(n)]
-        elif isinstance(g, Implies):
-            l, r = arr(g.left), arr(g.right)
-            v = [(not l[i]) or r[i] for i in range(n)]
-        elif isinstance(g, Iff):
-            l, r = arr(g.left), arr(g.right)
-            v = [l[i] == r[i] for i in range(n)]
-        elif isinstance(g, Next):
-            s = arr(g.operand)
-            v = [s[nxt[i]] for i in range(n)]
-        elif isinstance(g, Eventually):
-            s = arr(g.operand)
-            v = _lfp(n, nxt, lambda i, cur: s[i] or cur[nxt[i]], [False] * n)
-        elif isinstance(g, Always):
-            s = arr(g.operand)
-            v = _lfp(n, nxt, lambda i, cur: s[i] and cur[nxt[i]], [True] * n)
-        elif isinstance(g, Until):
-            l, r = arr(g.left), arr(g.right)
-            v = _lfp(n, nxt, lambda i, cur: r[i] or (l[i] and cur[nxt[i]]), [False] * n)
-        elif isinstance(g, Before):
-            v = [not b for b in arr(Until(Not(g.left), g.right))]
-        else:
-            raise TypeError(f"unknown formula node {g!r}")
-        memo[id(g)] = (g, v)  # holding g keeps its id from being reused
-        return v
+            return [True] * n
+        if isinstance(g, Atom):
+            return [g.name in props[i] for i in range(n)]
+        if isinstance(g, Not):
+            return [not b for b in parts[0]]
+        if isinstance(g, Next):
+            s = parts[0]
+            return [s[nxt[i]] for i in range(n)]
+        if isinstance(g, Eventually):
+            s = parts[0]
+            return _lfp(n, nxt, lambda i, cur: s[i] or cur[nxt[i]], [False] * n)
+        if isinstance(g, Always):
+            s = parts[0]
+            return _lfp(n, nxt, lambda i, cur: s[i] and cur[nxt[i]], [True] * n)
+        l, r = parts
+        if isinstance(g, And):
+            return [l[i] and r[i] for i in range(n)]
+        if isinstance(g, Or):
+            return [l[i] or r[i] for i in range(n)]
+        if isinstance(g, Implies):
+            return [(not l[i]) or r[i] for i in range(n)]
+        if isinstance(g, Iff):
+            return [l[i] == r[i] for i in range(n)]
+        if isinstance(g, Until):
+            return _lfp(n, nxt, lambda i, cur: r[i] or (l[i] and cur[nxt[i]]), [False] * n)
+        if isinstance(g, Before):  # !(!l U r)
+            u = _lfp(n, nxt, lambda i, cur: r[i] or (not l[i] and cur[nxt[i]]), [False] * n)
+            return [not b for b in u]
+        raise TypeError(f"unknown formula node {g!r}")
 
-    return arr(f)[0]
+    return _fold(f, arr)[0]
 
 
 def _lfp(n, nxt, step, start):
@@ -631,6 +688,21 @@ def _product(a: list, b: list) -> list:
     )
 
 
+def _nnf_kids(item: tuple[Formula, bool]) -> list[tuple[Formula, bool]]:
+    # (subformula, positive) pairs the item's negation normal form is made of
+    f, positive = item
+    t = type(f)
+    if t is Not:
+        return [(f.operand, not positive)]
+    if t is Implies:
+        return [(f.left, not positive), (f.right, positive)]
+    if t is Iff:
+        return [(f.left, True), (f.left, False), (f.right, True), (f.right, False)]
+    if t is Before:
+        return [(f.left, positive), (f.right, not positive)]
+    return [(c, positive) for c in children(f)]
+
+
 class _Translator:
     """Buchi automata for formulas over one labeled alphabet.
 
@@ -651,7 +723,7 @@ class _Translator:
         self.ids: dict[tuple[int, int, int], int] = {}
         self.untils: list[int] = []
         self.atom_masks: dict[str, int] = {}
-        self.dnf_cache: dict[int, list] = {}
+        self.dnf: list[list] = []  # covers of nodes 0, 1, ... in creation order
         self.cover_cache: dict[frozenset[int], list] = {}
         self.true = self._node(_LETTERS, self.full)
         self.false = self._node(_LETTERS, 0)
@@ -696,63 +768,67 @@ class _Translator:
 
     def nnf(self, f: Formula, positive: bool = True) -> int:
         """Interned negation normal form of f, or of !f when not positive."""
+        return _fold((f, positive), self._nnf_step, kids=_nnf_kids, key=_polar_key)
+
+    def _nnf_step(self, item: tuple[Formula, bool], parts: list[int]) -> int:
+        f, positive = item
         if isinstance(f, TrueFormula):
             return self.true if positive else self.false
         if isinstance(f, Atom):
             m = self._atom(f.name)
             return self._node(_LETTERS, m if positive else self.full & ~m)
         if isinstance(f, Not):
-            return self.nnf(f.operand, not positive)
+            return parts[0]
         if isinstance(f, (And, Or)):
             kind = _AND if isinstance(f, And) == positive else _OR
-            return self._junction(kind, self.nnf(f.left, positive), self.nnf(f.right, positive))
+            return self._junction(kind, *parts)
         if isinstance(f, Implies):  # !l | r
-            l, r = self.nnf(f.left, not positive), self.nnf(f.right, positive)
-            return self._junction(_OR if positive else _AND, l, r)
+            return self._junction(_OR if positive else _AND, *parts)
         if isinstance(f, Iff):  # (l & r) | (!l & !r)
-            l, nl = self.nnf(f.left), self.nnf(f.left, False)
-            r, nr = self.nnf(f.right), self.nnf(f.right, False)
+            l, nl, r, nr = parts
             if not positive:
                 r, nr = nr, r
             return self._junction(_OR, self._junction(_AND, l, r), self._junction(_AND, nl, nr))
         if isinstance(f, Next):
-            return self._temporal(_NEXT, self.nnf(f.operand, positive))
+            return self._temporal(_NEXT, parts[0])
         if isinstance(f, (Eventually, Always)):  # true U g, false R g
-            g = self.nnf(f.operand, positive)
             if isinstance(f, Eventually) == positive:
-                return self._temporal(_UNTIL, self.true, g)
-            return self._temporal(_RELEASE, self.false, g)
+                return self._temporal(_UNTIL, self.true, parts[0])
+            return self._temporal(_RELEASE, self.false, parts[0])
         if isinstance(f, Until):  # !(l U r) = !l R !r
-            l, r = self.nnf(f.left, positive), self.nnf(f.right, positive)
-            return self._temporal(_UNTIL if positive else _RELEASE, l, r)
+            return self._temporal(_UNTIL if positive else _RELEASE, *parts)
         if isinstance(f, Before):  # l B r = l R !r
-            l, r = self.nnf(f.left, positive), self.nnf(f.right, not positive)
-            return self._temporal(_RELEASE if positive else _UNTIL, l, r)
+            return self._temporal(_RELEASE if positive else _UNTIL, *parts)
         raise TypeError(f"unknown formula node {f!r}")
 
     def _dnf(self, g: int) -> list:
         """Covers of one node, each expanded once: (letters allowed now,
-        obligations for the next position, untils postponed)."""
-        got = self.dnf_cache.get(g)
-        if got is not None:
-            return got
+        obligations for the next position, untils postponed).
+
+        A node's operands are created before it, so expanding nodes in
+        creation order finds their operands' covers ready.
+        """
+        while len(self.dnf) <= g:
+            self.dnf.append(self._expand(len(self.dnf)))
+        return self.dnf[g]
+
+    def _expand(self, g: int) -> list:
         kind, x, y = self.nodes[g]
         if kind == _LETTERS:
-            out = [(x, _NONE, _NONE)] if x else []
-        elif kind == _NEXT:
-            out = [(self.full, frozenset({x}), _NONE)]
-        elif kind == _AND:
-            out = _product(self._dnf(x), self._dnf(y))
-        elif kind == _OR:
-            out = _prune(self._dnf(x) + self._dnf(y))
-        elif kind == _UNTIL:  # y now, or x now and the until again next
+            return [(x, _NONE, _NONE)] if x else []
+        if kind == _NEXT:
+            return [(self.full, frozenset({x}), _NONE)]
+        dx, dy = self.dnf[x], self.dnf[y]
+        if kind == _AND:
+            return _product(dx, dy)
+        if kind == _OR:
+            return _prune(dx + dy)
+        if kind == _UNTIL:  # y now, or x now and the until again next
             again = [(self.full, frozenset({g}), frozenset({g}))]
-            out = _prune(self._dnf(y) + _product(self._dnf(x), again))
-        else:  # release: x and y now, or y now and the release again next
-            again = [(self.full, frozenset({g}), _NONE)]
-            out = _prune(_product(self._dnf(x), self._dnf(y)) + _product(self._dnf(y), again))
-        self.dnf_cache[g] = out
-        return out
+            return _prune(dy + _product(dx, again))
+        # release: x and y now, or y now and the release again next
+        again = [(self.full, frozenset({g}), _NONE)]
+        return _prune(_product(dx, dy) + _product(dy, again))
 
     def _covers(self, obligations: frozenset[int]) -> list:
         """Covers of a whole obligation set: the product of its nodes' covers."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from faircheck.abstraction import Homomorphism, abstract_behavior
 from faircheck import cli
 from faircheck.cli import run
 from faircheck.formats import format_automaton, parse_automaton
-from faircheck.pltl import Labeling, evaluate_lasso, parse_formula
+from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -92,6 +93,23 @@ class TestCheckReports:
         assert oracles.buchi_accepts_lasso(limit(canonicalize(gen.releasing_server())), x)
         labeling = Labeling.canonical(gen.SERVER_SIGMA)
         assert not evaluate_lasso(x, labeling, parse_formula(formula))
+
+    def test_witness_on_a_ring_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # one computation, the ring word repeated: the refinement walks one
+        # live cycle per length and must reach the ring's length (beyond
+        # sys.getrecursionlimit()) or give up, returning the baseline either way
+        n = 1100
+        draw = random.Random(7)
+        ring = [draw.choice("ab") for _ in range(n)]
+        path = tmp_path / "ring.aut"
+        path.write_text(
+            "alphabet: a b\nstates: "
+            + " ".join(f"s{i}" for i in range(n))
+            + "\ninitial: s0\n"
+            + "".join(f"trans: s{i} {x} s{(i + 1) % n}\n" for i, x in enumerate(ring))
+        )
+        assert run(["check", "sat", "--system", str(path), "--formula", "G a"]) == 1
+        assert report_of(capsys)["verdict"]["witness"]["lasso"] == ";" + " ".join(ring)
 
     def test_trapping_server_fails_relative_liveness_at_lock(self, capsys):
         code = run(["check", "rl", "--system", FIG3, "--formula", "G F result"])
@@ -382,11 +400,27 @@ class TestErrors:
         assert run(["eval", "--formula", formula, "--lasso", ";a"]) == 2
         assert "nested deeper" in capsys.readouterr().err
 
-    def test_nesting_too_deep_for_the_rewrites_exits_two(self, capsys):
-        # within the parser's limit, but R turns each X into four levels
-        formula = "X " * 900 + "a"
-        assert run(["transform", "--formula", formula, "--mode", "R"]) == 2
-        assert "nested too deeply" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "shape, command",
+        [
+            (shape, command)
+            for shape in ("X ", "!", "a & ", "a U ")
+            for command in ("safety-class", "eval", "pnf", "R")
+            if not (shape == "!" and command == "R")  # R needs positive normal form
+        ],
+    )
+    def test_formulas_at_the_depth_limit_are_processed(self, capsys, shape, command):
+        # later stages walk trees without recursion, also the four times
+        # deeper output of the R rewrite
+        formula = shape * (MAX_FORMULA_DEPTH - 1) + "a"
+        argv = {
+            "safety-class": ["safety-class", "--formula", formula, "--alphabet", "a b"],
+            "eval": ["eval", "--formula", formula, "--lasso", ";a b", "--alphabet", "a b"],
+            "pnf": ["transform", "--formula", formula, "--mode", "pnf"],
+            "R": ["transform", "--formula", formula, "--mode", "R"],
+        }[command]
+        assert run(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     def test_long_next_chain_is_decided(self, capsys):
         formula = "X " * 400 + "a"

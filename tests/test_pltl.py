@@ -1,5 +1,7 @@
 """Formula syntax, normal forms, the N/T/R rewrites, and both semantics routes."""
 
+import sys
+
 import pytest
 
 import gen
@@ -343,6 +345,45 @@ def _image(x: LassoWord, hidden: set[str]) -> LassoWord | None:
     if not cycle:
         return None
     return LassoWord(stem, cycle)
+
+
+class TestDeepFormulas:
+    """Every formula pass walks trees without recursion, so a tree built in
+    code may be deeper than the parser's limit and the interpreter's stack."""
+
+    DEPTH = 3 * sys.getrecursionlimit()
+
+    def nexts(self, leaf):
+        f = leaf
+        for _ in range(self.DEPTH):
+            f = Next(f)
+        return f
+
+    def test_syntax_passes(self):
+        f = self.nexts(Atom("a"))
+        assert format_formula(f) == "X " * self.DEPTH + "a"
+        assert format_formula(to_positive_normal_form(Not(f))) == "X " * self.DEPTH + "!a"
+        assert atoms_of(substitute_atom(f, "a", "b")) == {"b"}
+        assert not is_pure_boolean(f)
+        assert check_normal_form(f, AB, "sigma")
+        assert f == self.nexts(Atom("a")) and hash(f) == hash(self.nexts(Atom("a")))
+
+    def test_rewrites(self):
+        f = self.nexts(Atom("a"))
+        assert transform(f, "N") == f
+        assert atoms_of(transform(f, "T")) == {"a", "eps"}
+        r = transform(f, "R")
+        for _ in range(self.DEPTH):  # eps U (!eps & X (eps U r'))
+            assert isinstance(r, Until) and r.left == EPS
+            r = r.right.right.operand.right
+        assert r == Until(EPS, Atom("a"))
+
+    def test_semantics(self):
+        f = self.nexts(Atom("a"))
+        assert evaluate_lasso(LassoWord((), ("a",)), Labeling.canonical(AB), f)
+        assert not evaluate_lasso(LassoWord(("a",) * self.DEPTH, ("b",)), Labeling.canonical(AB), f)
+        positive, negative = to_buchi(f, AB)
+        assert positive.n_states <= self.DEPTH + 2 and negative.n_states <= self.DEPTH + 2
 
 
 class TestAbstractionLemmas:
