@@ -12,8 +12,8 @@ an abstract formula to its retransformed concrete counterpart.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import defaultdict, deque
+from dataclasses import dataclass
 
 from .automata import (
     EPS_TOKEN,
@@ -24,6 +24,10 @@ from .automata import (
     FinAutomaton,
     LassoWord,
     NotPrefixClosedError,
+    _backward_closure,
+    _moore_classes,
+    _predecessors,
+    _subsets,
     canonicalize,
     is_prefix_closed,
     limit,
@@ -190,11 +194,23 @@ def image_automaton(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
     is a prefix of the image.
     """
     _check_source(h, a)
+    return canonicalize(_image_nfa(h, a))
+
+
+def _image_nfa(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
+    # same states as a over the target letters: each state moves on the
+    # image of every visible edge leaving its hidden-letter closure, so state
+    # q accepts the image of the words accepted from q
     silent: list[set[int]] = [set() for _ in range(a.n_states)]
+    visible: list[list[tuple[str, int]]] = [[] for _ in range(a.n_states)]
     for p, c, q in a.transitions:
-        if h.image(c) == EPS_TOKEN:
+        img = h.image(c)
+        if img == EPS_TOKEN:
             silent[p].add(q)
-    closure: list[frozenset[int]] = []
+        else:
+            visible[p].append((img, q))
+    transitions: set[tuple[int, str, int]] = set()
+    accepting: set[int] = set()
     for p in range(a.n_states):
         seen = {p}
         stack = [p]
@@ -204,23 +220,10 @@ def image_automaton(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        closure.append(frozenset(seen))
-    visible: list[list[tuple[str, int]]] = [[] for _ in range(a.n_states)]
-    for p, c, q in a.transitions:
-        img = h.image(c)
-        if img != EPS_TOKEN:
-            visible[p].append((img, q))
-    transitions: set[tuple[int, str, int]] = set()
-    for p in range(a.n_states):
-        for p1 in closure[p]:
-            for img, q in visible[p1]:
-                transitions.add((p, img, q))
-    accepting = frozenset(
-        p for p in range(a.n_states) if closure[p] & a.accepting
-    )
-    return canonicalize(
-        FinAutomaton(h.target, a.n_states, a.initial, accepting, transitions)
-    )
+        transitions.update((p, img, q) for p1 in seen for img, q in visible[p1])
+        if seen & a.accepting:
+            accepting.add(p)
+    return FinAutomaton(h.target, a.n_states, a.initial, accepting, transitions)
 
 
 def inverse_image_automaton(h: Homomorphism, a):
@@ -310,89 +313,16 @@ class WccReport:
         return self.closed
 
 
-def _rebased(a: FinAutomaton, q: int) -> FinAutomaton:
-    return replace(a, initial=frozenset({q}))
-
-
 def _step_table(a: FinAutomaton) -> dict[tuple[int, str], int]:
     # deterministic automata only; the table drops missing edges
     return {(p, c): q for p, c, q in a.transitions}
 
 
-def _equal_residual_pairs(da: FinAutomaton, db: FinAutomaton) -> set[tuple[int, int]]:
-    """State pairs of two deterministic automata with equal residual languages.
-
-    Moore partition refinement over the disjoint union, with one shared
-    implicit dead sink for missing edges.
-    """
-    symbols = da.alphabet.symbols
-    na, nb = da.n_states, db.n_states
-    sink = na + nb
-    step = [[sink] * len(symbols) for _ in range(sink + 1)]
-    for i, c in enumerate(symbols):
-        for p, s, q in da.transitions:
-            if s == c:
-                step[p][i] = q
-        for p, s, q in db.transitions:
-            if s == c:
-                step[na + p][i] = na + q
-    block = [0] * (sink + 1)
-    for p in da.accepting:
-        block[p] = 1
-    for p in db.accepting:
-        block[na + p] = 1
-    while True:
-        signatures = [
-            (block[s], tuple(block[t] for t in step[s])) for s in range(sink + 1)
-        ]
-        renumber: dict[tuple, int] = {}
-        new_block = []
-        for sig in signatures:
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block.append(renumber[sig])
-        if new_block == block:
-            break
-        block = new_block
-    return {
-        (p, q)
-        for p in range(na)
-        for q in range(nb)
-        if block[p] == block[na + q]
-    }
-
-
-def _pair_is_closed(
-    d_aut: FinAutomaton,
-    d: int,
-    y_aut: FinAutomaton,
-    equal: set[tuple[int, int]],
-    d_step: dict[tuple[int, str], int],
-) -> bool:
-    # look for a continuation u after which the two residuals coincide;
-    # branches where the image of the concrete quotient dies are hopeless
-    # because the abstract quotient is prefix-closed and never empty
-    if y_aut.n_states == 0:
-        return False
-    y_step = _step_table(y_aut)
-    start = (d, next(iter(y_aut.initial)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        d1, y1 = queue.popleft()
-        if (d1, y1) in equal:
-            return True
-        for c in d_aut.alphabet:
-            d2 = d_step.get((d1, c))
-            if d2 is None:
-                continue
-            y2 = y_step.get((y1, c))
-            if y2 is None:
-                continue
-            if (d2, y2) not in seen:
-                seen.add((d2, y2))
-                queue.append((d2, y2))
-    return False
+def _prefix_closed_canonical(L: FinAutomaton, what: str) -> FinAutomaton:
+    A = canonicalize(L)
+    if len(A.accepting) != A.n_states:
+        raise NotPrefixClosedError(f"{what} prefix-closed languages")
+    return A
 
 
 def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport:
@@ -402,18 +332,27 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
     abstract continuation u of the image of w such that, beyond u, the
     continuations of the image coincide with the images of the continuations
     of w.  Only finitely many cases matter: the concrete quotient depends
-    only on the state reached by w and the abstract quotient only on the
-    image-automaton state reached by the image of w, so the check walks the
-    synchronized pair graph once and decides each pair by a product search
-    with residual-language equivalence as the target.
+    only on the state q reached by w in the canonical system A and the
+    abstract quotient only on the state d reached by the image of w in the
+    canonical image D.  The decision takes a fixed number of passes over
+    whole automata: one subset construction of the image seeded at every
+    state of A gives one DFA Y holding every quotient image, one Moore
+    refinement of D and Y together gives the equal-residual classes, and on
+    the synchronized D x Y pair graph a forward pass from the pairs
+    (d, seed(q)) and a backward pass from the pairs of equal classes find
+    which (q, d) admit a reconciling continuation.
     """
     _check_source(h, L)
-    A = canonicalize(L)
-    if not is_prefix_closed(A):
-        raise NotPrefixClosedError(
-            "weak continuation-closure is checked over prefix-closed languages"
-        )
-    D = canonicalize(image_automaton(h, A))
+    A = _prefix_closed_canonical(L, "weak continuation-closure is checked over")
+    image = _image_nfa(h, A)
+    return _wcc(h, A, image, canonicalize(image))
+
+
+def _wcc(
+    h: Homomorphism, A: FinAutomaton, image: FinAutomaton, D: FinAutomaton
+) -> WccReport:
+    # A is canonical and prefix-closed, image is _image_nfa(h, A), D its
+    # canonical form
     if A.n_states == 0:
         return WccReport(True, ())
     a_step = _step_table(A)
@@ -435,21 +374,35 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
                 words[(q2, d2)] = w + (c,)
                 order.append((q2, d2))
                 queue.append((q2, d2))
-    quotient_images: dict[int, FinAutomaton] = {}
-    equal_cache: dict[int, set[tuple[int, int]]] = {}
-    violations: list[tuple[int, int, tuple[str, ...]]] = []
-    for q, d in order:
-        if q not in quotient_images:
-            quotient_images[q] = canonicalize(image_automaton(h, _rebased(A, q)))
-            equal_cache[q] = _equal_residual_pairs(D, quotient_images[q])
-        if not _pair_is_closed(D, d, quotient_images[q], equal_cache[q], d_step):
-            violations.append((q, d, words[(q, d)]))
+    # Y state q is the seed of system state q: the quotient image from q
+    subsets, y_step = _subsets(image, [1 << q for q in range(A.n_states)], -1)
+    nd = D.n_states
+    joint = dict(d_step)
+    joint.update(((nd + y, c), nd + y2) for (y, c), y2 in y_step.items())
+    # every state of D and Y accepts: both are prefix-closed and trimmed
+    union = range(nd + len(subsets))
+    classes = _moore_classes(union, joint, union, h.target.symbols)
+    # the pairs (abstract state, quotient state) reachable from the starts,
+    # then those of them from which some pair of equal residuals is reachable
+    seen = {(d, q) for q, d in order}
+    stack = list(seen)
+    pred: defaultdict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    while stack:
+        d, y = stack.pop()
+        for c in h.target:
+            d2 = d_step.get((d, c))
+            y2 = y_step.get((y, c))
+            if d2 is None or y2 is None:
+                continue
+            pred[(d2, y2)].append((d, y))
+            if (d2, y2) not in seen:
+                seen.add((d2, y2))
+                stack.append((d2, y2))
+    closed = _backward_closure(
+        pred, {(d, y) for d, y in seen if classes[d] == classes[nd + y]}
+    )
+    violations = [(q, d, words[(q, d)]) for q, d in order if (d, q) not in closed]
     return WccReport(not violations, tuple(violations))
-
-
-def _accepts_only_epsilon(a: FinAutomaton) -> bool:
-    # canonical form of the language {empty word}
-    return a.n_states == 1 and not a.transitions and bool(a.accepting)
 
 
 def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomaton:
@@ -459,24 +412,29 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
     just the empty word, i.e. after a maximal word.  The relative variant
     (``hom`` given) loops ``#`` at every state whose residual language is
     erased to the empty word by the abstraction, i.e. whose entire future is
-    hidden.  The alphabet is extended by ``#`` in both variants, whether or
-    not any loop was added.
+    hidden.  Both are one backward-reachability pass over the canonical
+    automaton: an accepting state is padded exactly when no visible edge
+    (without ``hom`` every edge is visible) is reachable from it, which is
+    exact because canonical automata are trimmed, so every reachable edge
+    lies on an accepted continuation.  The alphabet is extended by ``#`` in
+    both variants, whether or not any loop was added.
     """
     A = canonicalize(L)
     if hom is not None:
         _check_source(hom, A)
-    extended = A.alphabet.with_hash()
-    has_out = {p for p, _, _ in A.transitions}
-    loops: set[int] = set()
-    for q in sorted(A.accepting):
-        if hom is None:
-            if q not in has_out:
-                loops.add(q)
-        elif _accepts_only_epsilon(canonicalize(image_automaton(hom, _rebased(A, q)))):
-            loops.add(q)
-    transitions = set(A.transitions) | {(q, HASH_TOKEN, q) for q in loops}
+    return _xtd(A, hom)
+
+
+def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
+    # A is canonical
+    sees_visible = _backward_closure(
+        _predecessors(A),
+        {p for p, c, _ in A.transitions if hom is None or hom.image(c) != EPS_TOKEN},
+    )
+    transitions = set(A.transitions)
+    transitions.update((q, HASH_TOKEN, q) for q in A.accepting - sees_visible)
     return canonicalize(
-        FinAutomaton(extended, A.n_states, A.initial, A.accepting, transitions)
+        FinAutomaton(A.alphabet.with_hash(), A.n_states, A.initial, A.accepting, transitions)
     )
 
 
@@ -487,7 +445,10 @@ def within_fairness_finitary(L: FinAutomaton, labeling: Labeling, f: Formula) ->
     limit loses no information about terminating computations; the padded
     limit is then checked for relative liveness against the formula.
     """
-    padded = compute_xtd(L)
+    return _within_fairness(compute_xtd(L), labeling, f)
+
+
+def _within_fairness(padded: FinAutomaton, labeling: Labeling, f: Formula) -> Verdict:
     spec = PropertySpec.from_formula(f, padded.alphabet, labeling.eps_extension())
     return is_relative_liveness(limit(padded), spec)
 
@@ -521,22 +482,19 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
     abstraction, with the lifted map keeping the padding letter visible.
     """
     _check_source(h, L)
-    A = canonicalize(L)
-    if not is_prefix_closed(A):
-        raise NotPrefixClosedError(
-            "the preservation check is defined over prefix-closed languages"
-        )
+    A = _prefix_closed_canonical(L, "the preservation check is defined over")
     if not check_normal_form(f, h.target, "extended_sigma"):
         raise NotNormalFormError(
             "formula must be in extended normal form over the target alphabet: "
             + format_formula(f)
         )
-    wcc = is_weakly_continuation_closed(A, h)
-    image = image_automaton(h, A)
-    abstract = within_fairness_finitary(image, Labeling.canonical(h.target), f)
+    image_nfa = _image_nfa(h, A)
+    image = canonicalize(image_nfa)
+    wcc = _wcc(h, A, image_nfa, image)
+    abstract = _within_fairness(_xtd(image, None), Labeling.canonical(h.target), f)
 
     lifted = h.lift_hash()
-    padded = compute_xtd(A, hom=h)
+    padded = _xtd(A, h)
     retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
     concrete = is_relative_liveness(
         limit(padded),

@@ -289,11 +289,70 @@ def _forward_reachable(n_states: int, succ, starts: Iterable[int]) -> set[int]:
     return seen
 
 
+def _backward_closure(pred, targets) -> set:
+    """The targets and every node with a path to one; ``pred[v]`` lists v's predecessors."""
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for p in pred[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
 def _predecessors(a) -> list[list[int]]:
     pred: list[list[int]] = [[] for _ in range(a.n_states)]
     for p, _, q in a._sorted_transitions:
         pred[q].append(p)
     return pred
+
+
+def _subsets(a, starts: list[int], keep_mask: int):
+    """Subset construction from several distinct start sets at once.
+
+    Returns the reached state sets as masks in discovery order (the starts
+    first, in the given order) and the deterministic moves between their
+    indices.  Successor sets are cut to ``keep_mask`` (-1 keeps every state);
+    empty ones are dropped, so a missing move means the dead sink.
+    """
+    order = list(starts)
+    index = {mask: i for i, mask in enumerate(order)}
+    dtrans: dict[tuple[int, str], int] = {}
+    i = 0
+    while i < len(order):
+        mask = order[i]
+        for s in a.alphabet.symbols:
+            nm = a.step_mask(mask, s) & keep_mask
+            if not nm:
+                continue
+            if nm not in index:
+                index[nm] = len(order)
+                order.append(nm)
+            dtrans[(i, s)] = index[nm]
+        i += 1
+    return order, dtrans
+
+
+def _moore_classes(states, dtrans, acc, symbols) -> dict[int, int]:
+    """Equal-residual classes of deterministic states by Moore refinement.
+
+    ``dtrans`` maps (state, letter) to a state; a missing move, or one that
+    leaves ``states``, goes to an implicit dead sink of class -1.
+    """
+    cls = {q: (1 if q in acc else 0) for q in states}
+    while True:
+        sig = {}
+        for q in states:
+            row = tuple(
+                cls.get(dtrans.get((q, s), -1), -1) for s in symbols
+            )
+            sig[q] = (cls[q], row)
+        ids = {v: i for i, v in enumerate(sorted(set(sig.values())))}
+        new_cls = {q: ids[sig[q]] for q in states}
+        if len(ids) == len(set(cls.values())):
+            return new_cls
+        cls = new_cls
 
 
 def canonicalize(a: FinAutomaton) -> FinAutomaton:
@@ -307,16 +366,7 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     symbols = a.alphabet.symbols
     # trim the input so subset states only mention useful parts
     reach = _forward_reachable(a.n_states, a._succ, a.initial)
-    pred = _predecessors(a)
-    co = set(a.accepting)
-    queue = deque(sorted(co))
-    while queue:
-        u = queue.popleft()
-        for p in pred[u]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    keep = reach & co
+    keep = reach & _backward_closure(_predecessors(a), a.accepting)
     if not keep:
         return FinAutomaton.empty(a.alphabet)
     keep_mask = _mask(keep)
@@ -324,21 +374,7 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     init = a._initial_mask & keep_mask
     if not init:
         return FinAutomaton.empty(a.alphabet)
-    index: dict[int, int] = {init: 0}
-    order: list[int] = [init]
-    dtrans: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        mask = order[i]
-        for s in symbols:
-            nm = a.step_mask(mask, s) & keep_mask
-            if not nm:
-                continue
-            if nm not in index:
-                index[nm] = len(order)
-                order.append(nm)
-            dtrans[(index[mask], s)] = index[nm]
-        i += 1
+    order, dtrans = _subsets(a, [init], keep_mask)
     n = len(order)
     acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
 
@@ -346,32 +382,11 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     dpred: list[list[int]] = [[] for _ in range(n)]
     for (p, _s), q in dtrans.items():
         dpred[q].append(p)
-    alive = set(acc)
-    queue = deque(sorted(alive))
-    while queue:
-        u = queue.popleft()
-        for p in dpred[u]:
-            if p not in alive:
-                alive.add(p)
-                queue.append(p)
+    alive = _backward_closure(dpred, acc)
     if 0 not in alive:
         return FinAutomaton.empty(a.alphabet)
 
-    # Moore refinement; missing or dead successors map to the sink class -1
-    cls = {q: (1 if q in acc else 0) for q in alive}
-    while True:
-        sig = {}
-        for q in alive:
-            row = tuple(
-                cls.get(dtrans.get((q, s), -1), -1) for s in symbols
-            )
-            sig[q] = (cls[q], row)
-        ids = {v: i for i, v in enumerate(sorted(set(sig.values())))}
-        new_cls = {q: ids[sig[q]] for q in alive}
-        if len(ids) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
+    cls = _moore_classes(alive, dtrans, acc, symbols)
 
     # representative successor map per class
     cdelta: dict[tuple[int, str], int] = {}
@@ -542,16 +557,7 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     states are compacted in increasing order, so an already-reduced automaton
     comes back identical.
     """
-    cores = _core_states(b)
-    pred = _predecessors(b)
-    keep = set(cores)
-    queue = deque(sorted(keep))
-    while queue:
-        u = queue.popleft()
-        for p in pred[u]:
-            if p not in keep:
-                keep.add(p)
-                queue.append(p)
+    keep = _backward_closure(_predecessors(b), _core_states(b))
     if len(keep) == b.n_states:
         return b
     if not keep:
@@ -853,19 +859,21 @@ def _accepting_lasso_from(b: BuchiAutomaton, starts: Iterable[int]) -> LassoWord
     if not candidates:
         return None
     stems = _bfs_tree(b._succ, starts)
+    # every candidate is reachable and on a cycle, so the key below is decided
+    # by stem length first: only the shallowest candidates need a cycle search
+    depth: dict[int, int] = {}
+    for q, edge in stems.items():  # parents come before children
+        depth[q] = 0 if edge is None else depth[edge[0]] + 1
+    shallowest = min(depth[f] for f in candidates)
     best: tuple[int, int, tuple[str, ...], tuple[str, ...]] | None = None
     for f in candidates:
-        if f not in stems:
+        if depth[f] != shallowest:
             continue
         stem = _path_from(stems, f)
         cyc = _shortest_cycle(b._succ, f)
-        if cyc is None:
-            continue
         key = (len(stem), len(cyc), stem, cyc)
         if best is None or key < best:
             best = key
-    if best is None:
-        return None
     return LassoWord(best[2], best[3]).normalize()
 
 

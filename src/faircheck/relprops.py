@@ -87,23 +87,19 @@ class PropertySpec:
     def from_automata(
         cls, positive: BuchiAutomaton, complement: BuchiAutomaton
     ) -> "PropertySpec":
-        """Package a pre-built pair, spot-checking that it is complementary.
+        """Package a pre-built pair after checking that the two are disjoint.
 
-        Exact complementation is out of reach without a complement
-        construction, so sampled lassos from each side are tested against the
-        other; a shared lasso or a lasso rejected by both raises ValueError.
+        Disjointness is decided exactly, by emptiness of the product; a
+        shared computation raises ValueError naming the smallest shared
+        lasso.  Coverage (every computation accepted by one of the two) is
+        not checked: it would need a complement construction.
         """
         spec = cls(positive, complement)
-        for x in sample_accepted_lassos(positive):
-            if lasso_membership(x, complement):
-                raise ValueError(
-                    f"automata are not complementary: both accept {x.as_text()}"
-                )
-        for x in sample_accepted_lassos(complement):
-            if lasso_membership(x, positive):
-                raise ValueError(
-                    f"automata are not complementary: both accept {x.as_text()}"
-                )
+        shared = accepting_lasso(product(positive, complement))
+        if shared is not None:
+            raise ValueError(
+                f"automata are not complementary: both accept {shared.as_text()}"
+            )
         return spec
 
 

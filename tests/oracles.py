@@ -350,3 +350,46 @@ def brute_wcc(system, h) -> bool:
                 seen.add((s2, d2))
                 queue.append((s2, d2))
     return True
+
+
+# ---------------------------------------------------------------------------
+# padding relative to an abstraction, decided from the definition
+
+def _has_visible_future(a, image_of, word) -> bool:
+    """Does some accepted continuation of the word contain a visible letter?
+
+    Searches continuations of up to 2 * n_states letters, layer by layer over
+    (state, visible letter seen) pairs; a shortest such continuation visits
+    each pair at most once, so the bound loses nothing.
+    """
+    cur = set(a.initial)
+    for letter in word:
+        cur = {q for u in cur for (p, s, q) in a.transitions if p == u and s == letter}
+    frontier = {(q, False) for q in cur}
+    for _ in range(2 * a.n_states):
+        frontier = {
+            (q, seen or image_of[s] != "eps")
+            for u, seen in frontier
+            for (p, s, q) in a.transitions
+            if p == u
+        }
+        if any(seen and q in a.accepting for q, seen in frontier):
+            return True
+    return False
+
+
+def relative_xtd_accepts(a, h, word) -> bool:
+    """Membership in the language padded with "#" relative to the abstraction.
+
+    Dropping every "#" must leave a word of the language, and each "#" must
+    follow a prefix (its "#"s dropped) that is accepted and none of whose
+    accepted continuations contains a letter the abstraction keeps visible.
+    """
+    image_of = {c: h.image(c) for c in a.alphabet.symbols}
+    prefix: list[str] = []
+    for letter in word:
+        if letter != "#":
+            prefix.append(letter)
+        elif not nfa_accepts(a, prefix) or _has_visible_future(a, image_of, prefix):
+            return False
+    return nfa_accepts(a, prefix)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import gen
-from oracles import brute_wcc, enumerate_words, nfa_accepts
+from oracles import brute_wcc, enumerate_words, nfa_accepts, relative_xtd_accepts
+from faircheck import abstraction
 from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
@@ -257,14 +258,56 @@ class TestWcc:
             alphabet = gen.letters(rng.randint(2, 3))
             a = random_system(rng, alphabet, max_states=4)
             h = gen.random_hom(rng, alphabet, p_hide=0.5)
-            got = is_weakly_continuation_closed(a, h).closed
+            report = is_weakly_continuation_closed(a, h)
+            got = report.closed
             expected = brute_wcc(a, h)
             assert got == expected, (a, h.entries)
+            system, image = canonicalize(a), image_automaton(h, a)
+            for q, d, word in report.violations:
+                visible = [h.image(c) for c in word if h.image(c) != "eps"]
+                assert _run(system, word) == q, (a, h.entries, word)
+                assert _run(image, visible) == d, (a, h.entries, word)
             if got:
                 closed_hits += 1
             else:
                 open_hits += 1
         assert closed_hits >= 10 and open_hits >= 10
+
+    def test_one_image_per_check(self, rng, monkeypatch):
+        # the closure check and the relative padding are whole-automaton
+        # passes: no image is built per system state
+        built = []
+
+        def counting(name, real):
+            def wrapper(h, a):
+                built.append(name)
+                return real(h, a)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            abstraction, "_image_nfa", counting("nfa", abstraction._image_nfa)
+        )
+        monkeypatch.setattr(
+            abstraction, "image_automaton", counting("image", abstraction.image_automaton)
+        )
+        for _ in range(30):
+            alphabet = gen.letters(rng.randint(2, 3))
+            a = random_system(rng, alphabet, max_states=6)
+            h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            built.clear()
+            is_weakly_continuation_closed(a, h)
+            assert built.count("nfa") <= 1 and built.count("image") <= 1
+            built.clear()
+            compute_xtd(a, hom=h)
+            assert built == []
+
+
+def _run(dfa: FinAutomaton, word) -> int:
+    state = next(iter(dfa.initial))
+    for letter in word:
+        (state,) = dfa.successors(state, letter)
+    return state
 
 
 class TestXtd:
@@ -295,6 +338,23 @@ class TestXtd:
         # interleave; only genuinely new visible futures stay out
         assert accepts(xt, ("a", "#", "b"))
         assert not accepts(xt, ("a", "#", "a"))
+
+    def test_relative_padding_agrees_with_the_definition(self, rng):
+        padded_hits = plain_hits = 0
+        for i in range(240):
+            alphabet = gen.letters(rng.randint(2, 3))
+            # every other system is not prefix-closed
+            a = gen.random_fin(rng, alphabet, max_states=4, all_accepting=i % 2 == 0)
+            h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            xt = compute_xtd(a, hom=h)
+            for w in enumerate_words(xt.alphabet, 4):
+                expected = relative_xtd_accepts(a, h, w)
+                assert accepts(xt, w) == expected, (a, h.entries, w)
+            if any(s == "#" for _, s, _ in xt.transitions):
+                padded_hits += 1
+            else:
+                plain_hits += 1
+        assert padded_hits >= 40 and plain_hits >= 40
 
     def test_relative_under_identity_matches_plain(self, rng):
         for _ in range(20):

@@ -6,6 +6,7 @@ import pytest
 
 import gen
 import oracles
+from faircheck import automata
 from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
@@ -368,6 +369,36 @@ class TestEmptinessAndWitness:
             x = accepting_lasso(b)
             if x is not None:
                 assert len(x.stem) <= _brute_min_stem(b)
+
+    def test_cycle_search_only_at_the_shallowest_anchors(self, monkeypatch):
+        calls = []
+        real = automata._shortest_cycle
+
+        def counted(succ, f):
+            calls.append(f)
+            return real(succ, f)
+
+        monkeypatch.setattr(automata, "_shortest_cycle", counted)
+        n = 300
+        ring = BuchiAutomaton(
+            AB, n, {0}, set(range(n)), {(q, "a", (q + 1) % n) for q in range(n)}
+        )
+        assert accepting_lasso(ring) == LassoWord((), ("a",))
+        assert calls == [0]
+
+    def test_graph_witness_is_the_least_over_all_anchors(self, rng):
+        # reference: one cycle search per reachable anchor, least key wins
+        for _ in range(150):
+            b = gen.random_buchi(rng, gen.letters(2), max_states=6)
+            stems = automata._bfs_tree(b._succ, b.initial)
+            keys = []
+            for f in sorted(set(b.accepting) & set(stems)):
+                cyc = automata._shortest_cycle(b._succ, f)
+                if cyc is not None:
+                    stem = automata._path_from(stems, f)
+                    keys.append((len(stem), len(cyc), stem, cyc))
+            expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
+            assert automata._accepting_lasso_from(b, b.initial) == expected
 
 
 def _brute_nonempty(b) -> bool:

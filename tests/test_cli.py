@@ -483,3 +483,229 @@ class TestRoundTrip:
             alphabet = gen.letters(rng.randint(1, 3))
             b = gen.random_buchi(rng, alphabet, max_states=5)
             assert parse_automaton(format_automaton(b)) == b
+
+
+# Outputs on the fixtures, byte for byte apart from elapsed_ms.  Paths are
+# relative to the repository root, where the test runs them.
+FIXTURE_GOLDENS = {
+    "wcc fig2": (
+        0,
+        """\
+{
+  "command": "wcc",
+  "args": {
+    "system": "fixtures/fig2.aut",
+    "hom": "fixtures/hide.hom"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b",
+    "fixtures/hide.hom": "sha256:2972e597ed49502a8cef67937546b87bcf226ebf31e2b4cf1990b7472b218594"
+  },
+  "verdict": {
+    "closed": true,
+    "violations": []
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "xtd fig2": (
+        0,
+        """\
+alphabet: # free lock no reject request result
+states: s0 s1 s2 s3 s4
+initial: s0
+trans: s0 lock s1
+trans: s0 request s2
+trans: s1 free s0
+trans: s1 request s3
+trans: s2 result s0
+trans: s3 no s4
+trans: s4 reject s1
+""",
+    ),
+    "xtd-hom fig2": (
+        0,
+        """\
+alphabet: # free lock no reject request result
+states: s0 s1 s2 s3 s4
+initial: s0
+trans: s0 lock s1
+trans: s0 request s2
+trans: s1 free s0
+trans: s1 request s3
+trans: s2 result s0
+trans: s3 no s4
+trans: s4 reject s1
+""",
+    ),
+    "abstract fig2": (
+        0,
+        """\
+alphabet: reject request result
+acceptance: buchi
+states: s0 s1
+initial: s0
+accepting: s0 s1
+trans: s0 request s1
+trans: s1 reject s0
+trans: s1 result s0
+""",
+    ),
+    "preserve fig2": (
+        0,
+        """\
+{
+  "command": "preserve",
+  "args": {
+    "system": "fixtures/fig2.aut",
+    "hom": "fixtures/hide.hom",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b",
+    "fixtures/hide.hom": "sha256:2972e597ed49502a8cef67937546b87bcf226ebf31e2b4cf1990b7472b218594"
+  },
+  "verdict": {
+    "wcc_closed": true,
+    "abstract_holds": true,
+    "concrete_holds": true,
+    "equivalence_certified": true,
+    "note": null
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "wcc fig3": (
+        1,
+        """\
+{
+  "command": "wcc",
+  "args": {
+    "system": "fixtures/fig3.aut",
+    "hom": "fixtures/hide.hom"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef",
+    "fixtures/hide.hom": "sha256:2972e597ed49502a8cef67937546b87bcf226ebf31e2b4cf1990b7472b218594"
+  },
+  "verdict": {
+    "closed": false,
+    "violations": [
+      {
+        "system_state": 1,
+        "abstract_state": 0,
+        "word": [
+          "lock"
+        ]
+      },
+      {
+        "system_state": 3,
+        "abstract_state": 1,
+        "word": [
+          "lock",
+          "request"
+        ]
+      },
+      {
+        "system_state": 5,
+        "abstract_state": 1,
+        "word": [
+          "lock",
+          "request",
+          "no"
+        ]
+      }
+    ]
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "xtd fig3": (
+        0,
+        """\
+alphabet: # free lock no reject request result
+states: s0 s1 s2 s3 s4 s5
+initial: s0
+trans: s0 lock s1
+trans: s0 request s2
+trans: s1 request s3
+trans: s2 no s4
+trans: s2 result s0
+trans: s3 no s5
+trans: s4 reject s0
+trans: s5 reject s1
+""",
+    ),
+    "xtd-hom fig3": (
+        0,
+        """\
+alphabet: # free lock no reject request result
+states: s0 s1 s2 s3 s4 s5
+initial: s0
+trans: s0 lock s1
+trans: s0 request s2
+trans: s1 request s3
+trans: s2 no s4
+trans: s2 result s0
+trans: s3 no s5
+trans: s4 reject s0
+trans: s5 reject s1
+""",
+    ),
+    "abstract fig3": (
+        0,
+        """\
+alphabet: reject request result
+acceptance: buchi
+states: s0 s1
+initial: s0
+accepting: s0 s1
+trans: s0 request s1
+trans: s1 reject s0
+trans: s1 result s0
+""",
+    ),
+    "preserve fig3": (
+        1,
+        """\
+{
+  "command": "preserve",
+  "args": {
+    "system": "fixtures/fig3.aut",
+    "hom": "fixtures/hide.hom",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef",
+    "fixtures/hide.hom": "sha256:2972e597ed49502a8cef67937546b87bcf226ebf31e2b4cf1990b7472b218594"
+  },
+  "verdict": {
+    "wcc_closed": false,
+    "abstract_holds": true,
+    "concrete_holds": false,
+    "equivalence_certified": false,
+    "note": "not closed: only the concrete verdict transfers to the abstract level (the image language has no maximal words)"
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+}
+
+
+class TestFixtureGoldens:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GOLDENS))
+    def test_abstraction_commands(self, name, monkeypatch, capsys):
+        kind, fig = name.split()
+        argv = [kind.removesuffix("-hom"), "--system", f"fixtures/{fig}.aut"]
+        if kind != "xtd":
+            argv += ["--hom", "fixtures/hide.hom"]
+        if kind == "preserve":
+            argv += ["--formula", "G F result"]
+        monkeypatch.chdir(ROOT)
+        code = run(argv)
+        out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+        assert (code, out) == FIXTURE_GOLDENS[name]

@@ -93,6 +93,33 @@ class TestPropertySpec:
         with pytest.raises(ValueError):
             PropertySpec.from_automata(everything, q.complement)
 
+    def test_from_automata_finds_a_shared_lasso_off_the_samples(self):
+        # infinitely many a, against finitely many a plus a branch that
+        # cycles through "b b" and "b a b": the branch's sampled lasso is
+        # b^omega, so only an exact check sees the shared (b a b)^omega
+        positive = BuchiAutomaton(
+            AB, 2, {0}, {1}, {(0, "a", 1), (0, "b", 0), (1, "a", 1), (1, "b", 0)}
+        )
+        complement = BuchiAutomaton(
+            AB,
+            5,
+            {0, 2},
+            {1, 2},
+            {
+                (0, "a", 0), (0, "b", 0), (0, "b", 1), (1, "b", 1),
+                (2, "b", 3), (3, "b", 2), (3, "a", 4), (4, "b", 2),
+            },
+        )
+        for x in sample_accepted_lassos(positive):
+            assert not lasso_membership(x, complement)
+        for x in sample_accepted_lassos(complement):
+            assert not lasso_membership(x, positive)
+        with pytest.raises(ValueError, match="both accept ;b a b$"):
+            PropertySpec.from_automata(positive, complement)
+        shared = LassoWord((), ("b", "a", "b"))
+        assert lasso_membership(shared, positive)
+        assert lasso_membership(shared, complement)
+
 
 class TestRelativeLiveness:
     def test_free_monoid_satisfies_doubled_a_within_fairness(self):
