@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -693,19 +694,500 @@ trans: s1 result s0
 }
 """,
     ),
+    "check-rl fig2 G F result": (
+        0,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rl",
+    "system": "fixtures/fig2.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rl fig2 G (request -> F result)": (
+        0,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rl",
+    "system": "fixtures/fig2.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rl fig3 G F result": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rl",
+    "system": "fixtures/fig3.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "word": [
+        "lock"
+      ]
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rl fig3 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rl",
+    "system": "fixtures/fig3.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "word": [
+        "lock"
+      ]
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rs fig2 G F result": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rs",
+    "system": "fixtures/fig2.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";lock free"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rs fig2 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rs",
+    "system": "fixtures/fig2.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";lock request no reject free"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rs fig3 G F result": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rs",
+    "system": "fixtures/fig3.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";request no reject"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-rs fig3 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "rs",
+    "system": "fixtures/fig3.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";request no reject"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-sat fig2 G F result": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "sat",
+    "system": "fixtures/fig2.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";lock free"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-sat fig2 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "sat",
+    "system": "fixtures/fig2.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";lock request no reject free"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-sat fig3 G F result": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "sat",
+    "system": "fixtures/fig3.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";request no reject"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "check-sat fig3 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "check",
+  "args": {
+    "kind": "sat",
+    "system": "fixtures/fig3.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "lasso": ";request no reject"
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "synthesize fig2 G F result": (
+        0,
+        """\
+alphabet: free lock no reject request result
+acceptance: buchi
+states: s0 s1 s2 s3 s4 s5 s6 s7 s8
+initial: s0
+accepting: s5
+trans: s0 lock s1
+trans: s0 request s2
+trans: s1 free s3
+trans: s1 request s4
+trans: s2 result s3
+trans: s2 result s5
+trans: s3 lock s1
+trans: s3 request s2
+trans: s4 no s6
+trans: s5 lock s7
+trans: s5 request s8
+trans: s6 reject s1
+trans: s7 free s3
+trans: s7 request s4
+trans: s8 result s3
+trans: s8 result s5
+""",
+    ),
+    "synthesize fig2 G (request -> F result)": (
+        0,
+        """\
+alphabet: free lock no reject request result
+acceptance: buchi
+states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 s12 s13
+initial: s0
+accepting: s1 s9
+trans: s0 lock s1
+trans: s0 lock s2
+trans: s0 request s3
+trans: s1 free s4
+trans: s1 free s5
+trans: s1 request s6
+trans: s2 free s7
+trans: s2 request s8
+trans: s3 result s7
+trans: s3 result s9
+trans: s4 lock s1
+trans: s4 lock s2
+trans: s4 request s3
+trans: s5 lock s2
+trans: s5 request s3
+trans: s6 no s10
+trans: s7 lock s2
+trans: s7 request s3
+trans: s8 no s10
+trans: s9 lock s11
+trans: s9 lock s12
+trans: s9 request s13
+trans: s10 reject s2
+trans: s11 free s7
+trans: s11 free s9
+trans: s11 request s8
+trans: s12 free s7
+trans: s12 request s8
+trans: s13 result s7
+trans: s13 result s9
+""",
+    ),
+    "synthesize fig3 G F result": (
+        1,
+        "",
+    ),
+    "synthesize fig3 G (request -> F result)": (
+        1,
+        "",
+    ),
+    "verify-impl fig2 G F result": (
+        0,
+        """\
+{
+  "command": "verify-impl",
+  "args": {
+    "impl": "impl.aut",
+    "system": "fixtures/fig2.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85",
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "verify-impl fig2 G (request -> F result)": (
+        0,
+        """\
+{
+  "command": "verify-impl",
+  "args": {
+    "impl": "impl.aut",
+    "system": "fixtures/fig2.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "impl.aut": "sha256:9e6a2ddc7fe862c94d089319d847492b4f25f1bc575e971821ffc1fd7187493f",
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "verify-impl fig3 G F result": (
+        1,
+        """\
+{
+  "command": "verify-impl",
+  "args": {
+    "impl": "impl.aut",
+    "system": "fixtures/fig3.aut",
+    "formula": "G F result"
+  },
+  "inputs": {
+    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85",
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "word": [
+        "lock",
+        "free"
+      ]
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
+    "verify-impl fig3 G (request -> F result)": (
+        1,
+        """\
+{
+  "command": "verify-impl",
+  "args": {
+    "impl": "impl.aut",
+    "system": "fixtures/fig3.aut",
+    "formula": "G (request -> F result)"
+  },
+  "inputs": {
+    "impl.aut": "sha256:9e6a2ddc7fe862c94d089319d847492b4f25f1bc575e971821ffc1fd7187493f",
+    "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "word": [
+        "lock",
+        "free"
+      ]
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+    ),
 }
 
 
-class TestFixtureGoldens:
-    @pytest.mark.parametrize("name", sorted(FIXTURE_GOLDENS))
-    def test_abstraction_commands(self, name, monkeypatch, capsys):
-        kind, fig = name.split()
-        argv = [kind.removesuffix("-hom"), "--system", f"fixtures/{fig}.aut"]
+ABSTRACTION_KINDS = ("wcc", "xtd", "xtd-hom", "abstract", "preserve")
+
+
+def _golden_argv(name: str) -> list[str]:
+    """The command line of a golden: "<kind> <fig>[ <formula>]"."""
+    kind, fig, *formula = name.split(" ", 2)
+    system = ["--system", f"fixtures/{fig}.aut"]
+    if kind in ABSTRACTION_KINDS:
+        argv = [kind.removesuffix("-hom"), *system]
         if kind != "xtd":
             argv += ["--hom", "fixtures/hide.hom"]
         if kind == "preserve":
             argv += ["--formula", "G F result"]
-        monkeypatch.chdir(ROOT)
+        return argv
+    if kind.startswith("check-"):
+        return ["check", kind.removeprefix("check-"), *system, "--formula", *formula]
+    if kind == "verify-impl":
+        return ["verify-impl", "--impl", "impl.aut", *system, "--formula", *formula]
+    return [kind, *system, "--formula", *formula]
+
+
+class TestFixtureGoldens:
+    def _assert_golden(self, name, tmp_path, monkeypatch, capsys):
+        shutil.copytree(FIXTURES, tmp_path / "fixtures")
+        monkeypatch.chdir(tmp_path)
+        argv = _golden_argv(name)
+        if argv[0] == "verify-impl":
+            # the implementation under test is the one synthesized from fig2
+            formula = argv[-1]
+            assert run(["synthesize", "--system", "fixtures/fig2.aut", "--formula", formula]) == 0
+            Path("impl.aut").write_text(capsys.readouterr().out)
         code = run(argv)
         out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
         assert (code, out) == FIXTURE_GOLDENS[name]
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in FIXTURE_GOLDENS if n.split()[0] in ABSTRACTION_KINDS)
+    )
+    def test_abstraction_commands(self, name, tmp_path, monkeypatch, capsys):
+        self._assert_golden(name, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in FIXTURE_GOLDENS if n.split()[0] not in ABSTRACTION_KINDS)
+    )
+    def test_check_and_synthesis_commands(self, name, tmp_path, monkeypatch, capsys):
+        self._assert_golden(name, tmp_path, monkeypatch, capsys)
