@@ -5,6 +5,10 @@ return fresh automata.  The empty language is represented by a distinguished
 0-state automaton which all operations accept.  Constructions that must be
 reproducible (canonical forms, products, witnesses) iterate letters in sorted
 order and number states in breadth-first discovery order.
+
+``canonicalize`` marks its result as canonical and returns a marked input as
+is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
+it, and automata are immutable, so a marked automaton stays canonical.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class Alphabet:
                 raise ValueError(f"duplicate letter {s!r}")
             seen.add(s)
         object.__setattr__(self, "symbols", syms)
+        object.__setattr__(self, "_letters", frozenset(seen))
 
     def __iter__(self):
         return iter(self.symbols)
@@ -62,7 +67,7 @@ class Alphabet:
         return len(self.symbols)
 
     def __contains__(self, letter: object) -> bool:
-        return letter in self.symbols
+        return letter in self._letters
 
     def with_hash(self) -> "Alphabet":
         """This alphabet extended by the padding letter ``#`` (idempotent)."""
@@ -147,21 +152,20 @@ def _bit_indices(mask: int):
 class _Graph:
     """Shared cached views over (n_states, transitions); mixin for both kinds."""
 
-    @cached_property
-    def _sorted_transitions(self) -> tuple[tuple[int, str, int], ...]:
-        return tuple(sorted(self.transitions))
+    _canonical = False  # set by canonicalize on its result only
 
     @cached_property
-    def _move(self) -> dict[str, tuple[int, ...]]:
-        move: dict[str, list[int]] = {s: [0] * self.n_states for s in self.alphabet}
+    def _out(self) -> tuple[dict[str, int], ...]:
+        """Per state, the mask of its targets under each letter it has an edge for."""
+        out: list[dict[str, int]] = [{} for _ in range(self.n_states)]
         for p, s, q in self.transitions:
-            move[s][p] |= 1 << q
-        return {s: tuple(v) for s, v in move.items()}
+            out[p][s] = out[p].get(s, 0) | 1 << q
+        return tuple(out)
 
     @cached_property
     def _succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
         out: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-        for p, s, q in self._sorted_transitions:
+        for p, s, q in sorted(self.transitions):
             out[p].append((s, q))
         return tuple(tuple(x) for x in out)
 
@@ -178,14 +182,16 @@ class _Graph:
         return range(self.n_states)
 
     def successors(self, state: int, symbol: str) -> tuple[int, ...]:
-        return tuple(_bit_indices(self._move[symbol][state]))
+        return tuple(_bit_indices(self._out[state].get(symbol, 0)))
 
     def step_mask(self, mask: int, symbol: str) -> int:
-        row = self._move[symbol]
-        out = 0
+        out = self._out
+        if not mask & (mask - 1):  # at most one state: one lookup
+            return mask and out[mask.bit_length() - 1].get(symbol, 0)
+        step = 0
         for q in _bit_indices(mask):
-            out |= row[q]
-        return out
+            step |= out[q].get(symbol, 0)
+        return step
 
 
 def _validate_graph(a) -> None:
@@ -194,10 +200,11 @@ def _validate_graph(a) -> None:
     for q in a.initial | a.accepting:
         if not 0 <= q < a.n_states:
             raise ValueError(f"state {q} out of range")
+    letters = a.alphabet._letters
     for p, s, q in a.transitions:
         if not (0 <= p < a.n_states and 0 <= q < a.n_states):
             raise ValueError(f"transition endpoint out of range: {(p, s, q)}")
-        if s not in a.alphabet:
+        if s not in letters:
             raise ValueError(f"transition letter {s!r} not in alphabet")
 
 
@@ -303,8 +310,9 @@ def _backward_closure(pred, targets) -> set:
 
 def _predecessors(a) -> list[list[int]]:
     pred: list[list[int]] = [[] for _ in range(a.n_states)]
-    for p, _, q in a._sorted_transitions:
-        pred[q].append(p)
+    for p, row in enumerate(a._succ):
+        for _, q in row:
+            pred[q].append(p)
     return pred
 
 
@@ -361,8 +369,17 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     Subset construction over the trimmed input, removal of states that cannot
     reach acceptance, Moore minimization with an implicit dead sink, then
     breadth-first renumbering over sorted letters.  Idempotent; the empty
-    language collapses to the 0-state automaton.
+    language collapses to the 0-state automaton.  The result is marked, and a
+    marked input is returned as is.
     """
+    if a._canonical:
+        return a
+    c = _minimal_dfa(a)
+    object.__setattr__(c, "_canonical", True)
+    return c
+
+
+def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
     symbols = a.alphabet.symbols
     # trim the input so subset states only mention useful parts
     reach = _forward_reachable(a.n_states, a._succ, a.initial)
@@ -614,35 +631,46 @@ def is_prefix_closed(a: FinAutomaton) -> bool:
     return len(c.accepting) == c.n_states
 
 
-def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
-    """Synchronous product for finite words: accepts the intersection."""
+def _product_pairs(a, b, next_phase):
+    """Reachable (p, q, phase) triples of a synchronous product, in discovery order.
+
+    Walks the out-edges of ``a`` (sorted by letter, then target) and looks up
+    ``b``'s targets for each letter, so every state's moves come out ordered
+    by letter, then p2, then q2.  ``next_phase(p, q, phase)`` is the phase
+    of every successor.  Returns the triples, the number of initial ones and
+    the transitions between their indices.
+    """
     _check_same_alphabet(a, b)
-    symbols = a.alphabet.symbols
-    starts = sorted((p, q) for p in a.initial for q in b.initial)
-    index = {pq: i for i, pq in enumerate(starts)}
+    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
+    index = {t: i for i, t in enumerate(starts)}
     order = list(starts)
     transitions: set[tuple[int, str, int]] = set()
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        for s in symbols:
-            for p2 in a.successors(p, s):
-                for q2 in b.successors(q, s):
-                    t = (p2, q2)
-                    if t not in index:
-                        index[t] = len(order)
-                        order.append(t)
-                    transitions.add((i, s, index[t]))
-        i += 1
+    a_succ, b_out = a._succ, b._out
+    for i, (p, q, phase) in enumerate(order):  # order grows while we walk it
+        nphase = next_phase(p, q, phase)
+        row = b_out[q]
+        for s, p2 in a_succ[p]:
+            m = row.get(s, 0)
+            while m:
+                low = m & -m
+                m ^= low
+                t = (p2, low.bit_length() - 1, nphase)
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(order)
+                    order.append(t)
+                transitions.add((i, s, j))
+    return order, len(starts), frozenset(transitions)
+
+
+def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
+    """Synchronous product for finite words: accepts the intersection."""
+    order, n_starts, transitions = _product_pairs(a, b, lambda p, q, phase: 0)
     accepting = frozenset(
-        i for i, (p, q) in enumerate(order) if p in a.accepting and q in b.accepting
+        i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting
     )
     return FinAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset(range(len(starts))),
-        accepting,
-        frozenset(transitions),
+        a.alphabet, len(order), frozenset(range(n_starts)), accepting, transitions
     )
 
 
@@ -653,37 +681,18 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     product accepts when phase-1 states whose second component is accepting
     recur forever, which forces both components to accept infinitely often.
     """
-    _check_same_alphabet(a, b)
-    symbols = a.alphabet.symbols
-    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
-    index = {t: i for i, t in enumerate(starts)}
-    order = list(starts)
-    transitions: set[tuple[int, str, int]] = set()
-    i = 0
-    while i < len(order):
-        p, q, phase = order[i]
+
+    def next_phase(p: int, q: int, phase: int) -> int:
         if phase == 0:
-            nphase = 1 if p in a.accepting else 0
-        else:
-            nphase = 0 if q in b.accepting else 1
-        for s in symbols:
-            for p2 in a.successors(p, s):
-                for q2 in b.successors(q, s):
-                    t = (p2, q2, nphase)
-                    if t not in index:
-                        index[t] = len(order)
-                        order.append(t)
-                    transitions.add((i, s, index[t]))
-        i += 1
+            return 1 if p in a.accepting else 0
+        return 0 if q in b.accepting else 1
+
+    order, n_starts, transitions = _product_pairs(a, b, next_phase)
     accepting = frozenset(
         i for i, (p, q, phase) in enumerate(order) if phase == 1 and q in b.accepting
     )
     return BuchiAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset(range(len(starts))),
-        accepting,
-        frozenset(transitions),
+        a.alphabet, len(order), frozenset(range(n_starts)), accepting, transitions
     )
 
 

@@ -120,9 +120,14 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     system prefix with no conforming continuation.
     """
     _check_alphabet(system, p)
-    all_prefixes = prefix_automaton(system)
-    good_prefixes = prefix_automaton(product(system, p.positive))
-    equal, witness = language_equal(all_prefixes, good_prefixes)
+    return _relative_liveness(system, product(system, p.positive))
+
+
+def _relative_liveness(system: BuchiAutomaton, conforming: BuchiAutomaton) -> Verdict:
+    # conforming is the product of the system with the property's positive side
+    equal, witness = language_equal(
+        prefix_automaton(system), prefix_automaton(conforming)
+    )
     if equal:
         return Verdict(True)
     return Verdict(False, witness)

@@ -27,7 +27,7 @@ from .automata import (
     product,
     reduce_buchi,
 )
-from .relprops import PropertySpec, Verdict, is_relative_liveness
+from .relprops import PropertySpec, Verdict, _check_alphabet, _relative_liveness
 
 __all__ = [
     "FairLts",
@@ -87,14 +87,16 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
     the system exactly.
     """
     behavior = limit(canonicalize(system))
-    verdict = is_relative_liveness(behavior, p)
+    _check_alphabet(behavior, p)
+    both = product(behavior, p.positive)
+    verdict = _relative_liveness(behavior, both)
     if not verdict:
         raise PreconditionFailedError(
             "the system does not satisfy the property within fairness; "
             f"prefix {verdict.witness!r} has no conforming continuation",
             verdict,
         )
-    conforming = reduce_buchi(product(behavior, p.positive))
+    conforming = reduce_buchi(both)
     underlying = FinAutomaton(
         conforming.alphabet,
         conforming.n_states,

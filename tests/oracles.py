@@ -81,6 +81,48 @@ def _raw_succ(transitions):
     return succ
 
 
+def reference_product(a, b, buchi: bool):
+    """Synchronous product built one letter at a time, in the package's numbering.
+
+    States are (p, q, phase) triples, numbered in breadth-first discovery
+    order: the initial pairs sorted, then, per state, letters in sorted
+    order, p2 ascending, q2 ascending.  Without ``buchi`` the phase stays 0
+    and a state accepts when both components do.  With it, phase 0 waits
+    for an accepting state of ``a`` and phase 1 for one of ``b``, and the
+    accepting states are the phase-1 ones whose ``b`` component accepts.
+    Returns (n_states, initial, accepting, transitions).
+    """
+    sa, sb = _raw_succ(a.transitions), _raw_succ(b.transitions)
+    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
+    index = {t: i for i, t in enumerate(starts)}
+    order = list(starts)
+    transitions = set()
+    i = 0
+    while i < len(order):
+        p, q, phase = order[i]
+        nphase = 0
+        if buchi and phase == 0:
+            nphase = 1 if p in a.accepting else 0
+        elif buchi:
+            nphase = 0 if q in b.accepting else 1
+        for s in sorted(a.alphabet):
+            for p2 in sorted(sa.get((p, s), ())):
+                for q2 in sorted(sb.get((q, s), ())):
+                    t = (p2, q2, nphase)
+                    if t not in index:
+                        index[t] = len(order)
+                        order.append(t)
+                    transitions.add((i, s, index[t]))
+        i += 1
+    if buchi:
+        accepting = {i for i, (_, q, ph) in enumerate(order) if ph == 1 and q in b.accepting}
+    else:
+        accepting = {
+            i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting
+        }
+    return len(order), frozenset(range(len(starts))), frozenset(accepting), frozenset(transitions)
+
+
 def _sccs(nodes, edges):
     """Strongly connected components by double DFS on explicit edge lists."""
     order: list = []

@@ -199,6 +199,46 @@ class TestCanonicalize:
             assert is_prefix_closed(a)
 
 
+    def test_canonical_input_is_returned_as_is(self, rng):
+        for _ in range(40):
+            c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
+            assert canonicalize(c) is c
+
+    def test_unmarked_copy_is_still_canonicalized(self, rng, monkeypatch):
+        runs = []
+        real = automata._subsets
+
+        def counted(a, starts, keep_mask):
+            runs.append(a)
+            return real(a, starts, keep_mask)
+
+        monkeypatch.setattr(automata, "_subsets", counted)
+        for _ in range(40):
+            c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
+            copy = FinAutomaton(c.alphabet, c.n_states, c.initial, c.accepting, c.transitions)
+            # the mark takes no part in equality or hashing
+            assert copy == c and hash(copy) == hash(c)
+            runs.clear()
+            again = canonicalize(copy)
+            assert again == c and again is not copy
+            assert runs == ([copy] if c.n_states else [])
+
+    def test_limit_of_a_canonical_form_determinizes_once(self, rng, monkeypatch):
+        runs = []
+        real = automata._subsets
+
+        def counted(a, starts, keep_mask):
+            runs.append(a)
+            return real(a, starts, keep_mask)
+
+        monkeypatch.setattr(automata, "_subsets", counted)
+        for _ in range(30):
+            x = gen.random_fin(rng, gen.letters(3), max_states=6, all_accepting=True)
+            runs.clear()
+            limit(canonicalize(x))
+            assert runs == [x]
+
+
 class TestLanguageComparisons:
     def test_equal_reflexive(self, rng):
         for _ in range(20):
@@ -265,6 +305,47 @@ class TestProductFin:
                 assert accepts(p, w) == (
                     oracles.nfa_accepts(a, w) and oracles.nfa_accepts(b, w)
                 )
+
+
+def _nondeterministic(rng, make, max_states=6):
+    """A random automaton with dense edges and one to three initial states."""
+    a = make(rng, gen.letters(3), max_states=max_states, density=3.0)
+    initial = rng.sample(range(a.n_states), rng.randint(1, min(3, a.n_states)))
+    return type(a)(a.alphabet, a.n_states, initial, a.accepting, a.transitions)
+
+
+def _structure(a):
+    return a.n_states, a.initial, a.accepting, a.transitions
+
+
+class TestProductStructure:
+    """Both products number states exactly as the per-letter reference does."""
+
+    def test_product_fin_matches_reference(self, rng):
+        nondeterministic = 0
+        for _ in range(150):
+            a = _nondeterministic(rng, gen.random_fin)
+            b = _nondeterministic(rng, gen.random_fin)
+            nondeterministic += not b.deterministic
+            assert _structure(product_fin(a, b)) == oracles.reference_product(a, b, buchi=False)
+        assert nondeterministic >= 100
+
+    def test_buchi_product_matches_reference(self, rng):
+        for _ in range(150):
+            a = _nondeterministic(rng, gen.random_buchi)
+            b = _nondeterministic(rng, gen.random_buchi)
+            assert _structure(product(a, b)) == oracles.reference_product(a, b, buchi=True)
+
+    def test_step_mask_matches_raw_transitions(self, rng):
+        for _ in range(60):
+            a = _nondeterministic(rng, gen.random_fin)
+            for mask in range(1 << a.n_states):
+                for s in a.alphabet:
+                    expected = 0
+                    for p, letter, q in a.transitions:
+                        if letter == s and mask >> p & 1:
+                            expected |= 1 << q
+                    assert a.step_mask(mask, s) == expected
 
 
 class TestReduceBuchi:
