@@ -155,12 +155,11 @@ class _Graph:
     _canonical = False  # set by canonicalize on its result only
 
     @cached_property
-    def _out(self) -> tuple[dict[str, int], ...]:
-        """Per state, the mask of its targets under each letter it has an edge for."""
-        out: list[dict[str, int]] = [{} for _ in range(self.n_states)]
+    def _move(self) -> dict[str, tuple[int, ...]]:
+        move: dict[str, list[int]] = {s: [0] * self.n_states for s in self.alphabet}
         for p, s, q in self.transitions:
-            out[p][s] = out[p].get(s, 0) | 1 << q
-        return tuple(out)
+            move[s][p] |= 1 << q
+        return {s: tuple(v) for s, v in move.items()}
 
     @cached_property
     def _succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
@@ -182,16 +181,16 @@ class _Graph:
         return range(self.n_states)
 
     def successors(self, state: int, symbol: str) -> tuple[int, ...]:
-        return tuple(_bit_indices(self._out[state].get(symbol, 0)))
+        return tuple(_bit_indices(self._move[symbol][state]))
 
     def step_mask(self, mask: int, symbol: str) -> int:
-        out = self._out
+        row = self._move[symbol]
         if not mask & (mask - 1):  # at most one state: one lookup
-            return mask and out[mask.bit_length() - 1].get(symbol, 0)
-        step = 0
+            return mask and row[mask.bit_length() - 1]
+        out = 0
         for q in _bit_indices(mask):
-            step |= out[q].get(symbol, 0)
-        return step
+            out |= row[q]
+        return out
 
 
 def _validate_graph(a) -> None:
@@ -645,12 +644,11 @@ def _product_pairs(a, b, next_phase):
     index = {t: i for i, t in enumerate(starts)}
     order = list(starts)
     transitions: set[tuple[int, str, int]] = set()
-    a_succ, b_out = a._succ, b._out
+    a_succ, b_move = a._succ, b._move
     for i, (p, q, phase) in enumerate(order):  # order grows while we walk it
         nphase = next_phase(p, q, phase)
-        row = b_out[q]
         for s, p2 in a_succ[p]:
-            m = row.get(s, 0)
+            m = b_move[s][q]
             while m:
                 low = m & -m
                 m ^= low
