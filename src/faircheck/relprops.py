@@ -15,6 +15,7 @@ from .automata import (
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
+    FinAutomaton,
     LassoWord,
     accepting_lasso,
     language_equal,
@@ -120,14 +121,12 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     system prefix with no conforming continuation.
     """
     _check_alphabet(system, p)
-    return _relative_liveness(system, product(system, p.positive))
+    return _relative_liveness(system, prefix_automaton(product(system, p.positive)))
 
 
-def _relative_liveness(system: BuchiAutomaton, conforming: BuchiAutomaton) -> Verdict:
-    # conforming is the product of the system with the property's positive side
-    equal, witness = language_equal(
-        prefix_automaton(system), prefix_automaton(conforming)
-    )
+def _relative_liveness(system: BuchiAutomaton, good_prefixes: FinAutomaton) -> Verdict:
+    # good_prefixes: the prefixes of the system's conforming computations
+    equal, witness = language_equal(prefix_automaton(system), good_prefixes)
     if equal:
         return Verdict(True)
     return Verdict(False, witness)

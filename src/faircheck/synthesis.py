@@ -88,15 +88,9 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
     """
     behavior = limit(canonicalize(system))
     _check_alphabet(behavior, p)
-    both = product(behavior, p.positive)
-    verdict = _relative_liveness(behavior, both)
-    if not verdict:
-        raise PreconditionFailedError(
-            "the system does not satisfy the property within fairness; "
-            f"prefix {verdict.witness!r} has no conforming continuation",
-            verdict,
-        )
-    conforming = reduce_buchi(both)
+    conforming = reduce_buchi(product(behavior, p.positive))
+    # every state of the reduced product starts a conforming computation, so
+    # with all states accepting it recognizes exactly their prefixes
     underlying = FinAutomaton(
         conforming.alphabet,
         conforming.n_states,
@@ -104,6 +98,13 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
         frozenset(range(conforming.n_states)),
         conforming.transitions,
     )
+    verdict = _relative_liveness(behavior, underlying)
+    if not verdict:
+        raise PreconditionFailedError(
+            "the system does not satisfy the property within fairness; "
+            f"prefix {verdict.witness!r} has no conforming continuation",
+            verdict,
+        )
     return FairLts(underlying, conforming.accepting)
 
 
