@@ -165,6 +165,20 @@ class TestAccepts:
             accepts(a_star_b(), ("z",))
 
 
+@pytest.fixture
+def subset_runs(monkeypatch):
+    """The automata that subset constructions run on, in call order."""
+    runs = []
+    real = automata._subsets
+
+    def counted(a, starts, keep_mask):
+        runs.append(a)
+        return real(a, starts, keep_mask)
+
+    monkeypatch.setattr(automata, "_subsets", counted)
+    return runs
+
+
 class TestCanonicalize:
     def test_ends_with_b_golden(self):
         nfa = FinAutomaton(
@@ -204,39 +218,23 @@ class TestCanonicalize:
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             assert canonicalize(c) is c
 
-    def test_unmarked_copy_is_still_canonicalized(self, rng, monkeypatch):
-        runs = []
-        real = automata._subsets
-
-        def counted(a, starts, keep_mask):
-            runs.append(a)
-            return real(a, starts, keep_mask)
-
-        monkeypatch.setattr(automata, "_subsets", counted)
+    def test_unmarked_copy_is_still_canonicalized(self, rng, subset_runs):
         for _ in range(40):
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             copy = FinAutomaton(c.alphabet, c.n_states, c.initial, c.accepting, c.transitions)
             # the mark takes no part in equality or hashing
             assert copy == c and hash(copy) == hash(c)
-            runs.clear()
+            subset_runs.clear()
             again = canonicalize(copy)
             assert again == c and again is not copy
-            assert runs == ([copy] if c.n_states else [])
+            assert subset_runs == ([copy] if c.n_states else [])
 
-    def test_limit_of_a_canonical_form_determinizes_once(self, rng, monkeypatch):
-        runs = []
-        real = automata._subsets
-
-        def counted(a, starts, keep_mask):
-            runs.append(a)
-            return real(a, starts, keep_mask)
-
-        monkeypatch.setattr(automata, "_subsets", counted)
+    def test_limit_of_a_canonical_form_determinizes_once(self, rng, subset_runs):
         for _ in range(30):
             x = gen.random_fin(rng, gen.letters(3), max_states=6, all_accepting=True)
-            runs.clear()
+            subset_runs.clear()
             limit(canonicalize(x))
-            assert runs == [x]
+            assert subset_runs == [x]
 
 
 class TestLanguageComparisons:
