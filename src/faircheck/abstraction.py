@@ -12,7 +12,7 @@ an abstract formula to its retransformed concrete counterpart.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import (
@@ -24,8 +24,10 @@ from .automata import (
     FinAutomaton,
     LassoWord,
     NotPrefixClosedError,
-    _backward_closure,
+    _bfs,
+    _closure,
     _moore_classes,
+    _path_from,
     _predecessors,
     _subsets,
     canonicalize,
@@ -212,14 +214,7 @@ def _image_nfa(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
     transitions: set[tuple[int, str, int]] = set()
     accepting: set[int] = set()
     for p in range(a.n_states):
-        seen = {p}
-        stack = [p]
-        while stack:
-            u = stack.pop()
-            for v in silent[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+        seen = _closure(silent, [p])
         transitions.update((p, img, q) for p1 in seen for img, q in visible[p1])
         if seen & a.accepting:
             accepting.add(p)
@@ -357,23 +352,17 @@ def _wcc(
         return WccReport(True, ())
     a_step = _step_table(A)
     d_step = _step_table(D)
-    first = (next(iter(A.initial)), next(iter(D.initial)))
-    words: dict[tuple[int, int], tuple[str, ...]] = {first: ()}
-    order = [first]
-    queue = deque([first])
-    while queue:
-        q, d = queue.popleft()
-        w = words[(q, d)]
+
+    def moves(pair):
+        q, d = pair
         for c in A.alphabet:
             q2 = a_step.get((q, c))
-            if q2 is None:
-                continue
-            img = h.image(c)
-            d2 = d if img == EPS_TOKEN else d_step[(d, img)]
-            if (q2, d2) not in words:
-                words[(q2, d2)] = w + (c,)
-                order.append((q2, d2))
-                queue.append((q2, d2))
+            if q2 is not None:
+                img = h.image(c)
+                yield c, (q2, d if img == EPS_TOKEN else d_step[(d, img)])
+
+    tree: dict = {}
+    order = list(_bfs(moves, [(next(iter(A.initial)), next(iter(D.initial)))], tree))
     # Y state q is the seed of system state q: the quotient image from q
     subsets, y_step = _subsets(image, [1 << q for q in range(A.n_states)], -1)
     nd = D.n_states
@@ -398,10 +387,12 @@ def _wcc(
             if (d2, y2) not in seen:
                 seen.add((d2, y2))
                 stack.append((d2, y2))
-    closed = _backward_closure(
+    closed = _closure(
         pred, {(d, y) for d, y in seen if classes[d] == classes[nd + y]}
     )
-    violations = [(q, d, words[(q, d)]) for q, d in order if (d, q) not in closed]
+    violations = [
+        (q, d, _path_from(tree, (q, d))) for q, d in order if (d, q) not in closed
+    ]
     return WccReport(not violations, tuple(violations))
 
 
@@ -427,7 +418,7 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
 
 def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
     # A is canonical
-    sees_visible = _backward_closure(
+    sees_visible = _closure(
         _predecessors(A),
         {p for p, c, _ in A.transitions if hom is None or hom.image(c) != EPS_TOKEN},
     )

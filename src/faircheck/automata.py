@@ -20,8 +20,6 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable
 
-Rational = Fraction
-
 EPS_TOKEN = "eps"
 HASH_TOKEN = "#"
 
@@ -149,10 +147,38 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
+@dataclass(frozen=True)
 class _Graph:
-    """Shared cached views over (n_states, transitions); mixin for both kinds."""
+    """Fields, validation and cached views shared by both kinds of automaton."""
+
+    alphabet: Alphabet
+    n_states: int
+    initial: frozenset[int]
+    accepting: frozenset[int]
+    transitions: frozenset[tuple[int, str, int]]
 
     _canonical = False  # set by canonicalize on its result only
+
+    def __post_init__(self):
+        object.__setattr__(self, "initial", frozenset(self.initial))
+        object.__setattr__(self, "accepting", frozenset(self.accepting))
+        object.__setattr__(self, "transitions", frozenset(self.transitions))
+        if self.n_states < 0:
+            raise ValueError("n_states must be >= 0")
+        for q in self.initial | self.accepting:
+            if not 0 <= q < self.n_states:
+                raise ValueError(f"state {q} out of range")
+        letters = self.alphabet._letters
+        for p, s, q in self.transitions:
+            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
+                raise ValueError(f"transition endpoint out of range: {(p, s, q)}")
+            if s not in letters:
+                raise ValueError(f"transition letter {s!r} not in alphabet")
+
+    @classmethod
+    def empty(cls, alphabet: Alphabet):
+        """The distinguished 0-state automaton for the empty language."""
+        return cls(alphabet, 0, frozenset(), frozenset(), frozenset())
 
     @cached_property
     def _move(self) -> dict[str, tuple[int, ...]]:
@@ -193,40 +219,8 @@ class _Graph:
         return out
 
 
-def _validate_graph(a) -> None:
-    if a.n_states < 0:
-        raise ValueError("n_states must be >= 0")
-    for q in a.initial | a.accepting:
-        if not 0 <= q < a.n_states:
-            raise ValueError(f"state {q} out of range")
-    letters = a.alphabet._letters
-    for p, s, q in a.transitions:
-        if not (0 <= p < a.n_states and 0 <= q < a.n_states):
-            raise ValueError(f"transition endpoint out of range: {(p, s, q)}")
-        if s not in letters:
-            raise ValueError(f"transition letter {s!r} not in alphabet")
-
-
-@dataclass(frozen=True)
 class FinAutomaton(_Graph):
     """Automaton over finite words (nondeterministic in general)."""
-
-    alphabet: Alphabet
-    n_states: int
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        _validate_graph(self)
-
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "FinAutomaton":
-        """The distinguished 0-state automaton for the empty language."""
-        return cls(alphabet, 0, frozenset(), frozenset(), frozenset())
 
     @cached_property
     def deterministic(self) -> bool:
@@ -243,25 +237,8 @@ class FinAutomaton(_Graph):
         return True
 
 
-@dataclass(frozen=True)
 class BuchiAutomaton(_Graph):
     """Automaton over omega-words; a run accepts when it visits accepting states infinitely often."""
-
-    alphabet: Alphabet
-    n_states: int
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        _validate_graph(self)
-
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "BuchiAutomaton":
-        return cls(alphabet, 0, frozenset(), frozenset(), frozenset())
 
 
 def accepts(a: FinAutomaton, word: Iterable[str]) -> bool:
@@ -283,24 +260,69 @@ def _check_same_alphabet(a, b) -> None:
         )
 
 
-def _forward_reachable(n_states: int, succ, starts: Iterable[int]) -> set[int]:
-    seen = set(starts)
-    queue = deque(sorted(seen))
+def _bfs(moves, starts, tree: dict):
+    """Breadth-first search, yielding each node when it is discovered.
+
+    ``moves(u)`` lists the (letter, node) edges of ``u`` in the order to
+    explore them.  ``tree`` maps each discovered node to its (parent, letter),
+    or to None for a start; nodes already in it are not discovered again.
+    Nodes come out in breadth-first order, so a caller may stop at the first
+    one it wants and read its shortest word from ``tree`` with ``_path_from``.
+    """
+    queue = deque()
+    for u in starts:
+        if u not in tree:
+            tree[u] = None
+            queue.append(u)
+            yield u
     while queue:
         u = queue.popleft()
-        for _, v in succ[u]:
-            if v not in seen:
-                seen.add(v)
+        for letter, v in moves(u):
+            if v not in tree:
+                tree[v] = (u, letter)
                 queue.append(v)
-    return seen
+                yield v
 
 
-def _backward_closure(pred, targets) -> set:
-    """The targets and every node with a path to one; ``pred[v]`` lists v's predecessors."""
+def _bfs_tree(moves, starts) -> dict:
+    """The whole breadth-first tree of ``_bfs``: every node reachable from the starts."""
+    tree: dict = {}
+    for _ in _bfs(moves, starts, tree):
+        pass
+    return tree
+
+
+def _path_from(tree: dict, node) -> tuple[str, ...]:
+    """The letters on the tree path from its start to ``node``."""
+    word: list[str] = []
+    while tree[node] is not None:
+        node, letter = tree[node]
+        word.append(letter)
+    return tuple(reversed(word))
+
+
+def _shortest_cycle(succ, f: int) -> tuple[str, ...] | None:
+    """Shortest non-empty word labelling a cycle through ``f``, or None."""
+    # nodes come out in the order a queue would serve them, so the first one
+    # with an edge back into f closes a shortest cycle
+    tree: dict = {}
+    for u in _bfs(succ.__getitem__, [f], tree):
+        for s, v in succ[u]:
+            if v == f:
+                return _path_from(tree, u) + (s,)
+    return None
+
+
+def _closure(edges, targets) -> set:
+    """The targets and every node they lead to; ``edges[v]`` lists v's neighbours.
+
+    Over predecessor lists this is backward reachability (the nodes with a
+    path to a target), over successor lists forward reachability.
+    """
     seen = set(targets)
     stack = list(seen)
     while stack:
-        for p in pred[stack.pop()]:
+        for p in edges[stack.pop()]:
             if p not in seen:
                 seen.add(p)
                 stack.append(p)
@@ -381,8 +403,8 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
 def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
     symbols = a.alphabet.symbols
     # trim the input so subset states only mention useful parts
-    reach = _forward_reachable(a.n_states, a._succ, a.initial)
-    keep = reach & _backward_closure(_predecessors(a), a.accepting)
+    reach = _bfs_tree(a._succ.__getitem__, a.initial)
+    keep = reach.keys() & _closure(_predecessors(a), a.accepting)
     if not keep:
         return FinAutomaton.empty(a.alphabet)
     keep_mask = _mask(keep)
@@ -398,44 +420,28 @@ def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
     dpred: list[list[int]] = [[] for _ in range(n)]
     for (p, _s), q in dtrans.items():
         dpred[q].append(p)
-    alive = _backward_closure(dpred, acc)
+    alive = _closure(dpred, acc)
     if 0 not in alive:
         return FinAutomaton.empty(a.alphabet)
 
     cls = _moore_classes(alive, dtrans, acc, symbols)
 
-    # representative successor map per class
-    cdelta: dict[tuple[int, str], int] = {}
+    # one representative's (letter, class) moves per class
+    rows: dict[int, list[tuple[str, int]]] = {}
     cacc: set[int] = set()
     for q in alive:
         c = cls[q]
         if q in acc:
             cacc.add(c)
-        for s in symbols:
-            t = dtrans.get((q, s), -1)
-            if t in cls:
-                cdelta[(c, s)] = cls[t]
+        rows[c] = [(s, cls[t]) for s in symbols if (t := dtrans.get((q, s), -1)) in cls]
 
     # breadth-first renumbering from the initial class
-    start = cls[0]
-    number = {start: 0}
-    seq = [start]
-    i = 0
-    while i < len(seq):
-        c = seq[i]
-        for s in symbols:
-            t = cdelta.get((c, s))
-            if t is not None and t not in number:
-                number[t] = len(seq)
-                seq.append(t)
-        i += 1
+    number = {c: i for i, c in enumerate(_bfs(rows.__getitem__, [cls[0]], {}))}
     transitions = frozenset(
-        (number[c], s, number[t])
-        for (c, s), t in cdelta.items()
-        if c in number and t in number
+        (number[c], s, number[t]) for c in number for s, t in rows[c]
     )
     accepting = frozenset(number[c] for c in cacc if c in number)
-    return FinAutomaton(a.alphabet, len(seq), frozenset({0}), accepting, transitions)
+    return FinAutomaton(a.alphabet, len(number), frozenset({0}), accepting, transitions)
 
 
 def language_subset(
@@ -459,34 +465,22 @@ def language_equal(
 
 
 def _pair_search(a, b, subset_only: bool):
-    start = (a._initial_mask, b._initial_mask)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
-    queue = deque([start])
     symbols = a.alphabet.symbols
-    while queue:
-        pair = queue.popleft()
+
+    def moves(pair):
         ma, mb = pair
-        acc_a = bool(ma & a._accepting_mask)
-        acc_b = bool(mb & b._accepting_mask)
-        bad = (acc_a and not acc_b) if subset_only else (acc_a != acc_b)
-        if bad:
-            word: list[str] = []
-            cur = pair
-            while parent[cur] is not None:
-                cur, s = parent[cur]
-                word.append(s)
-            return False, tuple(reversed(word))
         for s in symbols:
             na = a.step_mask(ma, s)
             nb = b.step_mask(mb, s)
-            if subset_only and not na:
-                continue
-            if not na and not nb:
-                continue
-            nxt = (na, nb)
-            if nxt not in parent:
-                parent[nxt] = (pair, s)
-                queue.append(nxt)
+            if na or (nb and not subset_only):
+                yield s, (na, nb)
+
+    tree: dict = {}
+    for pair in _bfs(moves, [(a._initial_mask, b._initial_mask)], tree):
+        acc_a = bool(pair[0] & a._accepting_mask)
+        acc_b = bool(pair[1] & b._accepting_mask)
+        if (acc_a and not acc_b) if subset_only else (acc_a != acc_b):
+            return False, _path_from(tree, pair)
     return True, None
 
 
@@ -509,9 +503,13 @@ def left_quotient(a: FinAutomaton, word: Iterable[str]) -> FinAutomaton:
     return canonicalize(rebased)
 
 
-def _nontrivial_scc_states(n_states: int, succ) -> set[int]:
-    """States lying on some cycle: members of an SCC with >1 state or a self-loop."""
+def _nontrivial_scc_states(succ, pred) -> set[int]:
+    """States lying on some cycle: members of an SCC with >1 state or a self-loop.
+
+    ``succ`` and ``pred`` are an automaton's ``_succ`` and ``_predecessors``.
+    """
     # Kosaraju: finish order on the graph, then components on the reverse graph.
+    n_states = len(succ)
     visited = [False] * n_states
     finish: list[int] = []
     for root in range(n_states):
@@ -530,10 +528,6 @@ def _nontrivial_scc_states(n_states: int, succ) -> set[int]:
             else:
                 stack.pop()
                 finish.append(u)
-    rev: list[list[int]] = [[] for _ in range(n_states)]
-    for u in range(n_states):
-        for _, v in succ[u]:
-            rev[v].append(u)
     comp = [-1] * n_states
     c = -1
     for u in reversed(finish):
@@ -542,14 +536,11 @@ def _nontrivial_scc_states(n_states: int, succ) -> set[int]:
         c += 1
         stack2 = [u]
         comp[u] = c
-        members = [u]
         while stack2:
-            x = stack2.pop()
-            for y in rev[x]:
+            for y in pred[stack2.pop()]:
                 if comp[y] == -1:
                     comp[y] = c
                     stack2.append(y)
-                    members.append(y)
     sizes: dict[int, int] = {}
     for u in range(n_states):
         sizes[comp[u]] = sizes.get(comp[u], 0) + 1
@@ -561,9 +552,9 @@ def _nontrivial_scc_states(n_states: int, succ) -> set[int]:
     }
 
 
-def _core_states(b: BuchiAutomaton) -> set[int]:
+def _core_states(b: BuchiAutomaton, pred) -> set[int]:
     """Accepting states that lie on a cycle (anchors of accepted omega-words)."""
-    return set(b.accepting) & _nontrivial_scc_states(b.n_states, b._succ)
+    return set(b.accepting) & _nontrivial_scc_states(b._succ, pred)
 
 
 def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
@@ -573,7 +564,8 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     states are compacted in increasing order, so an already-reduced automaton
     comes back identical.
     """
-    keep = _backward_closure(_predecessors(b), _core_states(b))
+    pred = _predecessors(b)
+    keep = _closure(pred, _core_states(b, pred))
     if len(keep) == b.n_states:
         return b
     if not keep:
@@ -694,57 +686,6 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     )
 
 
-def _bfs_tree(succ, starts: Iterable[int]):
-    """Shortest-path tree; (parent state, letter) per reached state, FIFO over sorted edges."""
-    parent: dict[int, tuple[int, str] | None] = {}
-    queue: deque[int] = deque()
-    for s in sorted(set(starts)):
-        parent[s] = None
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for sym, v in succ[u]:
-            if v not in parent:
-                parent[v] = (u, sym)
-                queue.append(v)
-    return parent
-
-
-def _path_from(parent, state: int) -> tuple[str, ...]:
-    word: list[str] = []
-    cur = state
-    while parent[cur] is not None:
-        cur, sym = parent[cur]
-        word.append(sym)
-    return tuple(reversed(word))
-
-
-def _shortest_cycle(succ, f: int) -> tuple[str, ...] | None:
-    """Shortest non-empty word labelling a cycle through ``f``, or None."""
-    parent: dict[int, tuple[int, str]] = {}
-    queue: deque[int] = deque()
-    for sym, v in succ[f]:
-        if v == f:
-            return (sym,)
-        if v not in parent:
-            parent[v] = (f, sym)
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for sym, v in succ[u]:
-            if v == f:
-                word = [sym]
-                cur = u
-                while cur != f:
-                    cur, s2 = parent[cur]
-                    word.append(s2)
-                return tuple(reversed(word))
-            if v not in parent:
-                parent[v] = (u, sym)
-                queue.append(v)
-    return None
-
-
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
     """One whole-cycle step of the (state, seen-accepting) pair relation."""
     acc = b._accepting_mask
@@ -806,16 +747,19 @@ def _stems_by_subset(b: BuchiAutomaton, max_len: int):
 def _denotation_minimal_lasso(
     b: BuchiAutomaton, baseline: LassoWord, budget: int = 24_000
 ) -> LassoWord:
-    """Smallest accepted lasso by (stem length, cycle length, stem, cycle).
+    """Least accepted lasso by (stem length, cycle length, stem, cycle) within bounds.
 
-    Cycles are grown one letter at a time from the live cycles of the
-    previous length, so a prefix on which every run from the stem dies is
-    never extended.  Each live cycle charges its length to the budget, which
-    bounds the work however long the cycles get.  Candidates are normalized
-    forms only, and acceptance of each is decided by the whole-cycle pair
-    relation.  The baseline (always a valid witness) bounds the search and
-    is returned when the budget runs out, so the result is exact at ordinary
-    sizes and never worse than the baseline.
+    Stems run up to the baseline's length.  Cycles run up to the baseline's
+    length for stems as long as the baseline's, and up to max(baseline cycle
+    length, 8) for shorter stems, so a shorter stem whose accepted cycles are
+    all longer than that is missed.  Cycles are grown one letter at a time
+    from the live cycles of the previous length, so a prefix on which every
+    run from the stem dies is never extended.  Each live cycle charges its
+    length to the budget, which bounds the work however long the cycles
+    get.  Candidates are normalized forms only, and acceptance of each is
+    decided by the whole-cycle pair relation.  The baseline (always a valid
+    witness) is returned when nothing in the range is smaller or the budget
+    runs out, so the result is never worse than the baseline.
     """
     m_cap = len(baseline.stem)
     p_base = len(baseline.cycle)
@@ -858,14 +802,10 @@ def _denotation_minimal_lasso(
 
 
 def _accepting_lasso_from(b: BuchiAutomaton, starts: Iterable[int]) -> LassoWord | None:
-    starts = set(starts)
-    if not starts:
-        return None
-    reachable = _forward_reachable(b.n_states, b._succ, starts)
-    candidates = sorted(_core_states(b) & reachable)
+    stems = _bfs_tree(b._succ.__getitem__, sorted(starts))
+    candidates = sorted(_core_states(b, _predecessors(b)) & stems.keys())
     if not candidates:
         return None
-    stems = _bfs_tree(b._succ, starts)
     # every candidate is reachable and on a cycle, so the key below is decided
     # by stem length first: only the shallowest candidates need a cycle search
     depth: dict[int, int] = {}
@@ -885,11 +825,18 @@ def _accepting_lasso_from(b: BuchiAutomaton, starts: Iterable[int]) -> LassoWord
 
 
 def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
-    """A smallest accepted lasso (stem length, then cycle length, then lex), or None.
+    """A small accepted lasso (stem length, then cycle length, then lex), or None.
 
-    A graph-level witness is found first; a bounded refinement then searches
-    for the minimal normalized form, which a run-level search alone can miss
-    when tracking states forces a longer cycle than the word itself needs.
+    A graph-level witness is found first: a shortest stem to an accepting
+    state on a cycle, then a shortest cycle through it.  A bounded refinement
+    then searches for a smaller normalized form, which a run-level search
+    alone can miss when tracking states forces a longer cycle than the word
+    itself needs.  The result is the smallest accepted lasso among those
+    with a stem no longer than the witness's and a cycle of at most
+    max(witness cycle length, 8) letters (the witness's cycle length for an
+    equally long stem), unless the refinement's budget runs out first.  A
+    smaller lasso outside that range, with a shorter stem and a longer
+    cycle, can exist and is not found.
     """
     baseline = _accepting_lasso_from(b, b.initial)
     if baseline is None:
@@ -898,8 +845,8 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
 
 
 def is_empty(b: BuchiAutomaton) -> bool:
-    reachable = _forward_reachable(b.n_states, b._succ, b.initial)
-    return not (_core_states(b) & reachable)
+    reachable = _bfs_tree(b._succ.__getitem__, b.initial)
+    return not (_core_states(b, _predecessors(b)) & reachable.keys())
 
 
 def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:
@@ -926,28 +873,6 @@ def lasso_membership(x: LassoWord, b: BuchiAutomaton) -> bool:
     return not is_empty(product(lasso_automaton(x, b.alphabet), b))
 
 
-def _shortest_path_word(succ, start: int, goal: int) -> tuple[str, ...] | None:
-    """Shortest word labelling a path start -> goal (empty when equal)."""
-    if start == goal:
-        return ()
-    parent: dict[int, tuple[int, str]] = {start: (-1, "")}
-    queue: deque[int] = deque([start])
-    while queue:
-        u = queue.popleft()
-        for sym, v in succ[u]:
-            if v not in parent:
-                parent[v] = (u, sym)
-                if v == goal:
-                    word = []
-                    cur = v
-                    while cur != start:
-                        cur, s2 = parent[cur]
-                        word.append(s2)
-                    return tuple(reversed(word))
-                queue.append(v)
-    return None
-
-
 def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoWord]:
     """A small deterministic sample of accepted lassos.
 
@@ -957,18 +882,15 @@ def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoW
     """
     out: list[LassoWord] = []
     seen: set[LassoWord] = set()
-    reachable = _forward_reachable(b.n_states, b._succ, b.initial)
-    stems = _bfs_tree(b._succ, b.initial)
-    for f in sorted(_core_states(b) & reachable):
-        if f not in stems:
-            continue
+    moves = b._succ.__getitem__
+    stems = _bfs_tree(moves, sorted(b.initial))
+    for f in sorted(_core_states(b, _predecessors(b)) & stems.keys()):
         stem = _path_from(stems, f)
         cycles = []
-        first_steps = sorted({(s, v) for s, v in b._succ[f]})
-        for sym, v in first_steps:
-            back = _shortest_path_word(b._succ, v, f)
-            if back is not None:
-                cycles.append((sym,) + back)
+        for sym, v in b._succ[f]:
+            back: dict = {}
+            if any(u == f for u in _bfs(moves, [v], back)):
+                cycles.append((sym,) + _path_from(back, f))
         for cyc in sorted(cycles, key=lambda c: (len(c), c)):
             x = LassoWord(stem, cyc).normalize()
             if x not in seen:

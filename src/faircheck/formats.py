@@ -2,12 +2,14 @@
 
 An `.aut` file names an automaton:
 
-    # full-line comments start with '#'
+    # comments fill whole lines: '#' later in a line is the padding letter
     alphabet: request result reject
-    acceptance: buchi        # absent for finitary automata
+    # the acceptance line is absent for finitary automata
+    acceptance: buchi
     states: s0 s1
     initial: s0
-    accepting: s0            # absent finitary line means every state accepts
+    # without an accepting line a finitary automaton accepts at every state
+    accepting: s0
     trans: s0 request s1
     trans: s1 result s0
 

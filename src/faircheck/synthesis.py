@@ -138,13 +138,9 @@ def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
     fair = impl.as_buchi()
     aut = impl.underlying
     symbols = aut.alphabet.symbols
-    step: dict[tuple[int, str], set[int]] = {}
-    for (src, sym, dst) in aut.transitions:
-        step.setdefault((src, sym), set()).add(dst)
-
     found: list[LassoWord] = []
 
-    def extend(word: tuple[str, ...], states: frozenset[int]) -> None:
+    def extend(word: tuple[str, ...], mask: int) -> None:
         for split in range(len(word)):
             x = LassoWord(word[:split], word[split:])
             if x.normalize() == x and lasso_membership(x, fair):
@@ -152,11 +148,11 @@ def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
         if len(word) == max_len:
             return
         for sym in symbols:
-            nxt = frozenset(q for s in states for q in step.get((s, sym), ()))
+            nxt = aut.step_mask(mask, sym)
             if nxt:
                 extend(word + (sym,), nxt)
 
     if aut.initial:
-        extend((), frozenset(aut.initial))
+        extend((), aut._initial_mask)
     found.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
     return found

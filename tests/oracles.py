@@ -31,6 +31,39 @@ def nfa_accepts(a, word) -> bool:
     return bool(cur & set(a.accepting))
 
 
+def states_reached(a, starts, word) -> set[int]:
+    """States in which some run on the word from one of the starts ends."""
+    cur = set(starts)
+    for letter in word:
+        cur = {q for u in cur for (p, s, q) in a.transitions if p == u and s == letter}
+    return cur
+
+
+def shortest_word_lengths(a, starts) -> dict[int, int]:
+    """Every state some word leads to from the starts, with the least such length.
+
+    Walks every word of at most ``n_states - 1`` letters, shortest first; no
+    state needs a longer word.
+    """
+    lengths: dict[int, int] = {}
+    for word in enumerate_words(a.alphabet, max(a.n_states - 1, 0)):
+        for q in states_reached(a, starts, word):
+            lengths.setdefault(q, len(word))
+    return lengths
+
+
+def shortest_cycle_length(a, f: int) -> int | None:
+    """Least length of a non-empty word leading from ``f`` back to ``f``, or None.
+
+    Walks every word of at most ``n_states`` letters, shortest first; a
+    shortest cycle visits no state twice, so none is longer.
+    """
+    for word in enumerate_words(a.alphabet, a.n_states):
+        if word and f in states_reached(a, {f}, word):
+            return len(word)
+    return None
+
+
 def _cycle_relation_step(b, pairs, cycle):
     """Advance (state, seen-accepting) pairs through one full pass of the cycle."""
     frontier = set(pairs)

@@ -136,6 +136,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             FinAutomaton(AB, 1, frozenset({0}), frozenset(), frozenset({(0, "c", 0)}))
 
+    def test_both_kinds_validate_and_compare_by_kind(self):
+        with pytest.raises(ValueError):
+            BuchiAutomaton(AB, 1, {0}, {2}, set())
+        parts = (AB, 1, {0}, {0}, {(0, "a", 0)})
+        assert FinAutomaton(*parts) == FinAutomaton(*parts)
+        assert FinAutomaton(*parts) != BuchiAutomaton(*parts)
+        assert type(BuchiAutomaton.empty(AB)) is BuchiAutomaton
+        assert FinAutomaton.empty(AB) != BuchiAutomaton.empty(AB)
+
     def test_deterministic_flag(self):
         assert a_star_b().deterministic
         nd = FinAutomaton(
@@ -465,11 +474,29 @@ class TestEmptinessAndWitness:
         assert accepting_lasso(ring) == LassoWord((), ("a",))
         assert calls == [0]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: for stems shorter than the baseline's, the "
+        "refinement tries cycles of at most max(baseline cycle, 8) letters",
+    )
+    def test_shorter_stem_behind_a_long_cycle(self):
+        # ring 0 -a-> 1 ... 9 -b-> 0 accepting at 5, and 0 -c-> 10 -d-> 10
+        # accepting at 10: the graph witness is c;d, the smallest lasso has
+        # the empty stem and the ten-letter ring as its cycle
+        letters = Alphabet(("a", "b", "c", "d"))
+        ring = {(q, "a", q + 1) for q in range(9)} | {(9, "b", 0)}
+        b = BuchiAutomaton(
+            letters, 11, {0}, {5, 10}, ring | {(0, "c", 10), (10, "d", 10)}
+        )
+        ring_word = LassoWord((), tuple("aaaaaaaaab"))
+        assert oracles.buchi_accepts_lasso(b, ring_word)
+        assert accepting_lasso(b) == ring_word
+
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
         # reference: one cycle search per reachable anchor, least key wins
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
-            stems = automata._bfs_tree(b._succ, b.initial)
+            stems = automata._bfs_tree(b._succ.__getitem__, sorted(b.initial))
             keys = []
             for f in sorted(set(b.accepting) & set(stems)):
                 cyc = automata._shortest_cycle(b._succ, f)
@@ -478,6 +505,38 @@ class TestEmptinessAndWitness:
                     keys.append((len(stem), len(cyc), stem, cyc))
             expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
             assert automata._accepting_lasso_from(b, b.initial) == expected
+
+
+def _random_graph(rng):
+    make = gen.random_fin if rng.random() < 0.5 else gen.random_buchi
+    return make(rng, gen.letters(2), max_states=6)
+
+
+class TestGraphSearch:
+    def test_tree_words_are_shortest(self, rng):
+        for _ in range(120):
+            a = _random_graph(rng)
+            k = min(a.n_states, rng.randint(1, 2))
+            starts = sorted(rng.sample(range(a.n_states), k))
+            tree = automata._bfs_tree(a._succ.__getitem__, starts)
+            lengths = oracles.shortest_word_lengths(a, starts)
+            assert tree.keys() == lengths.keys()
+            for q in tree:
+                word = automata._path_from(tree, q)
+                assert q in oracles.states_reached(a, starts, word)
+                assert len(word) == lengths[q]
+
+    def test_shortest_cycle_against_brute_force(self, rng):
+        for _ in range(120):
+            a = _random_graph(rng)
+            for f in a.states:
+                cyc = automata._shortest_cycle(a._succ, f)
+                expected = oracles.shortest_cycle_length(a, f)
+                if expected is None:
+                    assert cyc is None
+                else:
+                    assert cyc is not None and len(cyc) == expected
+                    assert f in oracles.states_reached(a, {f}, cyc)
 
 
 def _brute_nonempty(b) -> bool:

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
-from faircheck import cli
+from faircheck import cli, formats
 from faircheck.cli import run
 from faircheck.formats import format_automaton, parse_automaton
 from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
@@ -484,6 +485,30 @@ class TestRoundTrip:
             alphabet = gen.letters(rng.randint(1, 3))
             b = gen.random_buchi(rng, alphabet, max_states=5)
             assert parse_automaton(format_automaton(b)) == b
+
+    def test_documented_examples_parse_and_round_trip(self, tmp_path, capsys):
+        readme = (ROOT / "README.md").read_text()
+        readme_block = readme.split("## File formats", 1)[1].split("```\n")[1]
+        doc = formats.__doc__.split("An `.aut` file names an automaton:\n\n", 1)[1]
+        doc_block = textwrap.dedent(doc.split("\n\n", 1)[0]) + "\n"
+        example = BuchiAutomaton(
+            Alphabet(("reject", "request", "result")),
+            2,
+            {0},
+            {0},
+            {(0, "request", 1), (1, "result", 0)},
+        )
+        for block in (readme_block, doc_block):
+            a = parse_automaton(block)
+            assert a == example
+            text = format_automaton(a)
+            assert parse_automaton(text) == a
+            assert format_automaton(parse_automaton(text)) == text
+            path = tmp_path / "example.aut"
+            path.write_text(block)
+            code = run(["check", "sat", "--system", str(path), "--formula", "G F result"])
+            assert code == 0
+            assert report_of(capsys)["verdict"]["holds"] is True
 
 
 # Outputs on the fixtures, byte for byte apart from elapsed_ms.  Paths are
