@@ -12,8 +12,8 @@ an abstract formula to its retransformed concrete counterpart.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import (
     EPS_TOKEN,
@@ -26,6 +26,7 @@ from .automata import (
     NotPrefixClosedError,
     _bfs,
     _closure,
+    _explore,
     _moore_classes,
     _path_from,
     _predecessors,
@@ -122,13 +123,9 @@ class Homomorphism:
             tuple((a, EPS_TOKEN if a in hidden else a) for a in alphabet),
         )
 
-    @property
+    @cached_property
     def _map(self) -> dict[str, str]:
-        d = self.__dict__.get("_map_cache")
-        if d is None:
-            d = dict(self.entries)
-            object.__setattr__(self, "_map_cache", d)
-        return d
+        return dict(self.entries)
 
     def image(self, letter: str) -> str:
         """The image of one letter; ``eps`` when the letter is hidden."""
@@ -371,27 +368,29 @@ def _wcc(
     # every state of D and Y accepts: both are prefix-closed and trimmed
     union = range(nd + len(subsets))
     classes = _moore_classes(union, joint, union, h.target.symbols)
-    # the pairs (abstract state, quotient state) reachable from the starts,
-    # then those of them from which some pair of equal residuals is reachable
-    seen = {(d, q) for q, d in order}
-    stack = list(seen)
-    pred: defaultdict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    while stack:
-        d, y = stack.pop()
+
+    def pair_moves(pair):
+        d, y = pair
         for c in h.target:
             d2 = d_step.get((d, c))
             y2 = y_step.get((y, c))
-            if d2 is None or y2 is None:
-                continue
-            pred[(d2, y2)].append((d, y))
-            if (d2, y2) not in seen:
-                seen.add((d2, y2))
-                stack.append((d2, y2))
+            if d2 is not None and y2 is not None:
+                yield c, (d2, y2)
+
+    # the pairs (abstract state, quotient state) reachable from the starts,
+    # the starts numbered first, then those of them from which some pair of
+    # equal residuals is reachable
+    pairs, edges = _explore(pair_moves, [(d, q) for q, d in order])
+    pred: list[list[int]] = [[] for _ in pairs]
+    for i, _, j in edges:
+        pred[j].append(i)
     closed = _closure(
-        pred, {(d, y) for d, y in seen if classes[d] == classes[nd + y]}
+        pred, {i for i, (d, y) in enumerate(pairs) if classes[d] == classes[nd + y]}
     )
     violations = [
-        (q, d, _path_from(tree, (q, d))) for q, d in order if (d, q) not in closed
+        (q, d, _path_from(tree, (q, d)))
+        for i, (q, d) in enumerate(order)
+        if i not in closed
     ]
     return WccReport(not violations, tuple(violations))
 

@@ -180,6 +180,17 @@ class _Graph:
         """The distinguished 0-state automaton for the empty language."""
         return cls(alphabet, 0, frozenset(), frozenset(), frozenset())
 
+    def _recast(self, cls, initial=None, accepting=None):
+        """The same states and transitions as a ``cls``, with other initial or
+        accepting states where given."""
+        return cls(
+            self.alphabet,
+            self.n_states,
+            self.initial if initial is None else initial,
+            self.accepting if accepting is None else accepting,
+            self.transitions,
+        )
+
     @cached_property
     def _move(self) -> dict[str, tuple[int, ...]]:
         move: dict[str, list[int]] = {s: [0] * self.n_states for s in self.alphabet}
@@ -284,6 +295,25 @@ def _bfs(moves, starts, tree: dict):
                 yield v
 
 
+def _explore(moves, starts):
+    """Every node reachable from the distinct starts, and every edge among them.
+
+    Nodes are listed in ``_bfs``'s discovery order, the starts first, and
+    each edge ``moves`` lists comes out as (i, letter, j) over those indices.
+    """
+    order = list(starts)
+    index = {u: i for i, u in enumerate(order)}
+    edges = []
+    for i, u in enumerate(order):  # order grows while we walk it
+        for letter, v in moves(u):
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(order)
+                order.append(v)
+            edges.append((i, letter, j))
+    return order, edges
+
+
 def _bfs_tree(moves, starts) -> dict:
     """The whole breadth-first tree of ``_bfs``: every node reachable from the starts."""
     tree: dict = {}
@@ -345,22 +375,15 @@ def _subsets(a, starts: list[int], keep_mask: int):
     indices.  Successor sets are cut to ``keep_mask`` (-1 keeps every state);
     empty ones are dropped, so a missing move means the dead sink.
     """
-    order = list(starts)
-    index = {mask: i for i, mask in enumerate(order)}
-    dtrans: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        mask = order[i]
-        for s in a.alphabet.symbols:
-            nm = a.step_mask(mask, s) & keep_mask
-            if not nm:
-                continue
-            if nm not in index:
-                index[nm] = len(order)
-                order.append(nm)
-            dtrans[(i, s)] = index[nm]
-        i += 1
-    return order, dtrans
+    symbols = a.alphabet.symbols
+
+    def moves(mask):
+        for s in symbols:
+            if nm := a.step_mask(mask, s) & keep_mask:
+                yield s, nm
+
+    order, edges = _explore(moves, starts)
+    return order, {(i, s): j for i, s, j in edges}
 
 
 def _moore_classes(states, dtrans, acc, symbols) -> dict[int, int]:
@@ -497,10 +520,7 @@ def left_quotient(a: FinAutomaton, word: Iterable[str]) -> FinAutomaton:
         if not nxt:
             return FinAutomaton.empty(c.alphabet)
         state = nxt[0]
-    rebased = FinAutomaton(
-        c.alphabet, c.n_states, frozenset({state}), c.accepting, c.transitions
-    )
-    return canonicalize(rebased)
+    return canonicalize(c._recast(FinAutomaton, initial={state}))
 
 
 def _nontrivial_scc_states(succ, pred) -> set[int]:
@@ -593,13 +613,7 @@ def prefix_automaton(b: BuchiAutomaton) -> FinAutomaton:
     r = reduce_buchi(b)
     if not r.initial:
         return FinAutomaton.empty(b.alphabet)
-    return FinAutomaton(
-        r.alphabet,
-        r.n_states,
-        r.initial,
-        frozenset(range(r.n_states)),
-        r.transitions,
-    )
+    return r._recast(FinAutomaton, accepting=r.states)
 
 
 def limit(a: FinAutomaton) -> BuchiAutomaton:
@@ -612,9 +626,7 @@ def limit(a: FinAutomaton) -> BuchiAutomaton:
     c = canonicalize(a)
     if len(c.accepting) != c.n_states:
         raise NotPrefixClosedError("limit requires a prefix-closed language")
-    return BuchiAutomaton(
-        c.alphabet, c.n_states, c.initial, frozenset(range(c.n_states)), c.transitions
-    )
+    return c._recast(BuchiAutomaton, accepting=c.states)
 
 
 def is_prefix_closed(a: FinAutomaton) -> bool:
@@ -632,25 +644,21 @@ def _product_pairs(a, b, next_phase):
     the transitions between their indices.
     """
     _check_same_alphabet(a, b)
-    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
-    index = {t: i for i, t in enumerate(starts)}
-    order = list(starts)
-    transitions: set[tuple[int, str, int]] = set()
     a_succ, b_move = a._succ, b._move
-    for i, (p, q, phase) in enumerate(order):  # order grows while we walk it
+
+    def moves(triple):
+        p, q, phase = triple
         nphase = next_phase(p, q, phase)
         for s, p2 in a_succ[p]:
             m = b_move[s][q]
             while m:
                 low = m & -m
                 m ^= low
-                t = (p2, low.bit_length() - 1, nphase)
-                j = index.get(t)
-                if j is None:
-                    j = index[t] = len(order)
-                    order.append(t)
-                transitions.add((i, s, j))
-    return order, len(starts), frozenset(transitions)
+                yield s, (p2, low.bit_length() - 1, nphase)
+
+    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
+    order, edges = _explore(moves, starts)
+    return order, len(starts), frozenset(edges)
 
 
 def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
@@ -727,20 +735,20 @@ def _accepts_periodic_from(b: BuchiAutomaton, start_mask: int, cycle) -> bool:
 
 def _stems_by_subset(b: BuchiAutomaton, max_len: int):
     """Stems in (length, lex) order, one per distinct reachable state set."""
-    start = b._initial_mask
-    out: list[list[tuple[tuple[str, ...], int]]] = [[((), start)]]
-    seen = {start}
-    frontier = [((), start)]
-    for _ in range(max_len):
-        nxt: list[tuple[tuple[str, ...], int]] = []
-        for stem, mask in frontier:
-            for s in b.alphabet.symbols:
-                m2 = b.step_mask(mask, s)
-                if m2 and m2 not in seen:
-                    seen.add(m2)
-                    nxt.append((stem + (s,), m2))
-        out.append(nxt)
-        frontier = nxt
+    symbols = b.alphabet.symbols
+
+    def moves(mask):
+        for s in symbols:
+            if m2 := b.step_mask(mask, s):
+                yield s, m2
+
+    out: list[list[tuple[tuple[str, ...], int]]] = [[] for _ in range(max_len + 1)]
+    tree: dict = {}
+    for mask in _bfs(moves, [b._initial_mask], tree):
+        stem = _path_from(tree, mask)
+        if len(stem) > max_len:
+            break
+        out[len(stem)].append((stem, mask))
     return out
 
 

@@ -18,17 +18,14 @@ from pathlib import Path
 
 from .automata import (
     Alphabet,
-    AlphabetMismatchError,
     BuchiAutomaton,
     FinAutomaton,
     LassoWord,
-    NotPrefixClosedError,
     canonicalize,
     limit,
 )
 from .pltl import (
     EPS_TOKEN,
-    NotNormalFormError,
     atoms_of,
     evaluate_lasso,
     format_formula,
@@ -60,8 +57,6 @@ from .synthesis import (
     verify_fair_impl,
 )
 from .formats import (
-    AutFormatError,
-    HomFormatError,
     format_automaton,
     parse_automaton,
     parse_homomorphism,
@@ -69,15 +64,8 @@ from .formats import (
 
 __all__ = ["main", "run"]
 
-INPUT_ERRORS = (
-    AutFormatError,
-    HomFormatError,
-    AlphabetMismatchError,
-    NotPrefixClosedError,
-    NotNormalFormError,
-    ValueError,
-    OSError,
-)
+# every input error the package raises is a ValueError
+INPUT_ERRORS = (ValueError, OSError)
 
 
 class _Inputs:
@@ -342,14 +330,7 @@ def _dispatch(args: argparse.Namespace, inputs: _Inputs, started: float) -> int:
                 "with the fairness marks as accepting states"
             )
         impl = FairLts(
-            FinAutomaton(
-                marked.alphabet,
-                marked.n_states,
-                marked.initial,
-                frozenset(range(marked.n_states)),
-                marked.transitions,
-            ),
-            marked.accepting,
+            marked._recast(FinAutomaton, accepting=marked.states), marked.accepting
         )
         system = inputs.finitary(args.system)
         p = PropertySpec.from_formula(parse_formula(args.formula), system.alphabet)

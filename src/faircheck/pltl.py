@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .automata import (
     Alphabet,
@@ -20,6 +20,7 @@ from .automata import (
     EPS_TOKEN,
     HASH_TOKEN,
     LassoWord,
+    _explore,
     reduce_buchi,
 )
 
@@ -306,29 +307,16 @@ def parse_formula(text: str) -> Formula:
     return operands[0][0]
 
 
-_PREC_ATOM = 7
-_PREC_UNARY = 6
-_PREC_UNTIL = 5
-_PREC_AND = 4
-_PREC_OR = 3
-_PREC_IMPLIES = 2
-_PREC_IFF = 1
+# node -> (token, precedence, right associative) for printing; prefix
+# operators bind tighter than every binary one
+_PREFIX_PREC = 1 + max(prec for prec, _, _ in _BINARY_OPS.values())
+_SYNTAX = {node: (tok, prec, right) for tok, (prec, right, node) in _BINARY_OPS.items()}
+_SYNTAX.update((node, (tok, _PREFIX_PREC, False)) for tok, node in _PREFIX_OPS.items())
 
 
 def _prec(f: Formula) -> int:
-    if isinstance(f, (Atom, TrueFormula)):
-        return _PREC_ATOM
-    if isinstance(f, _UNARY):
-        return _PREC_UNARY
-    if isinstance(f, (Until, Before)):
-        return _PREC_UNTIL
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    return _PREC_IFF
+    # atoms and true bind tightest of all
+    return _SYNTAX[type(f)][1] if type(f) in _SYNTAX else _PREFIX_PREC + 1
 
 
 def format_formula(f: Formula) -> str:
@@ -341,17 +329,10 @@ def _render(f: Formula, parts: list[str]) -> str:
         return "true"
     if isinstance(f, Atom):
         return f.name
+    op, me, right_assoc = _SYNTAX[type(f)]
     if isinstance(f, _UNARY):
-        sub = parts[0]
-        if _prec(f.operand) < _PREC_UNARY:
-            sub = f"({sub})"
-        if isinstance(f, Not):
-            return f"!{sub}"
-        op = {Next: "X", Eventually: "F", Always: "G"}[type(f)]
-        return f"{op} {sub}"
-    op = {And: "&", Or: "|", Implies: "->", Iff: "<->", Until: "U", Before: "B"}[type(f)]
-    me = _prec(f)
-    right_assoc = isinstance(f, (Until, Before, Implies, Iff))
+        sub = parts[0] if _prec(f.operand) >= me else f"({parts[0]})"
+        return op + sub if isinstance(f, Not) else f"{op} {sub}"
     lt, rt = parts
     if _prec(f.left) < me or (right_assoc and _prec(f.left) == me):
         lt = f"({lt})"
@@ -469,35 +450,25 @@ def _n(f: Formula) -> Formula:
     return _fold(f, step)
 
 
-def _t(f: Formula) -> Formula:
-    def step(g: Formula, parts: list[Formula]) -> Formula:
-        if isinstance(g, (TrueFormula, Atom)):
-            return g
-        if isinstance(g, Not):
-            if isinstance(g.operand, TrueFormula):
-                return g
-            return And(g, Not(EPS))
-        return _retime(g, parts)
+def _t(f: Formula, wrap: bool) -> Formula:
+    """T, or R with ``wrap``: then each maximal purely Boolean subformula b
+    becomes ``eps U T(b)`` (T and N agree on Boolean formulas)."""
 
-    return _fold(f, step)
-
-
-def _r(f: Formula) -> Formula:
-    def wrap(b: Formula) -> Formula:
-        return Until(EPS, _n(b))
-
-    def step(g: Formula, parts: list[Formula | None]) -> Formula | None:
-        # None marks a purely Boolean subformula, wrapped by its nearest
-        # temporal ancestor (or at the root)
+    def step(g: Formula, parts: list) -> tuple[Formula, bool]:
+        # parts are the (rewritten, purely Boolean) pairs of the operands
         if isinstance(g, Always) and g.operand == EPS:
-            # the T route for G eps, with eps carried through unchanged
-            return Always(Or(EPS, EPS))
-        if not isinstance(g, _TEMPORAL) and all(p is None for p in parts):
-            return None
-        return _retime(g, [wrap(c) if p is None else p for c, p in zip(children(g), parts)])
+            # eps is carried through unchanged, never wrapped
+            return Always(Or(EPS, EPS)), False
+        if isinstance(g, Not) and isinstance(g.operand, Atom):
+            return And(g, Not(EPS)), True
+        if isinstance(g, (TrueFormula, Atom, Not)):  # Not only on true here
+            return g, True
+        boolean = not isinstance(g, _TEMPORAL) and all(b for _, b in parts)
+        kids = [Until(EPS, r) if wrap and b and not boolean else r for r, b in parts]
+        return _retime(g, kids), boolean
 
-    out = _fold(f, step)
-    return wrap(f) if out is None else out
+    out, boolean = _fold(f, step)
+    return Until(EPS, out) if wrap and boolean else out
 
 
 def _retime(f: Formula, parts: list[Formula]) -> Formula:
@@ -518,18 +489,20 @@ def transform(f: Formula, mode: str) -> Formula:
 
     N tightens each negated atom with "and not eps" so invisible steps cannot
     discharge it.  T re-times temporal operators so that runs may take
-    invisible steps between visible ones.  R is T with every maximal purely
-    Boolean subformula b replaced by ``eps U N(b)``: the property is judged at
-    the next visible position.
+    invisible steps between visible ones: ``x U y`` becomes ``(eps | T x) U
+    T y``, ``G x`` becomes ``G (eps | T x)`` and ``X x`` becomes
+    ``eps U (!eps & X (eps U T x))``; negated atoms are tightened as in N, and
+    every other node keeps its operator over its rewritten operands.  R is T
+    with every maximal purely Boolean subformula b replaced by ``eps U N(b)``:
+    the property is judged at the next visible position.  Both turn ``G eps``
+    into ``G (eps | eps)``.
     """
     if mode not in ("N", "T", "R"):
         raise ValueError(f"unknown transformation mode {mode!r}")
     _require_transformable(f)
     if mode == "N":
         return _n(f)
-    if mode == "T":
-        return _t(f)
-    return _r(f)
+    return _t(f, wrap=mode == "R")
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +540,9 @@ class Labeling:
         except KeyError:
             raise ValueError(f"letter {symbol!r} not covered by the labeling") from None
 
-    @property
+    @cached_property
     def _map(self) -> dict[str, frozenset[str]]:
-        d = self.__dict__.get("_map_cache")
-        if d is None:
-            d = dict(self.entries)
-            object.__setattr__(self, "_map_cache", d)
-        return d
+        return dict(self.entries)
 
     def domain(self) -> tuple[str, ...]:
         return tuple(sym for sym, _ in self.entries)
@@ -844,28 +813,25 @@ class _Translator:
         """Reduced Buchi automaton for the words satisfying the node."""
         untils = self.untils
         symbols = self.alphabet.symbols
-        start = (frozenset() if root == self.true else frozenset({root}), 0, False)
-        index = {start: 0}
-        order = [start]
-        transitions: set[tuple[int, str, int]] = set()
-        for pos, (obligations, k, _) in enumerate(order):
+
+        def moves(state):
+            # one move per cover, on the cover's letter mask
+            obligations, k, _ = state
             for mask, nxt, post in self._covers(obligations):
                 # the counter waits at the first until this step postpones
                 j = k
                 while j < len(untils) and untils[j] not in post:
                     j += 1
                 target = (nxt, 0, True) if j == len(untils) else (nxt, j, False)
-                t = index.get(target)
-                if t is None:
-                    t = index[target] = len(order)
-                    order.append(target)
-                for i, a in enumerate(symbols):
-                    if mask >> i & 1:
-                        transitions.add((pos, a, t))
-        accepting = frozenset(i for i, (_, _, wrapped) in enumerate(order) if wrapped)
-        raw = BuchiAutomaton(
-            self.alphabet, len(order), frozenset({0}), accepting, frozenset(transitions)
+                yield mask, target
+
+        start = (frozenset() if root == self.true else frozenset({root}), 0, False)
+        order, edges = _explore(moves, [start])
+        transitions = frozenset(
+            (pos, a, t) for pos, mask, t in edges for i, a in enumerate(symbols) if mask >> i & 1
         )
+        accepting = frozenset(i for i, (_, _, wrapped) in enumerate(order) if wrapped)
+        raw = BuchiAutomaton(self.alphabet, len(order), frozenset({0}), accepting, transitions)
         return reduce_buchi(raw)
 
 

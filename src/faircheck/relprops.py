@@ -126,10 +126,7 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
 
 def _relative_liveness(system: BuchiAutomaton, good_prefixes: FinAutomaton) -> Verdict:
     # good_prefixes: the prefixes of the system's conforming computations
-    equal, witness = language_equal(prefix_automaton(system), good_prefixes)
-    if equal:
-        return Verdict(True)
-    return Verdict(False, witness)
+    return Verdict(*language_equal(prefix_automaton(system), good_prefixes))
 
 
 satisfies_within_fairness = is_relative_liveness
@@ -147,18 +144,14 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     boundary = limit(good_prefixes)
     bad = product(product(system, boundary), p.complement)
     x = accepting_lasso(bad)
-    if x is None:
-        return Verdict(True)
-    return Verdict(False, x)
+    return Verdict(x is None, x)
 
 
 def satisfies(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     """Plain satisfaction: every system computation conforms."""
     _check_alphabet(system, p)
     x = accepting_lasso(product(system, p.complement))
-    if x is None:
-        return Verdict(True)
-    return Verdict(False, x)
+    return Verdict(x is None, x)
 
 
 def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
@@ -177,10 +170,7 @@ def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
             raise ValueError(
                 f"sublanguage is not contained in the system: {x.as_text()}"
             )
-    ok, witness = language_subset(prefix_automaton(system), prefix_automaton(sub))
-    if ok:
-        return Verdict(True)
-    return Verdict(False, witness)
+    return Verdict(*language_subset(prefix_automaton(system), prefix_automaton(sub)))
 
 
 def is_safety_property(p: PropertySpec, alphabet: Alphabet) -> bool:

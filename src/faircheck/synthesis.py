@@ -69,13 +69,7 @@ class FairLts:
 
     def as_buchi(self) -> BuchiAutomaton:
         """The fair computations, as a Buchi automaton over the marks."""
-        return BuchiAutomaton(
-            self.underlying.alphabet,
-            self.underlying.n_states,
-            self.underlying.initial,
-            self.fairness_marks,
-            self.underlying.transitions,
-        )
+        return self.underlying._recast(BuchiAutomaton, accepting=self.fairness_marks)
 
 
 def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
@@ -91,13 +85,7 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
     conforming = reduce_buchi(product(behavior, p.positive))
     # every state of the reduced product starts a conforming computation, so
     # with all states accepting it recognizes exactly their prefixes
-    underlying = FinAutomaton(
-        conforming.alphabet,
-        conforming.n_states,
-        conforming.initial,
-        frozenset(range(conforming.n_states)),
-        conforming.transitions,
-    )
+    underlying = conforming._recast(FinAutomaton, accepting=conforming.states)
     verdict = _relative_liveness(behavior, underlying)
     if not verdict:
         raise PreconditionFailedError(
@@ -118,13 +106,11 @@ def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Ve
     """
     impl_prefixes = prefix_automaton(limit(impl.underlying))
     system_prefixes = prefix_automaton(limit(canonicalize(system)))
-    same, word = language_equal(impl_prefixes, system_prefixes)
+    same = Verdict(*language_equal(impl_prefixes, system_prefixes))
     if not same:
-        return Verdict(False, word)
+        return same
     violating = accepting_lasso(product(impl.as_buchi(), p.complement))
-    if violating is not None:
-        return Verdict(False, violating)
-    return Verdict(True)
+    return Verdict(violating is None, violating)
 
 
 def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:

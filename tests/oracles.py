@@ -468,3 +468,78 @@ def relative_xtd_accepts(a, h, word) -> bool:
         elif not nfa_accepts(a, prefix) or _has_visible_future(a, image_of, prefix):
             return False
     return nfa_accepts(a, prefix)
+
+
+# ---------------------------------------------------------------------------
+# the T and R rewrites, written from their definition in pltl.transform
+
+def _pltl():
+    # imported on use: perfbench loads this module without importing faircheck
+    from faircheck import pltl
+
+    return pltl
+
+
+def _operands(f) -> list:
+    pltl = _pltl()
+    if isinstance(f, (pltl.Not, pltl.Next, pltl.Eventually, pltl.Always)):
+        return [f.operand]
+    if isinstance(f, (pltl.Atom, pltl.TrueFormula)):
+        return []
+    return [f.left, f.right]
+
+
+def _is_boolean(f) -> bool:
+    pltl = _pltl()
+    temporal = (pltl.Next, pltl.Until, pltl.Before, pltl.Eventually, pltl.Always)
+    return not isinstance(f, temporal) and all(_is_boolean(c) for c in _operands(f))
+
+
+def _reference_n(f):
+    """N: each negated atom tightened with "and not eps"."""
+    pltl = _pltl()
+    if isinstance(f, pltl.Not) and isinstance(f.operand, pltl.Atom):
+        return pltl.And(f, pltl.Not(pltl.EPS))
+    if not _operands(f):
+        return f
+    return type(f)(*[_reference_n(c) for c in _operands(f)])
+
+
+def _retimed(f, kids):
+    """The T rule at a non-leaf node, given its rewritten operands."""
+    pltl = _pltl()
+    eps = pltl.EPS
+    if isinstance(f, pltl.Until):
+        return pltl.Until(pltl.Or(eps, kids[0]), kids[1])
+    if isinstance(f, pltl.Always):
+        return pltl.Always(pltl.Or(eps, kids[0]))
+    if isinstance(f, pltl.Next):
+        return pltl.Until(
+            eps, pltl.And(pltl.Not(eps), pltl.Next(pltl.Until(eps, kids[0])))
+        )
+    return type(f)(*kids)
+
+
+def _is_g_eps(f) -> bool:
+    pltl = _pltl()
+    return isinstance(f, pltl.Always) and f.operand == pltl.EPS
+
+
+def reference_t(f):
+    """T by plain recursion over a positive-normal-form formula."""
+    pltl = _pltl()
+    if _is_g_eps(f):
+        return pltl.Always(pltl.Or(pltl.EPS, pltl.EPS))
+    if isinstance(f, pltl.Not) or not _operands(f):
+        return _reference_n(f)
+    return _retimed(f, [reference_t(c) for c in _operands(f)])
+
+
+def reference_r(f):
+    """R: T with each maximal purely Boolean subformula b as ``eps U N(b)``."""
+    pltl = _pltl()
+    if _is_boolean(f):
+        return pltl.Until(pltl.EPS, _reference_n(f))
+    if _is_g_eps(f):
+        return pltl.Always(pltl.Or(pltl.EPS, pltl.EPS))
+    return _retimed(f, [reference_r(c) for c in _operands(f)])

@@ -526,6 +526,36 @@ class TestGraphSearch:
                 assert q in oracles.states_reached(a, starts, word)
                 assert len(word) == lengths[q]
 
+    def test_explore_numbers_nodes_in_bfs_order_and_keeps_every_edge(self, rng):
+        for _ in range(150):
+            a = _random_graph(rng)
+            starts = rng.sample(range(a.n_states), min(a.n_states, rng.randint(1, 3)))
+            moves = a._succ.__getitem__
+            nodes, edges = automata._explore(moves, starts)
+            assert nodes == list(automata._bfs(moves, starts, {}))
+            assert nodes[: len(starts)] == starts
+            reachable = oracles.shortest_word_lengths(a, starts).keys()
+            assert set(nodes) == reachable
+            expected = sorted((p, s, q) for p, s, q in a.transitions if p in reachable)
+            assert sorted((nodes[i], s, nodes[j]) for i, s, j in edges) == expected
+
+    def test_stems_by_subset_are_the_least_words_per_new_subset(self, rng):
+        for _ in range(80):
+            b = gen.random_buchi(rng, gen.letters(2), max_states=5)
+            k = rng.randint(0, 4)
+            expected = [[] for _ in range(k + 1)]
+            seen = set()
+            for word in oracles.enumerate_words(b.alphabet, k):
+                reached = frozenset(oracles.states_reached(b, b.initial, word))
+                if reached and reached not in seen:
+                    seen.add(reached)
+                    expected[len(word)].append((word, reached))
+            got = [
+                [(stem, frozenset(automata._bit_indices(mask))) for stem, mask in level]
+                for level in automata._stems_by_subset(b, k)
+            ]
+            assert got == expected
+
     def test_shortest_cycle_against_brute_force(self, rng):
         for _ in range(120):
             a = _random_graph(rng)

@@ -1,8 +1,10 @@
 """Command-line behavior: reports, exit codes, artifacts, diagnostics."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import shutil
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import faircheck
 import gen
 import oracles
 from faircheck.automata import (
@@ -30,6 +33,7 @@ from faircheck import cli, formats
 from faircheck.cli import run
 from faircheck.formats import format_automaton, parse_automaton
 from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
+from faircheck.synthesis import PreconditionFailedError
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -428,6 +432,28 @@ class TestErrors:
         formula = "X " * 400 + "a"
         assert run(["safety-class", "--formula", formula, "--alphabet", "a b"]) == 0
         assert report_of(capsys)["verdict"] == {"is_safety": True}
+
+
+def test_every_package_error_but_the_precondition_one_is_an_input_error():
+    # the CLI reports exactly INPUT_ERRORS with exit 2; any other exception
+    # class escapes as a traceback
+    assert cli.INPUT_ERRORS == (ValueError, OSError)
+    modules = [
+        importlib.import_module(f"faircheck.{m.name}")
+        for m in pkgutil.iter_modules(faircheck.__path__)
+        if m.name != "__main__"
+    ]
+    errors = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert PreconditionFailedError in errors and len(errors) > 1
+    for error in errors - {PreconditionFailedError}:
+        assert issubclass(error, ValueError), error
 
 
 class TestEntryPoints:

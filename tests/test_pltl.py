@@ -27,6 +27,7 @@ from faircheck.pltl import (
     Until,
     atoms_of,
     check_normal_form,
+    children,
     evaluate_lasso,
     format_formula,
     is_pure_boolean,
@@ -107,6 +108,186 @@ class TestParser:
         f = Until(EPS, And(Not(EPS), Next(Until(EPS, Atom("a")))))
         assert format_formula(f) == "eps U (!eps & X (eps U a))"
 
+    def test_every_operator_pair_renders_as_before(self):
+        # (outer, inner, side, rendering): the inner operator applied to p
+        # (and q) sits on that side of the outer one, r on the other side
+        prefix = {"!": Not, "X": Next, "F": Eventually, "G": Always}
+        binary = {"&": And, "|": Or, "->": Implies, "<->": Iff, "U": Until, "B": Before}
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        for outer, inner, side, expected in PRINTER_GOLDEN:
+            sub = prefix[inner](p) if inner in prefix else binary[inner](p, q)
+            if outer in prefix:
+                f = prefix[outer](sub)
+            else:
+                f = binary[outer](*((sub, r) if side == "left" else (r, sub)))
+            assert format_formula(f) == expected
+            assert parse_formula(expected) == f
+        assert len(PRINTER_GOLDEN) == 4 * 10 + 6 * 10 * 2
+
+
+PRINTER_GOLDEN = [
+    ('!', '!', 'operand', '!!p'),
+    ('!', 'X', 'operand', '!X p'),
+    ('!', 'F', 'operand', '!F p'),
+    ('!', 'G', 'operand', '!G p'),
+    ('!', '&', 'operand', '!(p & q)'),
+    ('!', '|', 'operand', '!(p | q)'),
+    ('!', '->', 'operand', '!(p -> q)'),
+    ('!', '<->', 'operand', '!(p <-> q)'),
+    ('!', 'U', 'operand', '!(p U q)'),
+    ('!', 'B', 'operand', '!(p B q)'),
+    ('X', '!', 'operand', 'X !p'),
+    ('X', 'X', 'operand', 'X X p'),
+    ('X', 'F', 'operand', 'X F p'),
+    ('X', 'G', 'operand', 'X G p'),
+    ('X', '&', 'operand', 'X (p & q)'),
+    ('X', '|', 'operand', 'X (p | q)'),
+    ('X', '->', 'operand', 'X (p -> q)'),
+    ('X', '<->', 'operand', 'X (p <-> q)'),
+    ('X', 'U', 'operand', 'X (p U q)'),
+    ('X', 'B', 'operand', 'X (p B q)'),
+    ('F', '!', 'operand', 'F !p'),
+    ('F', 'X', 'operand', 'F X p'),
+    ('F', 'F', 'operand', 'F F p'),
+    ('F', 'G', 'operand', 'F G p'),
+    ('F', '&', 'operand', 'F (p & q)'),
+    ('F', '|', 'operand', 'F (p | q)'),
+    ('F', '->', 'operand', 'F (p -> q)'),
+    ('F', '<->', 'operand', 'F (p <-> q)'),
+    ('F', 'U', 'operand', 'F (p U q)'),
+    ('F', 'B', 'operand', 'F (p B q)'),
+    ('G', '!', 'operand', 'G !p'),
+    ('G', 'X', 'operand', 'G X p'),
+    ('G', 'F', 'operand', 'G F p'),
+    ('G', 'G', 'operand', 'G G p'),
+    ('G', '&', 'operand', 'G (p & q)'),
+    ('G', '|', 'operand', 'G (p | q)'),
+    ('G', '->', 'operand', 'G (p -> q)'),
+    ('G', '<->', 'operand', 'G (p <-> q)'),
+    ('G', 'U', 'operand', 'G (p U q)'),
+    ('G', 'B', 'operand', 'G (p B q)'),
+    ('&', '!', 'left', '!p & r'),
+    ('&', '!', 'right', 'r & !p'),
+    ('&', 'X', 'left', 'X p & r'),
+    ('&', 'X', 'right', 'r & X p'),
+    ('&', 'F', 'left', 'F p & r'),
+    ('&', 'F', 'right', 'r & F p'),
+    ('&', 'G', 'left', 'G p & r'),
+    ('&', 'G', 'right', 'r & G p'),
+    ('&', '&', 'left', 'p & q & r'),
+    ('&', '&', 'right', 'r & (p & q)'),
+    ('&', '|', 'left', '(p | q) & r'),
+    ('&', '|', 'right', 'r & (p | q)'),
+    ('&', '->', 'left', '(p -> q) & r'),
+    ('&', '->', 'right', 'r & (p -> q)'),
+    ('&', '<->', 'left', '(p <-> q) & r'),
+    ('&', '<->', 'right', 'r & (p <-> q)'),
+    ('&', 'U', 'left', 'p U q & r'),
+    ('&', 'U', 'right', 'r & p U q'),
+    ('&', 'B', 'left', 'p B q & r'),
+    ('&', 'B', 'right', 'r & p B q'),
+    ('|', '!', 'left', '!p | r'),
+    ('|', '!', 'right', 'r | !p'),
+    ('|', 'X', 'left', 'X p | r'),
+    ('|', 'X', 'right', 'r | X p'),
+    ('|', 'F', 'left', 'F p | r'),
+    ('|', 'F', 'right', 'r | F p'),
+    ('|', 'G', 'left', 'G p | r'),
+    ('|', 'G', 'right', 'r | G p'),
+    ('|', '&', 'left', 'p & q | r'),
+    ('|', '&', 'right', 'r | p & q'),
+    ('|', '|', 'left', 'p | q | r'),
+    ('|', '|', 'right', 'r | (p | q)'),
+    ('|', '->', 'left', '(p -> q) | r'),
+    ('|', '->', 'right', 'r | (p -> q)'),
+    ('|', '<->', 'left', '(p <-> q) | r'),
+    ('|', '<->', 'right', 'r | (p <-> q)'),
+    ('|', 'U', 'left', 'p U q | r'),
+    ('|', 'U', 'right', 'r | p U q'),
+    ('|', 'B', 'left', 'p B q | r'),
+    ('|', 'B', 'right', 'r | p B q'),
+    ('->', '!', 'left', '!p -> r'),
+    ('->', '!', 'right', 'r -> !p'),
+    ('->', 'X', 'left', 'X p -> r'),
+    ('->', 'X', 'right', 'r -> X p'),
+    ('->', 'F', 'left', 'F p -> r'),
+    ('->', 'F', 'right', 'r -> F p'),
+    ('->', 'G', 'left', 'G p -> r'),
+    ('->', 'G', 'right', 'r -> G p'),
+    ('->', '&', 'left', 'p & q -> r'),
+    ('->', '&', 'right', 'r -> p & q'),
+    ('->', '|', 'left', 'p | q -> r'),
+    ('->', '|', 'right', 'r -> p | q'),
+    ('->', '->', 'left', '(p -> q) -> r'),
+    ('->', '->', 'right', 'r -> p -> q'),
+    ('->', '<->', 'left', '(p <-> q) -> r'),
+    ('->', '<->', 'right', 'r -> (p <-> q)'),
+    ('->', 'U', 'left', 'p U q -> r'),
+    ('->', 'U', 'right', 'r -> p U q'),
+    ('->', 'B', 'left', 'p B q -> r'),
+    ('->', 'B', 'right', 'r -> p B q'),
+    ('<->', '!', 'left', '!p <-> r'),
+    ('<->', '!', 'right', 'r <-> !p'),
+    ('<->', 'X', 'left', 'X p <-> r'),
+    ('<->', 'X', 'right', 'r <-> X p'),
+    ('<->', 'F', 'left', 'F p <-> r'),
+    ('<->', 'F', 'right', 'r <-> F p'),
+    ('<->', 'G', 'left', 'G p <-> r'),
+    ('<->', 'G', 'right', 'r <-> G p'),
+    ('<->', '&', 'left', 'p & q <-> r'),
+    ('<->', '&', 'right', 'r <-> p & q'),
+    ('<->', '|', 'left', 'p | q <-> r'),
+    ('<->', '|', 'right', 'r <-> p | q'),
+    ('<->', '->', 'left', 'p -> q <-> r'),
+    ('<->', '->', 'right', 'r <-> p -> q'),
+    ('<->', '<->', 'left', '(p <-> q) <-> r'),
+    ('<->', '<->', 'right', 'r <-> p <-> q'),
+    ('<->', 'U', 'left', 'p U q <-> r'),
+    ('<->', 'U', 'right', 'r <-> p U q'),
+    ('<->', 'B', 'left', 'p B q <-> r'),
+    ('<->', 'B', 'right', 'r <-> p B q'),
+    ('U', '!', 'left', '!p U r'),
+    ('U', '!', 'right', 'r U !p'),
+    ('U', 'X', 'left', 'X p U r'),
+    ('U', 'X', 'right', 'r U X p'),
+    ('U', 'F', 'left', 'F p U r'),
+    ('U', 'F', 'right', 'r U F p'),
+    ('U', 'G', 'left', 'G p U r'),
+    ('U', 'G', 'right', 'r U G p'),
+    ('U', '&', 'left', '(p & q) U r'),
+    ('U', '&', 'right', 'r U (p & q)'),
+    ('U', '|', 'left', '(p | q) U r'),
+    ('U', '|', 'right', 'r U (p | q)'),
+    ('U', '->', 'left', '(p -> q) U r'),
+    ('U', '->', 'right', 'r U (p -> q)'),
+    ('U', '<->', 'left', '(p <-> q) U r'),
+    ('U', '<->', 'right', 'r U (p <-> q)'),
+    ('U', 'U', 'left', '(p U q) U r'),
+    ('U', 'U', 'right', 'r U p U q'),
+    ('U', 'B', 'left', '(p B q) U r'),
+    ('U', 'B', 'right', 'r U p B q'),
+    ('B', '!', 'left', '!p B r'),
+    ('B', '!', 'right', 'r B !p'),
+    ('B', 'X', 'left', 'X p B r'),
+    ('B', 'X', 'right', 'r B X p'),
+    ('B', 'F', 'left', 'F p B r'),
+    ('B', 'F', 'right', 'r B F p'),
+    ('B', 'G', 'left', 'G p B r'),
+    ('B', 'G', 'right', 'r B G p'),
+    ('B', '&', 'left', '(p & q) B r'),
+    ('B', '&', 'right', 'r B (p & q)'),
+    ('B', '|', 'left', '(p | q) B r'),
+    ('B', '|', 'right', 'r B (p | q)'),
+    ('B', '->', 'left', '(p -> q) B r'),
+    ('B', '->', 'right', 'r B (p -> q)'),
+    ('B', '<->', 'left', '(p <-> q) B r'),
+    ('B', '<->', 'right', 'r B (p <-> q)'),
+    ('B', 'U', 'left', '(p U q) B r'),
+    ('B', 'U', 'right', 'r B p U q'),
+    ('B', 'B', 'left', '(p B q) B r'),
+    ('B', 'B', 'right', 'r B p B q'),
+]
+
 
 class TestPositiveNormalForm:
     def test_goldens(self):
@@ -157,6 +338,18 @@ class TestCheckNormalForm:
             check_normal_form(TRUE, AB, "nonsense")
 
 
+def _mixes_boolean_and_temporal(f) -> bool:
+    """Some Boolean connective has one purely Boolean and one temporal operand."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (And, Or, Implies, Iff)):
+            if is_pure_boolean(g.left) != is_pure_boolean(g.right):
+                return True
+        stack.extend(children(g))
+    return False
+
+
 class TestTransforms:
     def test_t_goldens(self):
         assert transform(parse_formula("G a"), "T") == parse_formula("G (eps | a)")
@@ -188,6 +381,24 @@ class TestTransforms:
             "G (eps | F (eps U result))"
         )
         assert transform(parse_formula("G eps"), "R") == parse_formula("G (eps | eps)")
+
+    def test_r_wraps_boolean_operands_of_mixed_nodes(self):
+        assert transform(parse_formula("a & F b"), "R") == parse_formula(
+            "(eps U a) & F (eps U b)"
+        )
+        assert transform(parse_formula("!a | X b"), "R") == parse_formula(
+            "(eps U (!a & !eps)) | (eps U (!eps & X (eps U (eps U b))))"
+        )
+
+    def test_t_and_r_match_the_reference(self, rng):
+        mixed = 0
+        for i in range(1200):
+            make = gen.random_nf_formula if i % 2 else gen.random_extended_formula
+            f = make(rng, ("a", "b", "c"), rng.randint(1, 5))
+            assert transform(f, "T") == oracles.reference_t(f)
+            assert transform(f, "R") == oracles.reference_r(f)
+            mixed += _mixes_boolean_and_temporal(f)
+        assert mixed > 100
 
     def test_rejects_non_normal_input(self):
         with pytest.raises(NotNormalFormError):
