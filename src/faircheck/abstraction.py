@@ -30,6 +30,7 @@ from .automata import (
     _moore_classes,
     _path_from,
     _predecessors,
+    _quotient,
     _subsets,
     canonicalize,
     is_prefix_closed,
@@ -328,25 +329,29 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
     abstract quotient only on the state d reached by the image of w in the
     canonical image D.  The decision takes a fixed number of passes over
     whole automata: one subset construction of the image seeded at every
-    state of A gives one DFA Y holding every quotient image, one Moore
-    refinement of D and Y together gives the equal-residual classes, and on
-    the synchronized D x Y pair graph a forward pass from the pairs
-    (d, seed(q)) and a backward pass from the pairs of equal classes find
-    which (q, d) admit a reconciling continuation.
+    state of A gives one DFA Y holding every quotient image, and one Moore
+    refinement of Y gives its equal-residual classes.  D is Y's quotient
+    from the seed of A's initial state, so each state of D is one of those
+    classes.  On the synchronized D x Y pair graph, a forward pass from the
+    pairs (d, seed(q)) and a backward pass from the pairs whose two states
+    share a class find which (q, d) admit a reconciling continuation.
     """
     _check_source(h, L)
     A = _prefix_closed_canonical(L, "weak continuation-closure is checked over")
-    image = _image_nfa(h, A)
-    return _wcc(h, A, image, canonicalize(image))
+    return _wcc(h, A)[0]
 
 
-def _wcc(
-    h: Homomorphism, A: FinAutomaton, image: FinAutomaton, D: FinAutomaton
-) -> WccReport:
-    # A is canonical and prefix-closed, image is _image_nfa(h, A), D its
-    # canonical form
+def _wcc(h: Homomorphism, A: FinAutomaton) -> tuple[WccReport, FinAutomaton]:
+    # A is canonical and prefix-closed; also returns D, the canonical image
     if A.n_states == 0:
-        return WccReport(True, ())
+        return WccReport(True, ()), FinAutomaton.empty(h.target)
+    # Y state q is the seed of system state q: the quotient image from q
+    subsets, y_step = _subsets(_image_nfa(h, A), [1 << q for q in range(A.n_states)], -1)
+    # every Y state accepts, as every state of the image of a trimmed
+    # prefix-closed language does
+    ys = range(len(subsets))
+    classes = _moore_classes(ys, y_step, ys, h.target.symbols)
+    D, d_class = _quotient(h.target, y_step, classes, ys, 0)
     a_step = _step_table(A)
     d_step = _step_table(D)
 
@@ -359,40 +364,28 @@ def _wcc(
                 yield c, (q2, d if img == EPS_TOKEN else d_step[(d, img)])
 
     tree: dict = {}
-    order = list(_bfs(moves, [(next(iter(A.initial)), next(iter(D.initial)))], tree))
-    # Y state q is the seed of system state q: the quotient image from q
-    subsets, y_step = _subsets(image, [1 << q for q in range(A.n_states)], -1)
-    nd = D.n_states
-    joint = dict(d_step)
-    joint.update(((nd + y, c), nd + y2) for (y, c), y2 in y_step.items())
-    # every state of D and Y accepts: both are prefix-closed and trimmed
-    union = range(nd + len(subsets))
-    classes = _moore_classes(union, joint, union, h.target.symbols)
+    order = list(_bfs(moves, [(0, 0)], tree))
 
     def pair_moves(pair):
         d, y = pair
         for c in h.target:
-            d2 = d_step.get((d, c))
-            y2 = y_step.get((y, c))
-            if d2 is not None and y2 is not None:
-                yield c, (d2, y2)
+            if (d, c) in d_step and (y, c) in y_step:
+                yield c, (d_step[d, c], y_step[y, c])
 
     # the pairs (abstract state, quotient state) reachable from the starts,
     # the starts numbered first, then those of them from which some pair of
     # equal residuals is reachable
     pairs, edges = _explore(pair_moves, [(d, q) for q, d in order])
-    pred: list[list[int]] = [[] for _ in pairs]
-    for i, _, j in edges:
-        pred[j].append(i)
     closed = _closure(
-        pred, {i for i, (d, y) in enumerate(pairs) if classes[d] == classes[nd + y]}
+        _predecessors(len(pairs), edges),
+        {i for i, (d, y) in enumerate(pairs) if d_class[d] == classes[y]},
     )
     violations = [
         (q, d, _path_from(tree, (q, d)))
         for i, (q, d) in enumerate(order)
         if i not in closed
     ]
-    return WccReport(not violations, tuple(violations))
+    return WccReport(not violations, tuple(violations)), D
 
 
 def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomaton:
@@ -418,7 +411,7 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
 def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
     # A is canonical
     sees_visible = _closure(
-        _predecessors(A),
+        _predecessors(A.n_states, A.transitions),
         {p for p, c, _ in A.transitions if hom is None or hom.image(c) != EPS_TOKEN},
     )
     transitions = set(A.transitions)
@@ -478,9 +471,7 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
             "formula must be in extended normal form over the target alphabet: "
             + format_formula(f)
         )
-    image_nfa = _image_nfa(h, A)
-    image = canonicalize(image_nfa)
-    wcc = _wcc(h, A, image_nfa, image)
+    wcc, image = _wcc(h, A)
     abstract = _within_fairness(_xtd(image, None), Labeling.canonical(h.target), f)
 
     lifted = h.lift_hash()

@@ -359,11 +359,11 @@ def _closure(edges, targets) -> set:
     return seen
 
 
-def _predecessors(a) -> list[list[int]]:
-    pred: list[list[int]] = [[] for _ in range(a.n_states)]
-    for p, row in enumerate(a._succ):
-        for _, q in row:
-            pred[q].append(p)
+def _predecessors(n: int, edges) -> list[list[int]]:
+    """Predecessor lists of nodes ``0..n-1`` from (p, letter, q) edges."""
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for p, _, q in edges:
+        pred[q].append(p)
     return pred
 
 
@@ -389,8 +389,8 @@ def _subsets(a, starts: list[int], keep_mask: int):
 def _moore_classes(states, dtrans, acc, symbols) -> dict[int, int]:
     """Equal-residual classes of deterministic states by Moore refinement.
 
-    ``dtrans`` maps (state, letter) to a state; a missing move, or one that
-    leaves ``states``, goes to an implicit dead sink of class -1.
+    ``dtrans`` maps (state, letter) to a state of ``states``; a missing move
+    goes to an implicit dead sink of class -1.
     """
     cls = {q: (1 if q in acc else 0) for q in states}
     while True:
@@ -407,14 +407,32 @@ def _moore_classes(states, dtrans, acc, symbols) -> dict[int, int]:
         cls = new_cls
 
 
+def _quotient(alphabet: Alphabet, dtrans, classes, acc, start: int):
+    """The automaton of the classes reachable from ``start``'s, and each state's class.
+
+    ``dtrans`` and ``acc`` are a subset construction's moves and accepting
+    states, ``classes`` its equal-residual classes; states are numbered
+    breadth-first over sorted letters.
+    """
+    rows: dict[int, list[tuple[str, int]]] = {}
+    for q, c in classes.items():
+        if c not in rows:  # every member has the same (letter, class) moves
+            rows[c] = [(s, classes[dtrans[q, s]]) for s in alphabet if (q, s) in dtrans]
+    order, edges = _explore(rows.__getitem__, [classes[start]])
+    cacc = {classes[q] for q in acc}
+    accepting = {i for i, c in enumerate(order) if c in cacc}
+    return FinAutomaton(alphabet, len(order), {0}, accepting, edges), order
+
+
 def canonicalize(a: FinAutomaton) -> FinAutomaton:
     """Minimal trimmed deterministic automaton for the same finitary language.
 
-    Subset construction over the trimmed input, removal of states that cannot
-    reach acceptance, Moore minimization with an implicit dead sink, then
-    breadth-first renumbering over sorted letters.  Idempotent; the empty
-    language collapses to the 0-state automaton.  The result is marked, and a
-    marked input is returned as is.
+    The input is cut to the states that can reach acceptance, so subset
+    construction from its initial states yields only reachable subsets that
+    can all reach acceptance too; Moore refinement with an implicit dead sink
+    and a breadth-first quotient over sorted letters follow.  Idempotent; the
+    empty language collapses to the 0-state automaton.  The result is marked,
+    and a marked input is returned as is.
     """
     if a._canonical:
         return a
@@ -424,47 +442,14 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
 
 
 def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
-    symbols = a.alphabet.symbols
-    # trim the input so subset states only mention useful parts
-    reach = _bfs_tree(a._succ.__getitem__, a.initial)
-    keep = reach.keys() & _closure(_predecessors(a), a.accepting)
-    if not keep:
-        return FinAutomaton.empty(a.alphabet)
-    keep_mask = _mask(keep)
-
+    keep_mask = _mask(_closure(_predecessors(a.n_states, a.transitions), a.accepting))
     init = a._initial_mask & keep_mask
     if not init:
         return FinAutomaton.empty(a.alphabet)
     order, dtrans = _subsets(a, [init], keep_mask)
-    n = len(order)
     acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
-
-    # distilled co-reachability on the subset automaton
-    dpred: list[list[int]] = [[] for _ in range(n)]
-    for (p, _s), q in dtrans.items():
-        dpred[q].append(p)
-    alive = _closure(dpred, acc)
-    if 0 not in alive:
-        return FinAutomaton.empty(a.alphabet)
-
-    cls = _moore_classes(alive, dtrans, acc, symbols)
-
-    # one representative's (letter, class) moves per class
-    rows: dict[int, list[tuple[str, int]]] = {}
-    cacc: set[int] = set()
-    for q in alive:
-        c = cls[q]
-        if q in acc:
-            cacc.add(c)
-        rows[c] = [(s, cls[t]) for s in symbols if (t := dtrans.get((q, s), -1)) in cls]
-
-    # breadth-first renumbering from the initial class
-    number = {c: i for i, c in enumerate(_bfs(rows.__getitem__, [cls[0]], {}))}
-    transitions = frozenset(
-        (number[c], s, number[t]) for c in number for s, t in rows[c]
-    )
-    accepting = frozenset(number[c] for c in cacc if c in number)
-    return FinAutomaton(a.alphabet, len(number), frozenset({0}), accepting, transitions)
+    classes = _moore_classes(range(len(order)), dtrans, acc, a.alphabet.symbols)
+    return _quotient(a.alphabet, dtrans, classes, acc, 0)[0]
 
 
 def language_subset(
@@ -572,8 +557,9 @@ def _nontrivial_scc_states(succ, pred) -> set[int]:
     }
 
 
-def _core_states(b: BuchiAutomaton, pred) -> set[int]:
+def _core_states(b: BuchiAutomaton) -> set[int]:
     """Accepting states that lie on a cycle (anchors of accepted omega-words)."""
+    pred = _predecessors(b.n_states, b.transitions)
     return set(b.accepting) & _nontrivial_scc_states(b._succ, pred)
 
 
@@ -584,8 +570,8 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     states are compacted in increasing order, so an already-reduced automaton
     comes back identical.
     """
-    pred = _predecessors(b)
-    keep = _closure(pred, _core_states(b, pred))
+    pred = _predecessors(b.n_states, b.transitions)
+    keep = _closure(pred, set(b.accepting) & _nontrivial_scc_states(b._succ, pred))
     if len(keep) == b.n_states:
         return b
     if not keep:
@@ -811,7 +797,7 @@ def _denotation_minimal_lasso(
 
 def _accepting_lasso_from(b: BuchiAutomaton, starts: Iterable[int]) -> LassoWord | None:
     stems = _bfs_tree(b._succ.__getitem__, sorted(starts))
-    candidates = sorted(_core_states(b, _predecessors(b)) & stems.keys())
+    candidates = sorted(_core_states(b) & stems.keys())
     if not candidates:
         return None
     # every candidate is reachable and on a cycle, so the key below is decided
@@ -854,7 +840,7 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
 
 def is_empty(b: BuchiAutomaton) -> bool:
     reachable = _bfs_tree(b._succ.__getitem__, b.initial)
-    return not (_core_states(b, _predecessors(b)) & reachable.keys())
+    return not (_core_states(b) & reachable.keys())
 
 
 def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:
@@ -892,7 +878,7 @@ def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoW
     seen: set[LassoWord] = set()
     moves = b._succ.__getitem__
     stems = _bfs_tree(moves, sorted(b.initial))
-    for f in sorted(_core_states(b, _predecessors(b)) & stems.keys()):
+    for f in sorted(_core_states(b) & stems.keys()):
         stem = _path_from(stems, f)
         cycles = []
         for sym, v in b._succ[f]:

@@ -222,4 +222,12 @@ def parse_homomorphism(text: str, alphabet: Alphabet | None = None) -> Homomorph
 
 
 def format_homomorphism(h: Homomorphism) -> str:
+    """The `.hom` text of the map; ``ValueError`` if some target letter is no
+    letter's image, since the parser takes the images as the target."""
+    unused = set(h.target.symbols) - {img for _, img in h.entries}
+    if unused:
+        raise ValueError(
+            f"target letters {sorted(unused)!r} are no letter's image; "
+            "a .hom file cannot name them"
+        )
     return "".join(f"{a} -> {img}\n" for a, img in h.entries)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from faircheck import abstraction, automata
+
 DEFAULT_SEED = 20260816
 
 
@@ -13,3 +15,18 @@ def seed() -> int:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(seed())
+
+
+@pytest.fixture
+def subset_runs(monkeypatch):
+    """The (automaton, start masks) of each subset construction, in call order."""
+    runs = []
+    real = automata._subsets
+
+    def counted(a, starts, keep_mask):
+        runs.append((a, list(starts)))
+        return real(a, starts, keep_mask)
+
+    monkeypatch.setattr(automata, "_subsets", counted)
+    monkeypatch.setattr(abstraction, "_subsets", counted)
+    return runs

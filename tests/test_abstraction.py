@@ -28,6 +28,7 @@ from faircheck.automata import (
     product_fin,
     sample_accepted_lassos,
 )
+from faircheck.formats import format_automaton
 from faircheck.pltl import Labeling, NotNormalFormError, parse_formula
 from faircheck.abstraction import (
     UNDEFINED,
@@ -301,6 +302,38 @@ class TestWcc:
             built.clear()
             compute_xtd(a, hom=h)
             assert built == []
+
+    def test_one_subset_construction_per_check(self, rng, subset_runs):
+        # the canonical image is read off the construction seeded at every
+        # system state, so the image NFA is determinized once
+        for _ in range(30):
+            alphabet = gen.letters(rng.randint(2, 3))
+            c = canonicalize(random_system(rng, alphabet, max_states=6))
+            h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            seeded = (abstraction._image_nfa(h, c), [1 << q for q in c.states])
+            subset_runs.clear()
+            is_weakly_continuation_closed(c, h)
+            assert subset_runs == [seeded]
+            subset_runs.clear()
+            preserve_check(c, h, gen.random_extended_formula(rng, h.target.symbols, 2))
+            assert subset_runs[0] == seeded
+            # the only other runs canonicalize the padded image and system
+            padded = [a.alphabet for a, _ in subset_runs[1:]]
+            assert padded == [h.target.with_hash(), alphabet.with_hash()]
+
+    def test_canonical_image_comes_from_the_seeded_construction(self, rng):
+        _, d = abstraction._wcc(HIDE_B, canonicalize(FinAutomaton.empty(AB)))
+        assert d == image_automaton(HIDE_B, FinAutomaton.empty(AB))
+        hidden_cycles = renamings = 0
+        for _ in range(240):
+            alphabet = gen.letters(rng.randint(2, 3))
+            a = random_system(rng, alphabet, max_states=6)
+            h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            _, d = abstraction._wcc(h, canonicalize(a))
+            assert format_automaton(d) == format_automaton(image_automaton(h, a))
+            hidden_cycles += gen.has_hidden_cycle(a, h)
+            renamings += any(img not in (sym, "eps") for sym, img in h.entries)
+        assert hidden_cycles >= 20 and renamings >= 20
 
 
 def _run(dfa: FinAutomaton, word) -> int:

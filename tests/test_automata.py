@@ -174,20 +174,6 @@ class TestAccepts:
             accepts(a_star_b(), ("z",))
 
 
-@pytest.fixture
-def subset_runs(monkeypatch):
-    """The automata that subset constructions run on, in call order."""
-    runs = []
-    real = automata._subsets
-
-    def counted(a, starts, keep_mask):
-        runs.append(a)
-        return real(a, starts, keep_mask)
-
-    monkeypatch.setattr(automata, "_subsets", counted)
-    return runs
-
-
 class TestCanonicalize:
     def test_ends_with_b_golden(self):
         nfa = FinAutomaton(
@@ -222,6 +208,41 @@ class TestCanonicalize:
             assert is_prefix_closed(a)
 
 
+    def test_trimmed_and_one_state_per_residual(self, rng):
+        # u is unreachable but accepting, x reachable but dead: the result
+        # must drop both and keep one state per non-empty residual language
+        # the useful part of a has at most 3 states, so at most 7 non-empty
+        # residuals: each is reached within 6 letters and told apart within 5
+        reach_len, tail_len = 6, 5
+        tails = list(oracles.enumerate_words(AB, tail_len))
+        for _ in range(40):
+            a = gen.random_fin(rng, AB, max_states=3)
+            n = a.n_states
+            u, x = n, n + 1
+            t = set(a.transitions) | {
+                (u, rng.choice("ab"), rng.randrange(n)),
+                (u, rng.choice("ab"), u),
+                (rng.randrange(n), rng.choice("ab"), x),
+                (x, rng.choice("ab"), x),
+            }
+            a = FinAutomaton(AB, n + 2, a.initial, a.accepting | {u}, t)
+            reached = oracles.shortest_word_lengths(a, a.initial)
+            assert u not in reached and x in reached
+            assert not oracles.shortest_word_lengths(a, {x}).keys() & a.accepting
+            c = canonicalize(a)
+            assert oracles.shortest_word_lengths(c, c.initial).keys() == set(c.states)
+            for q in c.states:
+                assert oracles.shortest_word_lengths(c, {q}).keys() & c.accepting
+            accepted = {
+                w for w in oracles.enumerate_words(AB, reach_len + tail_len)
+                if oracles.nfa_accepts(a, w)
+            }
+            residuals = {
+                frozenset(v for v in tails if w + v in accepted)
+                for w in oracles.enumerate_words(AB, reach_len)
+            }
+            assert c.n_states == len(residuals - {frozenset()})
+
     def test_canonical_input_is_returned_as_is(self, rng):
         for _ in range(40):
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
@@ -236,14 +257,14 @@ class TestCanonicalize:
             subset_runs.clear()
             again = canonicalize(copy)
             assert again == c and again is not copy
-            assert subset_runs == ([copy] if c.n_states else [])
+            assert [a for a, _ in subset_runs] == ([copy] if c.n_states else [])
 
     def test_limit_of_a_canonical_form_determinizes_once(self, rng, subset_runs):
         for _ in range(30):
             x = gen.random_fin(rng, gen.letters(3), max_states=6, all_accepting=True)
             subset_runs.clear()
             limit(canonicalize(x))
-            assert subset_runs == [x]
+            assert [a for a, _ in subset_runs] == [x]
 
 
 class TestLanguageComparisons:

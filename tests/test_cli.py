@@ -512,6 +512,22 @@ class TestRoundTrip:
             b = gen.random_buchi(rng, alphabet, max_states=5)
             assert parse_automaton(format_automaton(b)) == b
 
+    def test_print_parse_identity_on_homomorphisms(self, rng):
+        for _ in range(60):
+            alphabet = gen.letters(rng.randint(1, 4))
+            h = gen.random_hom(rng, alphabet, p_hide=rng.choice([0.0, 0.4, 0.7]))
+            text = formats.format_homomorphism(h)
+            assert formats.parse_homomorphism(text) == h
+            assert formats.parse_homomorphism(text, alphabet) == h
+            assert formats.format_homomorphism(formats.parse_homomorphism(text)) == text
+
+    def test_homomorphism_with_an_unused_target_letter_is_not_printed(self):
+        h = Homomorphism.from_map(
+            Alphabet(("a", "b")), Alphabet(("x", "y")), {"a": "x", "b": "eps"}
+        )
+        with pytest.raises(ValueError, match=r"\['y'\]"):
+            formats.format_homomorphism(h)
+
     def test_documented_examples_parse_and_round_trip(self, tmp_path, capsys):
         readme = (ROOT / "README.md").read_text()
         readme_block = readme.split("## File formats", 1)[1].split("```\n")[1]

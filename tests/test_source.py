@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level private name in the package is used."""
+"""Source hygiene: every module-level private name in the package is used, and
+the package imports nothing outside the standard library."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "faircheck"
@@ -32,3 +34,21 @@ def test_every_private_helper_is_used():
         if len(re.findall(rf"\b{re.escape(name)}\b", source)) < 2
     ]
     assert unused == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: no third-party import anywhere
+    allowed = set(sys.stdlib_module_names) | {"__future__", "faircheck"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            foreign += [
+                f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed
+            ]
+    assert foreign == []
