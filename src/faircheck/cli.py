@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Verdict-producing subcommands print a JSON run report (stable key order,
-suitable for golden files once the timing field is normalized) and exit 0
-when the check holds, 1 when it fails; artifact-producing subcommands print
-formula or automaton text.  Usage problems and malformed inputs exit 2.
+Each subcommand has one handler.  A verdict handler returns the reported
+arguments, the verdict JSON and whether the claim holds; ``run`` alone wraps
+them in a JSON run report (stable key order, suitable for golden files once
+the timing field is normalized) and exits 0 when the claim holds, 1 when it
+fails.  An artifact handler returns formula or automaton text for ``run`` to
+print.  Usage problems and malformed inputs exit 2; a failed synthesis
+precondition exits 1 with its reason on stderr and no report.
 """
 
 from __future__ import annotations
@@ -99,16 +102,11 @@ def _behavior(a: FinAutomaton | BuchiAutomaton) -> BuchiAutomaton:
     return limit(canonicalize(a))
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, LassoWord):
-        return {"lasso": witness.as_text()}
-    return {"word": list(witness)}
-
-
 def _verdict_json(verdict: Verdict) -> dict:
-    return {"holds": verdict.holds, "witness": _witness_json(verdict.witness)}
+    w = verdict.witness
+    if w is not None:
+        w = {"lasso": w.as_text()} if isinstance(w, LassoWord) else {"word": list(w)}
+    return {"holds": verdict.holds, "witness": w}
 
 
 def _parse_lasso(text: str) -> LassoWord:
@@ -121,17 +119,120 @@ def _parse_lasso(text: str) -> LassoWord:
     return LassoWord(tuple(stem_text.split()), cycle)
 
 
-def _emit_report(
-    command: str, args: dict, inputs: _Inputs, verdict: dict, started: float
-) -> None:
-    report = {
-        "command": command,
-        "args": args,
-        "inputs": inputs.digests,
-        "verdict": verdict,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
+def _letters(text: str) -> Alphabet:
+    return Alphabet(tuple(text.split()))
+
+
+def _spec(formula: str, alphabet: Alphabet) -> PropertySpec:
+    return PropertySpec.from_formula(parse_formula(formula), alphabet)
+
+
+def _system_and_hom(args, inputs: _Inputs) -> tuple[FinAutomaton, Homomorphism | None]:
+    system = inputs.finitary(args.system)
+    if args.hom is None:
+        return system, None
+    return system, inputs.homomorphism(args.hom, system.alphabet)
+
+
+def _check(args, inputs):
+    system = _behavior(inputs.automaton(args.system))
+    p = _spec(args.formula, system.alphabet)
+    decide = {"rl": is_relative_liveness, "rs": is_relative_safety, "sat": satisfies}
+    verdict = decide[args.kind](system, p)
+    reported = {"kind": args.kind, "system": args.system, "formula": args.formula}
+    return reported, _verdict_json(verdict), verdict.holds
+
+
+def _machine_closed(args, inputs):
+    system = _behavior(inputs.automaton(args.system))
+    sub = _behavior(inputs.automaton(args.sub))
+    verdict = is_machine_closed(system, sub)
+    return {"system": args.system, "sub": args.sub}, _verdict_json(verdict), verdict.holds
+
+
+def _safety_class(args, inputs):
+    if args.alphabet is not None:
+        alphabet = _letters(args.alphabet)
+    else:
+        alphabet = inputs.automaton(args.system).alphabet
+    safe = is_safety_property(_spec(args.formula, alphabet), alphabet)
+    reported = {"formula": args.formula, "alphabet": " ".join(alphabet.symbols)}
+    return reported, {"is_safety": safe}, safe
+
+
+def _abstract(args, inputs):
+    return format_automaton(abstract_behavior(*_system_and_hom(args, inputs)))
+
+
+def _wcc(args, inputs):
+    report = is_weakly_continuation_closed(*_system_and_hom(args, inputs))
+    verdict = {
+        "closed": report.closed,
+        "violations": [
+            {"system_state": s, "abstract_state": d, "word": list(w)}
+            for s, d, w in report.violations
+        ],
     }
-    print(json.dumps(report, indent=2))
+    return {"system": args.system, "hom": args.hom}, verdict, report.closed
+
+
+def _preserve(args, inputs):
+    system, h = _system_and_hom(args, inputs)
+    report = preserve_check(system, h, parse_formula(args.formula))
+    verdict = {
+        "wcc_closed": report.wcc.closed,
+        "abstract_holds": report.abstract_holds,
+        "concrete_holds": report.concrete_holds,
+        "equivalence_certified": report.equivalence_certified,
+        "note": report.note,
+    }
+    reported = {"system": args.system, "hom": args.hom, "formula": args.formula}
+    return reported, verdict, report.equivalence_certified
+
+
+def _transform(args, inputs):
+    f = parse_formula(args.formula)
+    out = to_positive_normal_form(f) if args.mode == "pnf" else transform(f, args.mode)
+    return format_formula(out) + "\n"
+
+
+def _xtd(args, inputs):
+    system, h = _system_and_hom(args, inputs)
+    return format_automaton(compute_xtd(system, hom=h))
+
+
+def _synthesize(args, inputs):
+    system = inputs.finitary(args.system)
+    impl = synthesize_fair_impl(system, _spec(args.formula, system.alphabet))
+    return format_automaton(impl.as_buchi())
+
+
+def _verify_impl(args, inputs):
+    marked = inputs.automaton(args.impl)
+    if not isinstance(marked, BuchiAutomaton):
+        raise ValueError(
+            f"{args.impl}: an implementation file must be 'acceptance: buchi' "
+            "with the fairness marks as accepting states"
+        )
+    impl = FairLts(marked._recast(FinAutomaton, accepting=marked.states), marked.accepting)
+    system = inputs.finitary(args.system)
+    verdict = verify_fair_impl(impl, system, _spec(args.formula, system.alphabet))
+    reported = {"impl": args.impl, "system": args.system, "formula": args.formula}
+    return reported, _verdict_json(verdict), verdict.holds
+
+
+def _eval(args, inputs):
+    f = parse_formula(args.formula)
+    x = _parse_lasso(args.lasso)
+    if args.alphabet is not None:
+        alphabet = _letters(args.alphabet)
+    else:
+        letters = set(x.stem) | set(x.cycle)
+        letters |= {a for a in atoms_of(f) if a != EPS_TOKEN}
+        alphabet = Alphabet(tuple(sorted(letters)))
+    holds = evaluate_lasso(x, Labeling.canonical(alphabet), f)
+    reported = {"formula": args.formula, "lasso": args.lasso}
+    return reported, {"holds": holds, "witness": None}, holds
 
 
 @functools.cache
@@ -142,52 +243,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="relative liveness, relative safety, satisfaction")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    check = command("check", _check, "relative liveness, relative safety, satisfaction")
     check.add_argument("kind", choices=["rl", "rs", "sat"])
     check.add_argument("--system", required=True, metavar="FILE.aut")
     check.add_argument("--formula", required=True)
 
-    mc = sub.add_parser("machine-closed", help="prefixes of the system all extend into the sublanguage")
+    mc = command(
+        "machine-closed", _machine_closed, "prefixes of the system all extend into the sublanguage"
+    )
     mc.add_argument("--system", required=True, metavar="FILE.aut")
     mc.add_argument("--sub", required=True, metavar="FILE.aut")
 
-    sc = sub.add_parser("safety-class", help="is the property a safety property")
+    sc = command("safety-class", _safety_class, "is the property a safety property")
     sc.add_argument("--formula", required=True)
     group = sc.add_mutually_exclusive_group(required=True)
     group.add_argument("--alphabet", help="space-separated letters")
     group.add_argument("--system", metavar="FILE.aut", help="borrow this file's alphabet")
 
-    ab = sub.add_parser("abstract", help="print the image system under a homomorphism")
+    ab = command("abstract", _abstract, "print the image system under a homomorphism")
     ab.add_argument("--system", required=True, metavar="FILE.aut")
     ab.add_argument("--hom", required=True, metavar="FILE.hom")
 
-    wc = sub.add_parser("wcc", help="is the homomorphism weakly continuation-closed on the system")
+    wc = command("wcc", _wcc, "is the homomorphism weakly continuation-closed on the system")
     wc.add_argument("--system", required=True, metavar="FILE.aut")
     wc.add_argument("--hom", required=True, metavar="FILE.hom")
 
-    pv = sub.add_parser("preserve", help="transfer a verdict across the abstraction boundary")
+    pv = command("preserve", _preserve, "transfer a verdict across the abstraction boundary")
     pv.add_argument("--system", required=True, metavar="FILE.aut")
     pv.add_argument("--hom", required=True, metavar="FILE.hom")
     pv.add_argument("--formula", required=True)
 
-    tr = sub.add_parser("transform", help="print a transformed formula")
+    tr = command("transform", _transform, "print a transformed formula")
     tr.add_argument("--formula", required=True)
     tr.add_argument("--mode", required=True, choices=["N", "T", "R", "pnf"])
 
-    xt = sub.add_parser("xtd", help="print the #-padded system")
+    xt = command("xtd", _xtd, "print the #-padded system")
     xt.add_argument("--system", required=True, metavar="FILE.aut")
     xt.add_argument("--hom", metavar="FILE.hom")
 
-    sy = sub.add_parser("synthesize", help="print a fair implementation (marks as accepting states)")
+    sy = command("synthesize", _synthesize, "print a fair implementation (marks as accepting states)")
     sy.add_argument("--system", required=True, metavar="FILE.aut")
     sy.add_argument("--formula", required=True)
 
-    vi = sub.add_parser("verify-impl", help="check a marked implementation against system and property")
+    vi = command(
+        "verify-impl", _verify_impl, "check a marked implementation against system and property"
+    )
     vi.add_argument("--impl", required=True, metavar="FILE.aut")
     vi.add_argument("--system", required=True, metavar="FILE.aut")
     vi.add_argument("--formula", required=True)
 
-    ev = sub.add_parser("eval", help="evaluate a formula on one ultimately periodic word")
+    ev = command("eval", _eval, "evaluate a formula on one ultimately periodic word")
     ev.add_argument("--formula", required=True)
     ev.add_argument("--lasso", required=True, metavar='"stem;cycle"')
     ev.add_argument("--alphabet", help="space-separated letters (default: inferred)")
@@ -202,168 +312,26 @@ def run(argv: list[str]) -> int:
     started = time.monotonic()
     inputs = _Inputs()
     try:
-        return _dispatch(args, inputs, started)
+        result = args.handler(args, inputs)
+        if isinstance(result, str):
+            print(result, end="")
+            return 0
+        reported, verdict, holds = result
+        report = {
+            "command": args.command,
+            "args": reported,
+            "inputs": inputs.digests,
+            "verdict": verdict,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+        print(json.dumps(report, indent=2))
+        return 0 if holds else 1
     except PreconditionFailedError as exc:
         print(f"synthesis precondition failed: {exc}", file=sys.stderr)
         return 1
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace, inputs: _Inputs, started: float) -> int:
-    if args.command == "check":
-        system = _behavior(inputs.automaton(args.system))
-        p = PropertySpec.from_formula(parse_formula(args.formula), system.alphabet)
-        decide = {
-            "rl": is_relative_liveness,
-            "rs": is_relative_safety,
-            "sat": satisfies,
-        }[args.kind]
-        verdict = decide(system, p)
-        _emit_report(
-            "check",
-            {"kind": args.kind, "system": args.system, "formula": args.formula},
-            inputs,
-            _verdict_json(verdict),
-            started,
-        )
-        return 0 if verdict else 1
-
-    if args.command == "machine-closed":
-        system = _behavior(inputs.automaton(args.system))
-        sub = _behavior(inputs.automaton(args.sub))
-        verdict = is_machine_closed(system, sub)
-        _emit_report(
-            "machine-closed",
-            {"system": args.system, "sub": args.sub},
-            inputs,
-            _verdict_json(verdict),
-            started,
-        )
-        return 0 if verdict else 1
-
-    if args.command == "safety-class":
-        if args.alphabet is not None:
-            alphabet = Alphabet(tuple(args.alphabet.split()))
-        else:
-            alphabet = inputs.automaton(args.system).alphabet
-        p = PropertySpec.from_formula(parse_formula(args.formula), alphabet)
-        safe = is_safety_property(p, alphabet)
-        _emit_report(
-            "safety-class",
-            {"formula": args.formula, "alphabet": " ".join(alphabet.symbols)},
-            inputs,
-            {"is_safety": safe},
-            started,
-        )
-        return 0 if safe else 1
-
-    if args.command == "abstract":
-        system = inputs.finitary(args.system)
-        h = inputs.homomorphism(args.hom, system.alphabet)
-        print(format_automaton(abstract_behavior(system, h)), end="")
-        return 0
-
-    if args.command == "wcc":
-        system = inputs.finitary(args.system)
-        h = inputs.homomorphism(args.hom, system.alphabet)
-        report = is_weakly_continuation_closed(system, h)
-        verdict = {
-            "closed": report.closed,
-            "violations": [
-                {"system_state": s, "abstract_state": d, "word": list(w)}
-                for s, d, w in report.violations
-            ],
-        }
-        _emit_report(
-            "wcc", {"system": args.system, "hom": args.hom}, inputs, verdict, started
-        )
-        return 0 if report.closed else 1
-
-    if args.command == "preserve":
-        system = inputs.finitary(args.system)
-        h = inputs.homomorphism(args.hom, system.alphabet)
-        report = preserve_check(system, h, parse_formula(args.formula))
-        verdict = {
-            "wcc_closed": report.wcc.closed,
-            "abstract_holds": report.abstract_holds,
-            "concrete_holds": report.concrete_holds,
-            "equivalence_certified": report.equivalence_certified,
-            "note": report.note,
-        }
-        _emit_report(
-            "preserve",
-            {"system": args.system, "hom": args.hom, "formula": args.formula},
-            inputs,
-            verdict,
-            started,
-        )
-        return 0 if report.equivalence_certified else 1
-
-    if args.command == "transform":
-        f = parse_formula(args.formula)
-        out = to_positive_normal_form(f) if args.mode == "pnf" else transform(f, args.mode)
-        print(format_formula(out))
-        return 0
-
-    if args.command == "xtd":
-        system = inputs.finitary(args.system)
-        h = None
-        if args.hom is not None:
-            h = inputs.homomorphism(args.hom, system.alphabet)
-        print(format_automaton(compute_xtd(system, hom=h)), end="")
-        return 0
-
-    if args.command == "synthesize":
-        system = inputs.finitary(args.system)
-        p = PropertySpec.from_formula(parse_formula(args.formula), system.alphabet)
-        impl = synthesize_fair_impl(system, p)
-        print(format_automaton(impl.as_buchi()), end="")
-        return 0
-
-    if args.command == "verify-impl":
-        marked = inputs.automaton(args.impl)
-        if not isinstance(marked, BuchiAutomaton):
-            raise ValueError(
-                f"{args.impl}: an implementation file must be 'acceptance: buchi' "
-                "with the fairness marks as accepting states"
-            )
-        impl = FairLts(
-            marked._recast(FinAutomaton, accepting=marked.states), marked.accepting
-        )
-        system = inputs.finitary(args.system)
-        p = PropertySpec.from_formula(parse_formula(args.formula), system.alphabet)
-        verdict = verify_fair_impl(impl, system, p)
-        _emit_report(
-            "verify-impl",
-            {"impl": args.impl, "system": args.system, "formula": args.formula},
-            inputs,
-            _verdict_json(verdict),
-            started,
-        )
-        return 0 if verdict else 1
-
-    if args.command == "eval":
-        f = parse_formula(args.formula)
-        x = _parse_lasso(args.lasso)
-        if args.alphabet is not None:
-            alphabet = Alphabet(tuple(args.alphabet.split()))
-        else:
-            letters = set(x.stem) | set(x.cycle)
-            letters |= {a for a in atoms_of(f) if a != EPS_TOKEN}
-            alphabet = Alphabet(tuple(sorted(letters)))
-        holds = evaluate_lasso(x, Labeling.canonical(alphabet), f)
-        _emit_report(
-            "eval",
-            {"formula": args.formula, "lasso": args.lasso},
-            inputs,
-            {"holds": holds, "witness": None},
-            started,
-        )
-        return 0 if holds else 1
-
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> None:

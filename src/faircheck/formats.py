@@ -24,7 +24,7 @@ back to the same object.
 
 from __future__ import annotations
 
-from .automata import Alphabet, BuchiAutomaton, FinAutomaton
+from .automata import HASH_TOKEN, Alphabet, BuchiAutomaton, FinAutomaton
 from .abstraction import Homomorphism
 from .pltl import EPS_TOKEN
 
@@ -222,8 +222,12 @@ def parse_homomorphism(text: str, alphabet: Alphabet | None = None) -> Homomorph
 
 
 def format_homomorphism(h: Homomorphism) -> str:
-    """The `.hom` text of the map; ``ValueError`` if some target letter is no
-    letter's image, since the parser takes the images as the target."""
+    """The `.hom` text of the map; ``ValueError`` where the parser would read
+    another map back: some target letter is no letter's image (the parser
+    takes the images as the target), or ``#`` is a letter (a line that starts
+    with it is a comment)."""
+    if HASH_TOKEN in h.source or HASH_TOKEN in h.target:
+        raise ValueError("a .hom file cannot name the padding letter '#'")
     unused = set(h.target.symbols) - {img for _, img in h.entries}
     if unused:
         raise ValueError(

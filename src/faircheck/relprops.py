@@ -18,6 +18,7 @@ from .automata import (
     FinAutomaton,
     LassoWord,
     accepting_lasso,
+    is_empty,
     language_equal,
     language_subset,
     lasso_membership,
@@ -174,11 +175,15 @@ def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
 
 
 def is_safety_property(p: PropertySpec, alphabet: Alphabet) -> bool:
-    """Is the property closed under limits of its own prefixes?"""
+    """Is the property closed under limits of its own prefixes?
+
+    The safety closure lim(pref(L)) is the trimmed positive automaton with
+    every state accepting (Konig's lemma), so no determinization is needed.
+    """
     if alphabet != p.alphabet:
         raise AlphabetMismatchError(
             "property alphabet mismatch: "
             f"{alphabet.symbols} vs {p.alphabet.symbols}"
         )
-    boundary = limit(prefix_automaton(p.positive))
-    return accepting_lasso(product(boundary, p.complement)) is None
+    closure = prefix_automaton(p.positive)._recast(BuchiAutomaton)
+    return is_empty(product(closure, p.complement))

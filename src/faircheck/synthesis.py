@@ -104,7 +104,9 @@ def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Ve
     computation must conform to p.  The witness is a finite behavior on a
     language mismatch, or a violating fair lasso.
     """
-    impl_prefixes = prefix_automaton(limit(impl.underlying))
+    # every state accepts, so as a Buchi automaton the LTS recognizes the
+    # limit of its language (Konig's lemma)
+    impl_prefixes = prefix_automaton(impl.underlying._recast(BuchiAutomaton))
     system_prefixes = prefix_automaton(limit(canonicalize(system)))
     same = Verdict(*language_equal(impl_prefixes, system_prefixes))
     if not same:

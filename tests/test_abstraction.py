@@ -254,8 +254,11 @@ class TestWcc:
             is_weakly_continuation_closed(a_star_b(), HIDE_B)
 
     def test_agrees_with_brute_force(self, rng):
+        # draw until both quotas are met, so that no seed falls short
         closed_hits = open_hits = 0
-        for _ in range(120):
+        for _ in range(600):
+            if closed_hits >= 10 and open_hits >= 10:
+                break
             alphabet = gen.letters(rng.randint(2, 3))
             a = random_system(rng, alphabet, max_states=4)
             h = gen.random_hom(rng, alphabet, p_hide=0.5)

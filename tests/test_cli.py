@@ -212,6 +212,12 @@ class TestOtherVerdicts:
         report = report_of(capsys)
         assert report["args"]["alphabet"] == "free lock no reject request result"
 
+    def test_safety_class_runs_no_subset_construction(self, capsys, subset_runs):
+        for formula in ("G a", "F a", "G (a -> X !a)", "X " * 400 + "a"):
+            assert run(["safety-class", "--formula", formula, "--alphabet", "a b"]) in (0, 1)
+        assert run(["safety-class", "--formula", "G !no", "--system", FIG2]) == 0
+        assert subset_runs == []
+
     def test_eval(self, capsys):
         assert (
             run(["eval", "--formula", "G F result", "--lasso", ";request result"])
@@ -527,6 +533,17 @@ class TestRoundTrip:
         )
         with pytest.raises(ValueError, match=r"\['y'\]"):
             formats.format_homomorphism(h)
+
+    def test_homomorphism_naming_the_padding_letter_is_not_printed(self):
+        # a line starting with # is a comment, so "# -> #" would read back as
+        # a map without the padding letter
+        lifted = Homomorphism.hiding(Alphabet(("a", "b")), {"b"}).lift_hash()
+        into_hash = Homomorphism.from_map(
+            Alphabet(("a", "b")), Alphabet(("#", "x")), {"a": "#", "b": "x"}
+        )
+        for h in (lifted, into_hash):
+            with pytest.raises(ValueError, match="'#'"):
+                formats.format_homomorphism(h)
 
     def test_documented_examples_parse_and_round_trip(self, tmp_path, capsys):
         readme = (ROOT / "README.md").read_text()
@@ -1258,3 +1275,178 @@ class TestFixtureGoldens:
     )
     def test_check_and_synthesis_commands(self, name, tmp_path, monkeypatch, capsys):
         self._assert_golden(name, tmp_path, monkeypatch, capsys)
+
+
+# The paths the fixture goldens leave out, with stderr too: name -> (argv,
+# exit code, stdout with elapsed_ms normalized, stderr).  Each runs next to a
+# copy of fixtures/, the files of PATH_INPUTS and the impl.aut synthesized
+# from fig2 for "G F result".
+PATH_INPUTS = {
+    "shuffle.aut": "alphabet: a b\nstates: s0\ninitial: s0\ntrans: s0 a s0\ntrans: s0 b s0\n",
+    "aonly.aut": (
+        "alphabet: a b\nacceptance: buchi\nstates: s0\ninitial: s0\n"
+        "accepting: s0\ntrans: s0 a s0\n"
+    ),
+}
+PATH_GOLDENS = {
+    "machine-closed fig2 impl": (
+        ["machine-closed", "--system", "fixtures/fig2.aut", "--sub", "impl.aut"],
+        0,
+        """\
+{
+  "command": "machine-closed",
+  "args": {
+    "system": "fixtures/fig2.aut",
+    "sub": "impl.aut"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b",
+    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85"
+  },
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "machine-closed shuffle aonly": (
+        ["machine-closed", "--system", "shuffle.aut", "--sub", "aonly.aut"],
+        1,
+        """\
+{
+  "command": "machine-closed",
+  "args": {
+    "system": "shuffle.aut",
+    "sub": "aonly.aut"
+  },
+  "inputs": {
+    "shuffle.aut": "sha256:a71491861bc9dc9432a242194a957e36031d70c253f2c8cb072e0fc8c5c6e6cf",
+    "aonly.aut": "sha256:c1102935c576e537a929072d2e409a1783635476d4b2be81bb4fb5bb6c0578d9"
+  },
+  "verdict": {
+    "holds": false,
+    "witness": {
+      "word": [
+        "b"
+      ]
+    }
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "safety-class alphabet F a": (
+        ["safety-class", "--formula", "F a", "--alphabet", "a b"],
+        1,
+        """\
+{
+  "command": "safety-class",
+  "args": {
+    "formula": "F a",
+    "alphabet": "a b"
+  },
+  "inputs": {},
+  "verdict": {
+    "is_safety": false
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "safety-class fig2 G !no": (
+        ["safety-class", "--formula", "G !no", "--system", "fixtures/fig2.aut"],
+        0,
+        """\
+{
+  "command": "safety-class",
+  "args": {
+    "formula": "G !no",
+    "alphabet": "free lock no reject request result"
+  },
+  "inputs": {
+    "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
+  },
+  "verdict": {
+    "is_safety": true
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "eval alphabet": (
+        ["eval", "--formula", "F a", "--lasso", "b;a", "--alphabet", "c b a"],
+        0,
+        """\
+{
+  "command": "eval",
+  "args": {
+    "formula": "F a",
+    "lasso": "b;a"
+  },
+  "inputs": {},
+  "verdict": {
+    "holds": true,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "eval inferred": (
+        ["eval", "--formula", "G F result", "--lasso", "lock;request no reject"],
+        1,
+        """\
+{
+  "command": "eval",
+  "args": {
+    "formula": "G F result",
+    "lasso": "lock;request no reject"
+  },
+  "inputs": {},
+  "verdict": {
+    "holds": false,
+    "witness": null
+  },
+  "elapsed_ms": 0
+}
+""",
+        "",
+    ),
+    "synthesize fig3 G F result": (
+        ["synthesize", "--system", "fixtures/fig3.aut", "--formula", "G F result"],
+        1,
+        "",
+        "synthesis precondition failed: the system does not satisfy the property "
+        "within fairness; prefix ('lock',) has no conforming continuation\n",
+    ),
+    "input error": (
+        ["check", "rl", "--system", "fixtures/fig2.aut", "--formula", "G ("],
+        2,
+        "",
+        """\
+error: unexpected end of input (at position 3)
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_GOLDENS))
+def test_path_goldens(name, tmp_path, monkeypatch, capsys):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for path, text in PATH_INPUTS.items():
+        Path(path).write_text(text)
+    assert run(["synthesize", "--system", "fixtures/fig2.aut", "--formula", "G F result"]) == 0
+    Path("impl.aut").write_text(capsys.readouterr().out)
+    argv, *expected = PATH_GOLDENS[name]
+    code = run(argv)
+    got = capsys.readouterr()
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', got.out)
+    assert [code, out, got.err] == expected

@@ -274,6 +274,22 @@ class TestSafetyClassification:
         with pytest.raises(AlphabetMismatchError):
             is_safety_property(prop("G a"), gen.letters(3))
 
+    def test_agrees_with_the_determinized_closure(self, rng):
+        # reference: the closure read off the canonical prefix automaton;
+        # about one random formula in six is not a safety property
+        counts = {True: 0, False: 0}
+        for _ in range(1500):
+            if min(counts.values()) >= 25:
+                break
+            alphabet = gen.letters(rng.randint(1, 3))
+            f = gen.random_formula(rng, alphabet.symbols, 3)
+            p = PropertySpec.from_formula(f, alphabet)
+            boundary = limit(prefix_automaton(p.positive))
+            expected = accepting_lasso(product(boundary, p.complement)) is None
+            assert is_safety_property(p, alphabet) == expected, f
+            counts[expected] += 1
+        assert min(counts.values()) >= 25
+
 
 class TestTheorems:
     def test_satisfaction_splits_into_liveness_and_safety(self, rng):
