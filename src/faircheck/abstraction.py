@@ -22,6 +22,7 @@ from .automata import (
     AlphabetMismatchError,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     NotPrefixClosedError,
     _bfs,
@@ -201,22 +202,17 @@ def _image_nfa(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
     # same states as a over the target letters: each state moves on the
     # image of every visible edge leaving its hidden-letter closure, so state
     # q accepts the image of the words accepted from q
-    silent: list[set[int]] = [set() for _ in range(a.n_states)]
-    visible: list[list[tuple[str, int]]] = [[] for _ in range(a.n_states)]
-    for p, c, q in a.transitions:
-        img = h.image(c)
-        if img == EPS_TOKEN:
-            silent[p].add(q)
-        else:
-            visible[p].append((img, q))
-    transitions: set[tuple[int, str, int]] = set()
+    hidden = h.hidden
+    silent = [[q for c, q in row if c in hidden] for row in a._succ]
+    visible = [[(h.image(c), q) for c, q in row if c not in hidden] for row in a._succ]
+    rows = []
     accepting: set[int] = set()
     for p in range(a.n_states):
         seen = _closure(silent, [p])
-        transitions.update((p, img, q) for p1 in seen for img, q in visible[p1])
+        rows.append(sorted({edge for p1 in seen for edge in visible[p1]}))
         if seen & a.accepting:
             accepting.add(p)
-    return FinAutomaton(h.target, a.n_states, a.initial, accepting, transitions)
+    return FinAutomaton._from_rows(h.target, a.n_states, a.initial, accepting, rows)
 
 
 def inverse_image_automaton(h: Homomorphism, a):
@@ -233,35 +229,21 @@ def inverse_image_automaton(h: Homomorphism, a):
             f"automaton alphabet {a.alphabet.symbols} differs from the "
             f"target alphabet {h.target.symbols}"
         )
-    by_symbol: dict[str, list[tuple[int, int]]] = {}
-    for p, s, q in a.transitions:
-        by_symbol.setdefault(s, []).append((p, q))
-    transitions: set[tuple[int, str, int]] = set()
-    for c in h.source:
-        img = h.image(c)
-        if img == EPS_TOKEN:
-            transitions |= {(q, c, q) for q in range(a.n_states)}
-        else:
-            transitions |= {(p, c, q) for p, q in by_symbol.get(img, ())}
+    rows = [
+        [(c, q) for c in h.source
+         for q in ((p,) if h.image(c) == EPS_TOKEN else a.successors(p, h.image(c)))]
+        for p in a.states
+    ]
     if isinstance(a, FinAutomaton):
         return canonicalize(
-            FinAutomaton(h.source, a.n_states, a.initial, a.accepting, transitions)
+            FinAutomaton._from_rows(h.source, a.n_states, a.initial, a.accepting, rows)
         )
-    stuttering = BuchiAutomaton(
-        h.source, a.n_states, a.initial, a.accepting, transitions
+    stuttering = BuchiAutomaton._from_rows(
+        h.source, a.n_states, a.initial, a.accepting, rows
     )
     # state 1 is entered by exactly the visible letters
-    visible_often = BuchiAutomaton(
-        h.source,
-        2,
-        frozenset({0}),
-        frozenset({1}),
-        frozenset(
-            (p, c, 0 if h.image(c) == EPS_TOKEN else 1)
-            for p in (0, 1)
-            for c in h.source
-        ),
-    )
+    entered = [(c, 0 if h.image(c) == EPS_TOKEN else 1) for c in h.source]
+    visible_often = BuchiAutomaton._from_rows(h.source, 2, {0}, {1}, [entered, entered])
     return reduce_buchi(product(stuttering, visible_often))
 
 
@@ -300,15 +282,10 @@ class WccReport:
             self, "violations", tuple(tuple([q, d, tuple(w)]) for q, d, w in self.violations)
         )
         if self.closed != (not self.violations):
-            raise ValueError("closed exactly when there are no violations")
+            raise InvariantError("closed exactly when there are no violations")
 
     def __bool__(self) -> bool:
         return self.closed
-
-
-def _step_table(a: FinAutomaton) -> dict[tuple[int, str], int]:
-    # deterministic automata only; the table drops missing edges
-    return {(p, c): q for p, c, q in a.transitions}
 
 
 def _prefix_closed_canonical(L: FinAutomaton, what: str) -> FinAutomaton:
@@ -346,38 +323,38 @@ def _wcc(h: Homomorphism, A: FinAutomaton) -> tuple[WccReport, FinAutomaton]:
     if A.n_states == 0:
         return WccReport(True, ()), FinAutomaton.empty(h.target)
     # Y state q is the seed of system state q: the quotient image from q
-    subsets, y_step = _subsets(_image_nfa(h, A), [1 << q for q in range(A.n_states)], -1)
+    subsets, y_rows = _subsets(_image_nfa(h, A), [1 << q for q in range(A.n_states)], -1)
     # every Y state accepts, as every state of the image of a trimmed
     # prefix-closed language does
     ys = range(len(subsets))
-    classes = _moore_classes(ys, y_step, ys, h.target.symbols)
-    D, d_class = _quotient(h.target, y_step, classes, ys, 0)
-    a_step = _step_table(A)
-    d_step = _step_table(D)
+    classes = _moore_classes(y_rows, ys)
+    D, d_class = _quotient(h.target, y_rows, classes, ys, 0)
+    # A, D and Y are deterministic: one move per letter
+    d_move = [dict(row) for row in D._succ]
+    y_move = [dict(row) for row in y_rows]
 
     def moves(pair):
         q, d = pair
-        for c in A.alphabet:
-            q2 = a_step.get((q, c))
-            if q2 is not None:
-                img = h.image(c)
-                yield c, (q2, d if img == EPS_TOKEN else d_step[(d, img)])
+        for c, q2 in A._succ[q]:
+            img = h.image(c)
+            yield c, (q2, d if img == EPS_TOKEN else d_move[d][img])
 
     tree: dict = {}
     order = list(_bfs(moves, [(0, 0)], tree))
 
     def pair_moves(pair):
         d, y = pair
-        for c in h.target:
-            if (d, c) in d_step and (y, c) in y_step:
-                yield c, (d_step[d, c], y_step[y, c])
+        for c, d2 in D._succ[d]:
+            y2 = y_move[y].get(c)
+            if y2 is not None:
+                yield c, (d2, y2)
 
     # the pairs (abstract state, quotient state) reachable from the starts,
     # the starts numbered first, then those of them from which some pair of
     # equal residuals is reachable
-    pairs, edges = _explore(pair_moves, [(d, q) for q, d in order])
+    pairs, pair_rows = _explore(pair_moves, [(d, q) for q, d in order])
     closed = _closure(
-        _predecessors(len(pairs), edges),
+        _predecessors(pair_rows),
         {i for i, (d, y) in enumerate(pairs) if d_class[d] == classes[y]},
     )
     violations = [
@@ -411,13 +388,17 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
 def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
     # A is canonical
     sees_visible = _closure(
-        _predecessors(A.n_states, A.transitions),
-        {p for p, c, _ in A.transitions if hom is None or hom.image(c) != EPS_TOKEN},
+        _predecessors(A._succ),
+        {p for p, row in enumerate(A._succ) for c, _ in row
+         if hom is None or hom.image(c) != EPS_TOKEN},
     )
-    transitions = set(A.transitions)
-    transitions.update((q, HASH_TOKEN, q) for q in A.accepting - sees_visible)
+    padded = A.accepting - sees_visible
+    rows = [
+        sorted({*row, (HASH_TOKEN, q)}) if q in padded else row
+        for q, row in enumerate(A._succ)
+    ]
     return canonicalize(
-        FinAutomaton(A.alphabet.with_hash(), A.n_states, A.initial, A.accepting, transitions)
+        FinAutomaton._from_rows(A.alphabet.with_hash(), A.n_states, A.initial, A.accepting, rows)
     )
 
 
@@ -484,8 +465,7 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
 
     note = None
     if not wcc.closed:
-        with_out = {p for p, _, _ in image.transitions}
-        if all(p in with_out for p in image.accepting):
+        if all(image._succ[p] for p in image.accepting):
             note = (
                 "not closed: only the concrete verdict transfers to the "
                 "abstract level (the image language has no maximal words)"

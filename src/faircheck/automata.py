@@ -6,6 +6,13 @@ return fresh automata.  The empty language is represented by a distinguished
 reproducible (canonical forms, products, witnesses) iterate letters in sorted
 order and number states in breadth-first discovery order.
 
+An automaton stores one successor row per state, its (letter, target) pairs
+sorted without repeats; ``==`` and ``hash`` compare rows, which is comparing
+edge sets.  Constructions emit rows directly (a malformed one raises
+``InvariantError``), the public constructor groups (p, letter, q) triples
+into rows (bad input raises ``ValueError``), and ``transitions``, the set of
+triples, is a view derived from the rows on first use.
+
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
 it, and automata are immutable, so a marked automaton stays canonical.
@@ -30,6 +37,10 @@ class AlphabetMismatchError(ValueError):
 
 class NotPrefixClosedError(ValueError):
     """A construction that needs a prefix-closed finitary language got something else."""
+
+
+class InvariantError(AssertionError):
+    """The package broke one of its own invariants: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _Graph:
     """Fields, validation and cached views shared by both kinds of automaton."""
 
@@ -155,55 +166,77 @@ class _Graph:
     n_states: int
     initial: frozenset[int]
     accepting: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
+    _succ: tuple[tuple[tuple[str, int], ...], ...]  # the stored rows
 
     _canonical = False  # set by canonicalize on its result only
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        if self.n_states < 0:
+    def __init__(self, alphabet, n_states, initial, accepting, transitions):
+        if n_states < 0:
             raise ValueError("n_states must be >= 0")
-        for q in self.initial | self.accepting:
-            if not 0 <= q < self.n_states:
-                raise ValueError(f"state {q} out of range")
-        letters = self.alphabet._letters
-        for p, s, q in self.transitions:
-            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
+        rows: list[list[tuple[str, int]]] = [[] for _ in range(n_states)]
+        letters = alphabet._letters
+        for p, s, q in frozenset(transitions):
+            if not (0 <= p < n_states and 0 <= q < n_states):
                 raise ValueError(f"transition endpoint out of range: {(p, s, q)}")
             if s not in letters:
                 raise ValueError(f"transition letter {s!r} not in alphabet")
+            rows[p].append((s, q))
+        for row in rows:  # one small sort per state, not one of the whole set
+            row.sort()
+        self._fill(alphabet, n_states, initial, accepting, tuple(map(tuple, rows)), ValueError)
+
+    def _fill(self, alphabet, n_states, initial, accepting, succ, error):
+        initial, accepting = frozenset(initial), frozenset(accepting)
+        for q in initial | accepting:
+            if not 0 <= q < n_states:
+                raise error(f"state {q} out of range")
+        # frozen: the fields are set once, past the dataclass's __setattr__
+        self.__dict__.update(
+            alphabet=alphabet, n_states=n_states, initial=initial, accepting=accepting, _succ=succ
+        )
+        return self
+
+    @classmethod
+    def _from_rows(cls, alphabet, n_states, initial, accepting, rows):
+        """A constructed automaton from its successor rows, checked in one pass."""
+        succ = tuple(map(tuple, rows))
+        g = cls.__new__(cls)._fill(alphabet, n_states, initial, accepting, succ, InvariantError)
+        letters = alphabet._letters
+        for p, row in enumerate(g._succ):
+            prev = None
+            for edge in row:
+                s, q = edge
+                if s not in letters or not 0 <= q < n_states or (prev and prev >= edge):
+                    raise InvariantError(f"malformed successor row {p}: {row}")
+                prev = edge
+        return g
 
     @classmethod
     def empty(cls, alphabet: Alphabet):
         """The distinguished 0-state automaton for the empty language."""
-        return cls(alphabet, 0, frozenset(), frozenset(), frozenset())
+        return cls._from_rows(alphabet, 0, (), (), ())
 
     def _recast(self, cls, initial=None, accepting=None):
-        """The same states and transitions as a ``cls``, with other initial or
+        """The same states and rows as a ``cls``, with other initial or
         accepting states where given."""
-        return cls(
-            self.alphabet,
-            self.n_states,
-            self.initial if initial is None else initial,
-            self.accepting if accepting is None else accepting,
-            self.transitions,
+        initial = self.initial if initial is None else initial
+        accepting = self.accepting if accepting is None else accepting
+        return cls.__new__(cls)._fill(
+            self.alphabet, self.n_states, initial, accepting, self._succ, InvariantError
         )
+
+    @cached_property
+    def transitions(self) -> frozenset[tuple[int, str, int]]:
+        """Every (p, letter, q) edge, derived from the rows on first use."""
+        return frozenset((p, s, q) for p, row in enumerate(self._succ) for s, q in row)
 
     @cached_property
     def _move(self) -> dict[str, tuple[int, ...]]:
         move: dict[str, list[int]] = {s: [0] * self.n_states for s in self.alphabet}
-        for p, s, q in self.transitions:
-            move[s][p] |= 1 << q
+        for p, row in enumerate(self._succ):
+            for s, q in row:
+                move[s][p] |= 1 << q
         return {s: tuple(v) for s, v in move.items()}
-
-    @cached_property
-    def _succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        out: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-        for p, s, q in sorted(self.transitions):
-            out[p].append((s, q))
-        return tuple(tuple(x) for x in out)
 
     @cached_property
     def _initial_mask(self) -> int:
@@ -236,16 +269,10 @@ class FinAutomaton(_Graph):
     @cached_property
     def deterministic(self) -> bool:
         """One initial state and at most one successor per (state, letter)."""
-        if self.n_states == 0:
-            return True
-        if len(self.initial) != 1:
-            return False
-        seen: set[tuple[int, str]] = set()
-        for p, s, _ in self.transitions:
-            if (p, s) in seen:
-                return False
-            seen.add((p, s))
-        return True
+        return self.n_states == 0 or (
+            len(self.initial) == 1
+            and all(len({s for s, _ in row}) == len(row) for row in self._succ)
+        )
 
 
 class BuchiAutomaton(_Graph):
@@ -298,20 +325,23 @@ def _bfs(moves, starts, tree: dict):
 def _explore(moves, starts):
     """Every node reachable from the distinct starts, and every edge among them.
 
-    Nodes are listed in ``_bfs``'s discovery order, the starts first, and
-    each edge ``moves`` lists comes out as (i, letter, j) over those indices.
+    Nodes are listed in ``_bfs``'s discovery order, the starts first.  Row i
+    lists node i's edges as (letter, j) over those indices, in the order
+    ``moves`` lists them.
     """
     order = list(starts)
     index = {u: i for i, u in enumerate(order)}
-    edges = []
-    for i, u in enumerate(order):  # order grows while we walk it
+    rows = []
+    for u in order:  # order grows while we walk it
+        row = []
         for letter, v in moves(u):
             j = index.get(v)
             if j is None:
                 j = index[v] = len(order)
                 order.append(v)
-            edges.append((i, letter, j))
-    return order, edges
+            row.append((letter, j))
+        rows.append(row)
+    return order, rows
 
 
 def _bfs_tree(moves, starts) -> dict:
@@ -359,11 +389,12 @@ def _closure(edges, targets) -> set:
     return seen
 
 
-def _predecessors(n: int, edges) -> list[list[int]]:
-    """Predecessor lists of nodes ``0..n-1`` from (p, letter, q) edges."""
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for p, _, q in edges:
-        pred[q].append(p)
+def _predecessors(rows) -> list[list[int]]:
+    """Predecessor lists of the nodes of (letter, target) successor rows."""
+    pred: list[list[int]] = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for _, q in row:
+            pred[q].append(p)
     return pred
 
 
@@ -371,9 +402,9 @@ def _subsets(a, starts: list[int], keep_mask: int):
     """Subset construction from several distinct start sets at once.
 
     Returns the reached state sets as masks in discovery order (the starts
-    first, in the given order) and the deterministic moves between their
-    indices.  Successor sets are cut to ``keep_mask`` (-1 keeps every state);
-    empty ones are dropped, so a missing move means the dead sink.
+    first, in the given order) and their successor rows, one move per letter
+    in letter order.  Successor sets are cut to ``keep_mask`` (-1 keeps every
+    state); empty ones are dropped, so a missing move means the dead sink.
     """
     symbols = a.alphabet.symbols
 
@@ -382,46 +413,40 @@ def _subsets(a, starts: list[int], keep_mask: int):
             if nm := a.step_mask(mask, s) & keep_mask:
                 yield s, nm
 
-    order, edges = _explore(moves, starts)
-    return order, {(i, s): j for i, s, j in edges}
+    return _explore(moves, starts)
 
 
-def _moore_classes(states, dtrans, acc, symbols) -> dict[int, int]:
+def _moore_classes(rows, acc) -> list[int]:
     """Equal-residual classes of deterministic states by Moore refinement.
 
-    ``dtrans`` maps (state, letter) to a state of ``states``; a missing move
-    goes to an implicit dead sink of class -1.
+    ``rows`` are the states' successor rows, one move per letter; a missing
+    move goes to an implicit dead sink.
     """
-    cls = {q: (1 if q in acc else 0) for q in states}
+    cls = [1 if q in acc else 0 for q in range(len(rows))]
+    n_classes = len(set(cls))
     while True:
-        sig = {}
-        for q in states:
-            row = tuple(
-                cls.get(dtrans.get((q, s), -1), -1) for s in symbols
-            )
-            sig[q] = (cls[q], row)
-        ids = {v: i for i, v in enumerate(sorted(set(sig.values())))}
-        new_cls = {q: ids[sig[q]] for q in states}
-        if len(ids) == len(set(cls.values())):
-            return new_cls
-        cls = new_cls
+        sig = [(cls[q], tuple((s, cls[j]) for s, j in row)) for q, row in enumerate(rows)]
+        ids = {v: i for i, v in enumerate(sorted(set(sig)))}
+        if len(ids) == n_classes:
+            return [ids[v] for v in sig]
+        cls, n_classes = [ids[v] for v in sig], len(ids)
 
 
-def _quotient(alphabet: Alphabet, dtrans, classes, acc, start: int):
+def _quotient(alphabet: Alphabet, rows, classes, acc, start: int):
     """The automaton of the classes reachable from ``start``'s, and each state's class.
 
-    ``dtrans`` and ``acc`` are a subset construction's moves and accepting
-    states, ``classes`` its equal-residual classes; states are numbered
-    breadth-first over sorted letters.
+    ``rows`` and ``acc`` are a subset construction's successor rows and
+    accepting states, ``classes`` its equal-residual classes; states are
+    numbered breadth-first over sorted letters.
     """
-    rows: dict[int, list[tuple[str, int]]] = {}
-    for q, c in classes.items():
-        if c not in rows:  # every member has the same (letter, class) moves
-            rows[c] = [(s, classes[dtrans[q, s]]) for s in alphabet if (q, s) in dtrans]
-    order, edges = _explore(rows.__getitem__, [classes[start]])
+    class_rows: dict[int, list[tuple[str, int]]] = {}
+    for q, c in enumerate(classes):
+        if c not in class_rows:  # every member has the same (letter, class) moves
+            class_rows[c] = [(s, classes[j]) for s, j in rows[q]]
+    order, qrows = _explore(class_rows.__getitem__, [classes[start]])
     cacc = {classes[q] for q in acc}
     accepting = {i for i, c in enumerate(order) if c in cacc}
-    return FinAutomaton(alphabet, len(order), {0}, accepting, edges), order
+    return FinAutomaton._from_rows(alphabet, len(order), {0}, accepting, qrows), order
 
 
 def canonicalize(a: FinAutomaton) -> FinAutomaton:
@@ -442,14 +467,13 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
 
 
 def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
-    keep_mask = _mask(_closure(_predecessors(a.n_states, a.transitions), a.accepting))
+    keep_mask = _mask(_closure(_predecessors(a._succ), a.accepting))
     init = a._initial_mask & keep_mask
     if not init:
         return FinAutomaton.empty(a.alphabet)
-    order, dtrans = _subsets(a, [init], keep_mask)
+    order, rows = _subsets(a, [init], keep_mask)
     acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
-    classes = _moore_classes(range(len(order)), dtrans, acc, a.alphabet.symbols)
-    return _quotient(a.alphabet, dtrans, classes, acc, 0)[0]
+    return _quotient(a.alphabet, rows, _moore_classes(rows, acc), acc, 0)[0]
 
 
 def language_subset(
@@ -559,7 +583,7 @@ def _nontrivial_scc_states(succ, pred) -> set[int]:
 
 def _core_states(b: BuchiAutomaton) -> set[int]:
     """Accepting states that lie on a cycle (anchors of accepted omega-words)."""
-    pred = _predecessors(b.n_states, b.transitions)
+    pred = _predecessors(b._succ)
     return set(b.accepting) & _nontrivial_scc_states(b._succ, pred)
 
 
@@ -570,23 +594,21 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     states are compacted in increasing order, so an already-reduced automaton
     comes back identical.
     """
-    pred = _predecessors(b.n_states, b.transitions)
+    pred = _predecessors(b._succ)
     keep = _closure(pred, set(b.accepting) & _nontrivial_scc_states(b._succ, pred))
     if len(keep) == b.n_states:
         return b
     if not keep:
         return BuchiAutomaton.empty(b.alphabet)
-    number = {q: i for i, q in enumerate(sorted(keep))}
-    return BuchiAutomaton(
+    kept = sorted(keep)
+    number = {q: i for i, q in enumerate(kept)}
+    return BuchiAutomaton._from_rows(
         b.alphabet,
-        len(keep),
-        frozenset(number[q] for q in b.initial if q in keep),
-        frozenset(number[q] for q in b.accepting if q in keep),
-        frozenset(
-            (number[p], s, number[q])
-            for p, s, q in b.transitions
-            if p in keep and q in keep
-        ),
+        len(kept),
+        [number[q] for q in b.initial if q in keep],
+        [number[q] for q in b.accepting if q in keep],
+        # renumbering keeps the order, so the rows stay sorted
+        [[(s, number[t]) for s, t in b._succ[q] if t in keep] for q in kept],
     )
 
 
@@ -624,10 +646,10 @@ def _product_pairs(a, b, next_phase):
     """Reachable (p, q, phase) triples of a synchronous product, in discovery order.
 
     Walks the out-edges of ``a`` (sorted by letter, then target) and looks up
-    ``b``'s targets for each letter, so every state's moves come out ordered
-    by letter, then p2, then q2.  ``next_phase(p, q, phase)`` is the phase
+    ``b``'s targets for each letter, so states are discovered in the order of
+    letter, then p2, then q2.  ``next_phase(p, q, phase)`` is the phase
     of every successor.  Returns the triples, the number of initial ones and
-    the transitions between their indices.
+    their successor rows.
     """
     _check_same_alphabet(a, b)
     a_succ, b_move = a._succ, b._move
@@ -643,19 +665,19 @@ def _product_pairs(a, b, next_phase):
                 yield s, (p2, low.bit_length() - 1, nphase)
 
     starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
-    order, edges = _explore(moves, starts)
-    return order, len(starts), frozenset(edges)
+    order, rows = _explore(moves, starts)
+    for row in rows:  # targets of one letter come in (p2, q2) order, not index order
+        row.sort()
+    return order, len(starts), rows
 
 
 def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
     """Synchronous product for finite words: accepts the intersection."""
-    order, n_starts, transitions = _product_pairs(a, b, lambda p, q, phase: 0)
-    accepting = frozenset(
+    order, n_starts, rows = _product_pairs(a, b, lambda p, q, phase: 0)
+    accepting = [
         i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting
-    )
-    return FinAutomaton(
-        a.alphabet, len(order), frozenset(range(n_starts)), accepting, transitions
-    )
+    ]
+    return FinAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
 
 
 def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
@@ -671,13 +693,11 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
             return 1 if p in a.accepting else 0
         return 0 if q in b.accepting else 1
 
-    order, n_starts, transitions = _product_pairs(a, b, next_phase)
-    accepting = frozenset(
+    order, n_starts, rows = _product_pairs(a, b, next_phase)
+    accepting = [
         i for i, (p, q, phase) in enumerate(order) if phase == 1 and q in b.accepting
-    )
-    return BuchiAutomaton(
-        a.alphabet, len(order), frozenset(range(n_starts)), accepting, transitions
-    )
+    ]
+    return BuchiAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
 
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
@@ -849,17 +869,8 @@ def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:
         if letter not in alphabet:
             raise AlphabetMismatchError(f"lasso letter {letter!r} not in alphabet")
     n = len(x.stem) + len(x.cycle)
-    transitions = set()
-    for i in range(n):
-        target = i + 1 if i + 1 < n else len(x.stem)
-        transitions.add((i, x.letter_at(i), target))
-    return BuchiAutomaton(
-        alphabet,
-        n,
-        frozenset({0}),
-        frozenset(range(len(x.stem), n)),
-        frozenset(transitions),
-    )
+    rows = [[(x.letter_at(i), i + 1 if i + 1 < n else len(x.stem))] for i in range(n)]
+    return BuchiAutomaton._from_rows(alphabet, n, {0}, range(len(x.stem), n), rows)
 
 
 def lasso_membership(x: LassoWord, b: BuchiAutomaton) -> bool:
@@ -905,4 +916,4 @@ def cantor_distance(x: LassoWord, y: LassoWord) -> Fraction:
     for i in range(bound + 1):
         if nx.letter_at(i) != ny.letter_at(i):
             return Fraction(1, i + 1)
-    raise AssertionError("distinct normal forms must differ within the period bound")
+    raise InvariantError("distinct normal forms must differ within the period bound")

@@ -6,7 +6,8 @@ them in a JSON run report (stable key order, suitable for golden files once
 the timing field is normalized) and exits 0 when the claim holds, 1 when it
 fails.  An artifact handler returns formula or automaton text for ``run`` to
 print.  Usage problems and malformed inputs exit 2; a failed synthesis
-precondition exits 1 with its reason on stderr and no report.
+precondition exits 1 with its reason on stderr and no report.  A broken
+internal invariant (a bug in the package, not in the input) exits 3.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .automata import (
     Alphabet,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     canonicalize,
     limit,
@@ -67,7 +69,7 @@ from .formats import (
 
 __all__ = ["main", "run"]
 
-# every input error the package raises is a ValueError
+# every input error the package raises is a ValueError; InvariantError is not one
 INPUT_ERRORS = (ValueError, OSError)
 
 
@@ -332,6 +334,9 @@ def run(argv: list[str]) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv: list[str] | None = None) -> None:

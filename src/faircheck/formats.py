@@ -92,6 +92,19 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
         if not sep:
             raise AutFormatError(line_no, "expected 'directive: arguments'")
         fields = rest.split()
+        if key == "trans":  # most lines: tested first
+            if len(fields) != 3:
+                raise AutFormatError(line_no, "expected 'trans: src letter dst'")
+            src, sym, dst = fields
+            if alphabet is None:
+                raise AutFormatError(line_no, "alphabet: must come before trans:")
+            if sym not in letters:
+                raise AutFormatError(line_no, f"letter {sym!r} not in the alphabet")
+            p, q = index.get(src), index.get(dst)
+            if p is None or q is None:
+                p, q = resolve(src, line_no), resolve(dst, line_no)
+            transitions.add((p, sym, q))
+            continue
         if key in seen:
             raise AutFormatError(line_no, f"duplicate {key}: line")
         if key == "alphabet":
@@ -104,6 +117,7 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
                 alphabet = Alphabet(tuple(fields))
             except ValueError as exc:
                 raise AutFormatError(line_no, str(exc)) from None
+            letters = set(fields)
         elif key == "acceptance":
             seen.add(key)
             if fields != ["buchi"]:
@@ -121,15 +135,6 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
         elif key == "accepting":
             seen.add(key)
             accepting = {resolve(tok, line_no) for tok in fields}
-        elif key == "trans":
-            if len(fields) != 3:
-                raise AutFormatError(line_no, "expected 'trans: src letter dst'")
-            src, sym, dst = fields
-            if alphabet is None:
-                raise AutFormatError(line_no, "alphabet: must come before trans:")
-            if sym not in alphabet:
-                raise AutFormatError(line_no, f"letter {sym!r} not in the alphabet")
-            transitions.add((resolve(src, line_no), sym, resolve(dst, line_no)))
         else:
             raise AutFormatError(line_no, f"unknown directive {key!r}")
 
@@ -145,13 +150,7 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
             raise AutFormatError(missing_at, "buchi automata need an accepting: line")
         accepting = set(range(len(names)))
     cls = BuchiAutomaton if acceptance_buchi else FinAutomaton
-    return cls(
-        alphabet,
-        len(names),
-        frozenset(initial),
-        frozenset(accepting),
-        frozenset(transitions),
-    )
+    return cls(alphabet, len(names), initial, accepting, transitions)
 
 
 def format_automaton(a: FinAutomaton | BuchiAutomaton) -> str:
@@ -171,8 +170,8 @@ def format_automaton(a: FinAutomaton | BuchiAutomaton) -> str:
         lines.append(
             "accepting: " + " ".join(f"s{i}" for i in sorted(a.accepting))
         )
-    for src, sym, dst in sorted(a.transitions):
-        lines.append(f"trans: s{src} {sym} s{dst}")
+    for src, row in enumerate(a._succ):
+        lines.extend(f"trans: s{src} {sym} s{dst}" for sym, dst in row)
     return "\n".join(lines) + "\n"
 
 

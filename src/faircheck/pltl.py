@@ -826,12 +826,13 @@ class _Translator:
                 yield mask, target
 
         start = (frozenset() if root == self.true else frozenset({root}), 0, False)
-        order, edges = _explore(moves, [start])
-        transitions = frozenset(
-            (pos, a, t) for pos, mask, t in edges for i, a in enumerate(symbols) if mask >> i & 1
-        )
-        accepting = frozenset(i for i, (_, _, wrapped) in enumerate(order) if wrapped)
-        raw = BuchiAutomaton(self.alphabet, len(order), frozenset({0}), accepting, transitions)
+        order, mask_rows = _explore(moves, [start])
+        rows = [
+            sorted({(a, t) for mask, t in row for i, a in enumerate(symbols) if mask >> i & 1})
+            for row in mask_rows
+        ]
+        accepting = [i for i, (_, _, wrapped) in enumerate(order) if wrapped]
+        raw = BuchiAutomaton._from_rows(self.alphabet, len(order), {0}, accepting, rows)
         return reduce_buchi(raw)
 
 

@@ -16,6 +16,7 @@ from .automata import (
     AlphabetMismatchError,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     accepting_lasso,
     is_empty,
@@ -43,7 +44,7 @@ class Verdict:
 
     def __post_init__(self) -> None:
         if self.holds != (self.witness is None):
-            raise ValueError("witness must be present exactly when the check fails")
+            raise InvariantError("witness must be present exactly when the check fails")
 
     def __bool__(self) -> bool:
         return self.holds

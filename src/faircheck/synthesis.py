@@ -12,6 +12,7 @@ behaviors, so the marked structure is a faithful implementation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .automata import (
@@ -90,7 +91,7 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
     if not verdict:
         raise PreconditionFailedError(
             "the system does not satisfy the property within fairness; "
-            f"prefix {verdict.witness!r} has no conforming continuation",
+            f"prefix {json.dumps(list(verdict.witness))} has no conforming continuation",
             verdict,
         )
     return FairLts(underlying, conforming.accepting)

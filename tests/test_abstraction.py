@@ -12,6 +12,7 @@ from faircheck.automata import (
     AlphabetMismatchError,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     NotPrefixClosedError,
     accepting_lasso,
@@ -244,9 +245,9 @@ class TestWcc:
             assert word[0] == "lock"
 
     def test_report_invariant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             WccReport(True, ((0, 0, ("a",)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             WccReport(False, ())
 
     def test_non_prefix_closed_input_is_rejected(self):

@@ -1,17 +1,22 @@
 """Automata algebra: canonical forms, products, emptiness, quotients, metric."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gen
 import oracles
 from faircheck import automata
+from faircheck.abstraction import compute_xtd, image_automaton
+from faircheck.formats import parse_automaton
+from faircheck.pltl import parse_formula, to_buchi
 from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     NotPrefixClosedError,
     accepting_lasso,
@@ -144,6 +149,18 @@ class TestValidation:
         assert FinAutomaton(*parts) != BuchiAutomaton(*parts)
         assert type(BuchiAutomaton.empty(AB)) is BuchiAutomaton
         assert FinAutomaton.empty(AB) != BuchiAutomaton.empty(AB)
+
+    def test_constructed_rows_are_checked_as_invariants(self):
+        rows = [[("a", 0), ("b", 0)]]
+        built = FinAutomaton._from_rows(AB, 1, {0}, {0}, rows)
+        assert built == FinAutomaton(AB, 1, {0}, {0}, {(0, "b", 0), (0, "a", 0)})
+        unsorted, repeated = [[("b", 0), ("a", 0)]], [[("a", 0), ("a", 0)]]
+        for bad in (unsorted, repeated, [[("a", 1)]], [[("c", 0)]]):
+            with pytest.raises(InvariantError):
+                FinAutomaton._from_rows(AB, 1, {0}, {0}, bad)
+        with pytest.raises(InvariantError):
+            BuchiAutomaton._from_rows(AB, 1, {1}, {0}, [[]])
+        assert not issubclass(InvariantError, ValueError)
 
     def test_deterministic_flag(self):
         assert a_star_b().deterministic
@@ -552,13 +569,16 @@ class TestGraphSearch:
             a = _random_graph(rng)
             starts = rng.sample(range(a.n_states), min(a.n_states, rng.randint(1, 3)))
             moves = a._succ.__getitem__
-            nodes, edges = automata._explore(moves, starts)
+            nodes, rows = automata._explore(moves, starts)
             assert nodes == list(automata._bfs(moves, starts, {}))
             assert nodes[: len(starts)] == starts
             reachable = oracles.shortest_word_lengths(a, starts).keys()
             assert set(nodes) == reachable
             expected = sorted((p, s, q) for p, s, q in a.transitions if p in reachable)
-            assert sorted((nodes[i], s, nodes[j]) for i, s, j in edges) == expected
+            assert [moves(u) for u in nodes] == [
+                tuple((s, nodes[j]) for s, j in row) for row in rows
+            ]
+            assert sorted((p, s, q) for p in nodes for s, q in a._succ[p]) == expected
 
     def test_stems_by_subset_are_the_least_words_per_new_subset(self, rng):
         for _ in range(80):
@@ -692,3 +712,89 @@ class TestCantorDistance:
             y = gen.random_lasso(rng, gen.letters(2), max_stem=2, max_cycle=2)
             d = cantor_distance(x, y)
             assert (d == 0) == (x.normalize() == y.normalize())
+
+
+FIG2 = Path(__file__).resolve().parent.parent / "fixtures" / "fig2.aut"
+
+
+def _assert_stored_form(x):
+    """Sorted rows without repeats, equal (and equally hashed) to the
+    automaton the public constructor builds from the derived triples."""
+    assert len(x._succ) == x.n_states
+    for row in x._succ:
+        assert list(row) == sorted(set(row))
+    rebuilt = type(x)(x.alphabet, x.n_states, x.initial, x.accepting, x.transitions)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+class TestStoredForm:
+    """Successor rows are the stored form; ``transitions`` is derived from them."""
+
+    def test_every_builder_emits_sorted_rows_equal_to_the_public_rebuild(self, rng):
+        shared_letter_rows = 0
+        for _ in range(60):
+            alphabet = gen.letters(rng.randint(2, 3))
+            fa = gen.random_fin(rng, alphabet, max_states=5, density=2.5)
+            fb = gen.random_fin(rng, alphabet, max_states=5, density=2.5)
+            ba = gen.random_buchi(rng, alphabet, max_states=5, density=2.5)
+            bb = gen.random_buchi(rng, alphabet, max_states=5, density=2.5)
+            system = gen.random_fin(rng, alphabet, max_states=5, all_accepting=True)
+            h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            f = gen.random_formula(rng, alphabet.symbols, 2)
+            products = [product(ba, bb), product_fin(fa, fb)]
+            built = products + [
+                canonicalize(fa),
+                reduce_buchi(ba),
+                prefix_automaton(ba),
+                limit(canonicalize(system)),
+                lasso_automaton(gen.random_lasso(rng, alphabet), alphabet),
+                *to_buchi(f, alphabet),
+                compute_xtd(system),
+                compute_xtd(system, hom=h),
+                image_automaton(h, system),
+            ]
+            for x in built:
+                _assert_stored_form(x)
+            shared_letter_rows += sum(
+                row[i][0] == row[i - 1][0]
+                for p in products
+                for row in p._succ
+                for i in range(1, len(row))
+            )
+        # product rows with several targets per letter, which need their sort
+        assert shared_letter_rows >= 100
+
+    def test_row_equality_is_triple_set_equality(self, rng):
+        neighbours = 0
+        for _ in range(300):
+            alphabet = gen.letters(2)
+            a = gen.random_buchi(rng, alphabet, max_states=3)
+            if rng.random() < 0.5:  # a neighbour: one transition toggled
+                t = (rng.randrange(a.n_states), rng.choice("ab"), rng.randrange(a.n_states))
+                b = BuchiAutomaton(
+                    alphabet, a.n_states, a.initial, a.accepting, a.transitions ^ {t}
+                )
+                neighbours += 1
+            else:
+                b = gen.random_buchi(rng, alphabet, max_states=3)
+            fields = lambda x: (x.n_states, x.initial, x.accepting, x.transitions)  # noqa: E731
+            assert (a == b) == (fields(a) == fields(b))
+            # the same triples in another order, with repeats
+            triples = list(a.transitions) * 2
+            rng.shuffle(triples)
+            c = BuchiAutomaton(alphabet, a.n_states, a.initial, a.accepting, triples)
+            assert c == a and hash(c) == hash(a)
+        assert neighbours >= 100
+
+    def test_the_check_pipeline_never_derives_transitions(self):
+        parsed = parse_automaton(FIG2.read_text())
+        system = limit(canonicalize(parsed))
+        positive, negative = to_buchi(parse_formula("G (request -> F result)"), system.alphabet)
+        conforming = product(system, positive)
+        prefixes = prefix_automaton(conforming)
+        canonical = canonicalize(prefixes)
+        boundary = limit(canonical)
+        bad = product(boundary, negative)
+        assert accepting_lasso(bad) is not None
+        for x in (parsed, system, conforming, prefixes, canonical, boundary, bad):
+            assert "transitions" not in vars(x)

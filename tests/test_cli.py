@@ -22,6 +22,7 @@ from faircheck.automata import (
     Alphabet,
     BuchiAutomaton,
     FinAutomaton,
+    InvariantError,
     LassoWord,
     canonicalize,
     language_equal,
@@ -29,7 +30,7 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
-from faircheck import cli, formats
+from faircheck import cli, formats, relprops
 from faircheck.cli import run
 from faircheck.formats import format_automaton, parse_automaton
 from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
@@ -434,6 +435,16 @@ class TestErrors:
         assert run(argv) in (0, 1)
         assert capsys.readouterr().err == ""
 
+    def test_a_broken_invariant_exits_3_without_a_report(self, monkeypatch, capsys):
+        # a package bug is not an input error: no "error:" line and no exit 2
+        monkeypatch.setattr(relprops, "language_equal", lambda a, b: (True, ("request",)))
+        assert run(["check", "rl", "--system", FIG2, "--formula", "G F result"]) == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (
+            "internal error: witness must be present exactly when the check fails\n"
+        )
+
     def test_long_next_chain_is_decided(self, capsys):
         formula = "X " * 400 + "a"
         assert run(["safety-class", "--formula", formula, "--alphabet", "a b"]) == 0
@@ -441,9 +452,10 @@ class TestErrors:
 
 
 def test_every_package_error_but_the_precondition_one_is_an_input_error():
-    # the CLI reports exactly INPUT_ERRORS with exit 2; any other exception
-    # class escapes as a traceback
+    # the CLI reports exactly INPUT_ERRORS with exit 2 and a broken internal
+    # invariant with exit 3; any other exception class escapes as a traceback
     assert cli.INPUT_ERRORS == (ValueError, OSError)
+    assert not issubclass(InvariantError, ValueError)
     modules = [
         importlib.import_module(f"faircheck.{m.name}")
         for m in pkgutil.iter_modules(faircheck.__path__)
@@ -457,8 +469,8 @@ def test_every_package_error_but_the_precondition_one_is_an_input_error():
         and issubclass(obj, BaseException)
         and obj.__module__ == module.__name__
     }
-    assert PreconditionFailedError in errors and len(errors) > 1
-    for error in errors - {PreconditionFailedError}:
+    assert {PreconditionFailedError, InvariantError} <= errors and len(errors) > 2
+    for error in errors - {PreconditionFailedError, InvariantError}:
         assert issubclass(error, ValueError), error
 
 
@@ -1424,7 +1436,7 @@ PATH_GOLDENS = {
         1,
         "",
         "synthesis precondition failed: the system does not satisfy the property "
-        "within fairness; prefix ('lock',) has no conforming continuation\n",
+        'within fairness; prefix ["lock"] has no conforming continuation\n',
     ),
     "input error": (
         ["check", "rl", "--system", "fixtures/fig2.aut", "--formula", "G ("],

@@ -8,6 +8,7 @@ from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
+    InvariantError,
     LassoWord,
     accepting_lasso,
     canonicalize,
@@ -55,9 +56,9 @@ class TestVerdict:
     def test_witness_exactly_on_failure(self):
         assert Verdict(True).holds
         assert not Verdict(False, ("a",)).holds
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Verdict(True, ("a",))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Verdict(False)
 
     def test_empty_word_witness_is_legal(self):
