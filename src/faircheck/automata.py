@@ -136,12 +136,22 @@ class LassoWord:
         return " ".join(self.stem) + ";" + " ".join(self.cycle)
 
 
-def _primitive_root_length(cycle: list[str]) -> int:
+def _primitive_root_length(cycle) -> int:
     n = len(cycle)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(cycle[i] == cycle[i % p] for i in range(n)):
+    for p in range(1, n):
+        # with p dividing n, a word that a shift by p leaves unchanged is a power
+        if n % p == 0 and cycle[p:] == cycle[: n - p]:
             return p
     return n
+
+
+def _is_normal_form(stem, cycle) -> bool:
+    """Is ``LassoWord(stem, cycle)`` its own ``normalize()`` form?
+
+    Exactly when the cycle is primitive and the stem does not end with the
+    cycle's last letter.
+    """
+    return (not stem or stem[-1] != cycle[-1]) and _primitive_root_length(cycle) == len(cycle)
 
 
 def _mask(states: Iterable[int]) -> int:
@@ -532,59 +542,54 @@ def left_quotient(a: FinAutomaton, word: Iterable[str]) -> FinAutomaton:
     return canonicalize(c._recast(FinAutomaton, initial={state}))
 
 
-def _nontrivial_scc_states(succ, pred) -> set[int]:
+def _nontrivial_scc_states(succ) -> set[int]:
     """States lying on some cycle: members of an SCC with >1 state or a self-loop.
 
-    ``succ`` and ``pred`` are an automaton's ``_succ`` and ``_predecessors``.
+    One iterative pass of Tarjan's algorithm over the successor rows ``succ``.
     """
-    # Kosaraju: finish order on the graph, then components on the reverse graph.
     n_states = len(succ)
-    visited = [False] * n_states
-    finish: list[int] = []
+    number = [0] * n_states  # DFS number from 1; 0 while unvisited
+    low = [0] * n_states  # n_states + 1 once the state's component is closed
+    stack: list[int] = []
+    cyclic: set[int] = set()
+    count = 0
     for root in range(n_states):
-        if visited[root]:
+        if number[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        visited[root] = True
-        while stack:
-            u, ei = stack[-1]
-            if ei < len(succ[u]):
-                stack[-1] = (u, ei + 1)
-                v = succ[u][ei][1]
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append((v, 0))
+        count = number[root] = low[root] = count + 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, edges = work[-1]
+            for _, v in edges:
+                if not number[v]:
+                    count = number[v] = low[v] = count + 1
+                    stack.append(v)
+                    work.append((v, iter(succ[v])))
+                    break
+                if low[v] < low[u]:
+                    low[u] = low[v]
             else:
-                stack.pop()
-                finish.append(u)
-    comp = [-1] * n_states
-    c = -1
-    for u in reversed(finish):
-        if comp[u] != -1:
-            continue
-        c += 1
-        stack2 = [u]
-        comp[u] = c
-        while stack2:
-            for y in pred[stack2.pop()]:
-                if comp[y] == -1:
-                    comp[y] = c
-                    stack2.append(y)
-    sizes: dict[int, int] = {}
-    for u in range(n_states):
-        sizes[comp[u]] = sizes.get(comp[u], 0) + 1
-    loops = {u for u in range(n_states) for _, v in succ[u] if v == u}
-    return {
-        u
-        for u in range(n_states)
-        if sizes[comp[u]] > 1 or u in loops
-    }
+                work.pop()
+                if low[u] == number[u]:  # u roots a component: the stack above it
+                    at = len(stack) - 1
+                    while stack[at] != u:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    if len(comp) > 1 or any(v == u for _, v in succ[u]):
+                        cyclic.update(comp)
+                    for w in comp:
+                        low[w] = n_states + 1
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[u])
+    return cyclic
 
 
 def _core_states(b: BuchiAutomaton) -> set[int]:
     """Accepting states that lie on a cycle (anchors of accepted omega-words)."""
-    pred = _predecessors(b._succ)
-    return set(b.accepting) & _nontrivial_scc_states(b._succ, pred)
+    return set(b.accepting) & _nontrivial_scc_states(b._succ)
 
 
 def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
@@ -594,8 +599,7 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     states are compacted in increasing order, so an already-reduced automaton
     comes back identical.
     """
-    pred = _predecessors(b._succ)
-    keep = _closure(pred, set(b.accepting) & _nontrivial_scc_states(b._succ, pred))
+    keep = _closure(_predecessors(b._succ), _core_states(b))
     if len(keep) == b.n_states:
         return b
     if not keep:
@@ -711,31 +715,36 @@ def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
     return m0, m1
 
 
-def _accepts_periodic_from(b: BuchiAutomaton, start_mask: int, cycle) -> bool:
-    """Does ``b`` accept cycle^omega from some state in the mask?
+def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
+    """Does ``b`` accept cycle^omega from some state in the ``start`` mask?
 
-    Closes the mask under whole-cycle steps, then looks for a boundary state
-    that returns to itself through an accepting state in one or more passes.
+    ``passes`` lists, for the states of ``start`` in increasing order, the
+    (unmarked, marked) masks that ``_cycle_pass`` gives from each state alone.
+    The mask is closed under whole-cycle passes, computing them only for the
+    states the closure adds; the word is accepted exactly when some marked
+    pass u -> v leads back to u in zero or more passes.
     """
-    reach = 0
-    frontier = start_mask
-    while frontier & ~reach:
+    known = dict(zip(_bit_indices(start), passes))
+    reach, frontier = 0, start
+    while frontier:
         reach |= frontier
-        m0, m1 = _cycle_pass(b, frontier, 0, cycle)
-        frontier = m0 | m1
-    for q in _bit_indices(reach):
-        bit = 1 << q
-        seen0 = seen1 = 0
-        m0, m1 = bit, 0
-        while True:
-            n0, n1 = _cycle_pass(b, m0, m1, cycle)
-            if seen1 & bit or n1 & bit:
-                return True
-            m0, m1 = n0 & ~seen0, n1 & ~seen1
-            if not (m0 | m1):
-                break
-            seen0 |= n0
-            seen1 |= n1
+        nxt = 0
+        for q in _bit_indices(frontier):
+            if q not in known:
+                known[q] = _cycle_pass(b, 1 << q, 0, cycle)
+            nxt |= known[q][0] | known[q][1]
+        frontier = nxt & ~reach
+    onward = {q: unmarked | marked for q, (unmarked, marked) in known.items()}
+    for u, (_, marked) in known.items():
+        seen = frontier = marked
+        while frontier and not seen >> u & 1:
+            nxt = 0
+            for q in _bit_indices(frontier):
+                nxt |= onward[q]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen >> u & 1:
+            return True
     return False
 
 
@@ -763,17 +772,20 @@ def _denotation_minimal_lasso(
 ) -> LassoWord:
     """Least accepted lasso by (stem length, cycle length, stem, cycle) within bounds.
 
-    Stems run up to the baseline's length.  Cycles run up to the baseline's
-    length for stems as long as the baseline's, and up to max(baseline cycle
-    length, 8) for shorter stems, so a shorter stem whose accepted cycles are
-    all longer than that is missed.  Cycles are grown one letter at a time
-    from the live cycles of the previous length, so a prefix on which every
-    run from the stem dies is never extended.  Each live cycle charges its
+    Stems run up to the baseline's length, one per reachable state set (the
+    least word reaching it).  Cycles run up to the baseline's length for
+    stems as long as the baseline's, and up to max(baseline cycle length, 8)
+    for shorter stems, so a shorter stem whose accepted cycles are all
+    longer than that is missed.  Cycles are grown one letter at a time from
+    the live cycles of the previous length, so a prefix on which every run
+    from the stem dies is never extended.  Each live cycle charges its
     length to the budget, which bounds the work however long the cycles
-    get.  Candidates are normalized forms only, and acceptance of each is
-    decided by the whole-cycle pair relation.  The baseline (always a valid
-    witness) is returned when nothing in the range is smaller or the budget
-    runs out, so the result is never worse than the baseline.
+    get.  Each live cycle also carries the whole-cycle pass of every state
+    of its stem's set, grown by one letter with the cycle, and
+    ``_accepts_periodic`` decides a candidate from those passes.  Candidates
+    are normal forms only.  The baseline (always a valid witness) is
+    returned when nothing in the range is smaller or the budget runs out,
+    so the result is never worse than the baseline.
     """
     m_cap = len(baseline.stem)
     p_base = len(baseline.cycle)
@@ -782,34 +794,34 @@ def _denotation_minimal_lasso(
     for m in range(m_cap + 1):
         p_cap = p_base if m == m_cap else max(p_base, 8)
         # per stem: the live cycles of the current length, in lex order, each
-        # with the state set it leads to
-        live = [[((), mask)] for _, mask in stems[m]]
+        # with the state set it leads to and the passes of the stem's states
+        live = [[((), mask, [(1 << q, 0) for q in _bit_indices(mask)])] for _, mask in stems[m]]
         for p in range(1, p_cap + 1):
             for i, (stem, mask) in enumerate(stems[m]):
                 longer = []
-                for word, reached in live[i]:
+                for word, reached, passes in live[i]:
                     for s in syms:
                         after = b.step_mask(reached, s)
                         if not after:
                             continue
                         cycle = (*word, s)
-                        longer.append((cycle, after))
+                        grown = [_cycle_pass(b, m0, m1, (s,)) for m0, m1 in passes]
+                        longer.append((cycle, after, grown))
                         budget -= p
                         if budget < 0:
                             return baseline
-                        cand = LassoWord(stem, cycle)
-                        if cand.normalize() != cand:
+                        if not _is_normal_form(stem, cycle):
                             continue
-                        if cand == baseline:  # accepted, and nothing smaller was
-                            return baseline
-                        if _accepts_periodic_from(b, mask, cycle):
+                        if stem == baseline.stem and cycle == baseline.cycle:
+                            return baseline  # accepted, and nothing smaller was
+                        if _accepts_periodic(b, mask, cycle, grown):
                             if (m, p, stem, cycle) < (
                                 m_cap,
                                 p_base,
                                 baseline.stem,
                                 baseline.cycle,
                             ):
-                                return cand
+                                return LassoWord(stem, cycle)
                             return baseline
                 live[i] = longer
     return baseline
@@ -848,7 +860,8 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     itself needs.  The result is the smallest accepted lasso among those
     with a stem no longer than the witness's and a cycle of at most
     max(witness cycle length, 8) letters (the witness's cycle length for an
-    equally long stem), unless the refinement's budget runs out first.  A
+    equally long stem), unless the refinement's budget of 24,000 letters of
+    live cycles runs out first; then it is the graph-level witness.  A
     smaller lasso outside that range, with a shorter stem and a longer
     cycle, can exist and is not found.
     """

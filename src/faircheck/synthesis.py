@@ -19,6 +19,7 @@ from .automata import (
     BuchiAutomaton,
     FinAutomaton,
     LassoWord,
+    _is_normal_form,
     accepting_lasso,
     canonicalize,
     language_equal,
@@ -131,8 +132,8 @@ def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
 
     def extend(word: tuple[str, ...], mask: int) -> None:
         for split in range(len(word)):
-            x = LassoWord(word[:split], word[split:])
-            if x.normalize() == x and lasso_membership(x, fair):
+            stem, cycle = word[:split], word[split:]
+            if _is_normal_form(stem, cycle) and lasso_membership(x := LassoWord(stem, cycle), fair):
                 found.append(x)
         if len(word) == max_len:
             return

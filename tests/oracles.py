@@ -107,6 +107,47 @@ def buchi_accepts_lasso(b, x) -> bool:
     return False
 
 
+def least_lasso(b, baseline, budget: int):
+    """The least accepted lasso in the refinement's range, by listing them.
+
+    Stems of at most ``len(baseline.stem)`` letters, one per distinct
+    non-empty state set: the least word reaching it.  Cycles of at most
+    ``len(baseline.cycle)`` letters after a stem as long as the baseline's,
+    of at most max(that, 8) after a shorter one.  Candidates come in (stem
+    length, cycle length, stem, cycle) order.  Every cycle on which some run
+    from the stem's states survives charges its length to the budget; once
+    the budget is negative the answer is the baseline.  The first candidate
+    that ``normalize()`` leaves unchanged and that is the baseline or that
+    ``buchi_accepts_lasso`` accepts decides: it is the answer when it sorts
+    below the baseline.  Returns the answer and the budget charged.
+    """
+    m_cap, p_base = len(baseline.stem), len(baseline.cycle)
+    base_key = (m_cap, p_base, baseline.stem, baseline.cycle)
+    seen: set[frozenset] = set()
+    spent = 0
+    for m in range(m_cap + 1):
+        stems = []
+        for stem in iproduct(sorted(b.alphabet), repeat=m):
+            reached = frozenset(states_reached(b, b.initial, stem))
+            if reached and reached not in seen:
+                seen.add(reached)
+                stems.append((stem, reached))
+        for p in range(1, (p_base if m == m_cap else max(p_base, 8)) + 1):
+            for stem, reached in stems:
+                for cycle in iproduct(sorted(b.alphabet), repeat=p):
+                    if not states_reached(b, reached, cycle):
+                        continue
+                    spent += p
+                    if spent > budget:
+                        return baseline, spent
+                    x = type(baseline)(stem, cycle)
+                    if x.normalize() != x:
+                        continue
+                    if x == baseline or buchi_accepts_lasso(b, x):
+                        return (x if (m, p, stem, cycle) < base_key else baseline), spent
+    return baseline, spent
+
+
 def _raw_succ(transitions):
     succ: dict[tuple[int, str], set[int]] = {}
     for p, s, q in transitions:

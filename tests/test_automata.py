@@ -131,6 +131,11 @@ class TestLassoWord:
             assert shifted.normalize() == target
             assert rotated.normalize() == target
 
+    def test_normal_form_predicate_is_normalize_fixing_the_lasso(self, rng):
+        for _ in range(400):
+            x = gen.random_lasso(rng, gen.letters(2), max_stem=3, max_cycle=6)
+            assert automata._is_normal_form(x.stem, x.cycle) == (x.normalize() == x)
+
 
 class TestValidation:
     def test_state_out_of_range(self):
@@ -543,6 +548,64 @@ class TestEmptinessAndWitness:
                     keys.append((len(stem), len(cyc), stem, cyc))
             expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
             assert automata._accepting_lasso_from(b, b.initial) == expected
+
+
+class TestWitnessSearch:
+    def test_cyclic_states_against_the_oracle(self, rng):
+        for _ in range(250):
+            n = rng.randint(1, 9)
+            edges = {
+                (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                for _ in range(rng.randint(0, 2 * n))
+            }
+            initial = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            accepting = {q for q in range(n) if rng.random() < 0.4}
+            b = BuchiAutomaton(AB, n, initial, accepting, edges)
+            succ = {p: {q for pp, _, q in edges if pp == p} for p in range(n)}
+            expected = set()
+            for comp in oracles._sccs(range(n), succ):
+                if len(comp) > 1 or any(q in succ[q] for q in comp):
+                    expected |= comp
+            assert automata._nontrivial_scc_states(b._succ) == expected
+            assert automata._core_states(b) == expected & accepting
+            assert is_empty(b) == (not oracles._live_states(b) & set(initial))
+
+    def test_cyclic_states_of_a_long_ring_and_chain(self):
+        # deep enough that a recursive search would exceed the recursion limit
+        n = 100_000
+        ring = [(("a", (q + 1) % n),) for q in range(n)]
+        assert automata._nontrivial_scc_states(ring) == set(range(n))
+        chain = [(("a", q + 1),) for q in range(n - 1)] + [(("a", n - 1),)]
+        assert automata._nontrivial_scc_states(chain) == {n - 1}
+
+    def test_periodic_acceptance_against_the_oracle(self, rng):
+        outcomes = []
+        for _ in range(300):
+            b = gen.random_buchi(rng, gen.letters(2), max_states=6)
+            n = b.n_states
+            starts = sorted(rng.sample(range(n), rng.randint(min(2, n), n)))
+            cycle = tuple(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+            passes = [automata._cycle_pass(b, 1 << q, 0, cycle) for q in starts]
+            got = automata._accepts_periodic(b, automata._mask(starts), cycle, passes)
+            from_starts = BuchiAutomaton(AB, n, starts, b.accepting, b.transitions)
+            assert got == oracles.buchi_accepts_lasso(from_starts, LassoWord((), cycle))
+            outcomes.append(got)
+        assert 50 < sum(outcomes) < 250
+
+    def test_least_lasso_against_brute_force(self, rng):
+        improved = 0
+        for _ in range(60):
+            b = gen.random_buchi(rng, gen.letters(rng.randint(2, 3)), max_states=5)
+            baseline = automata._accepting_lasso_from(b, b.initial)
+            if baseline is None:
+                continue
+            best, spent = oracles.least_lasso(b, baseline, 24_000)
+            improved += best != baseline
+            # on each side of the charge at which the answer is decided
+            for budget in sorted({0, spent // 2, spent - 1, spent, 24_000}):
+                expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
+                assert automata._denotation_minimal_lasso(b, baseline, budget) == expected
+        assert improved >= 5
 
 
 def _random_graph(rng):
