@@ -11,7 +11,10 @@ sorted without repeats; ``==`` and ``hash`` compare rows, which is comparing
 edge sets.  Constructions emit rows directly (a malformed one raises
 ``InvariantError``), the public constructor groups (p, letter, q) triples
 into rows (bad input raises ``ValueError``), and ``transitions``, the set of
-triples, is a view derived from the rows on first use.
+triples, is a view derived from the rows on first use.  So is ``_out``, the
+one move lookup: per state, each letter it moves on mapped to its target
+mask.  Every subset walk reads it through ``_post``, which lists only the
+letters a state set moves on.
 
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
@@ -241,12 +244,15 @@ class _Graph:
         return frozenset((p, s, q) for p, row in enumerate(self._succ) for s, q in row)
 
     @cached_property
-    def _move(self) -> dict[str, tuple[int, ...]]:
-        move: dict[str, list[int]] = {s: [0] * self.n_states for s in self.alphabet}
-        for p, row in enumerate(self._succ):
-            for s, q in row:
-                move[s][p] |= 1 << q
-        return {s: tuple(v) for s, v in move.items()}
+    def _out(self) -> tuple[dict[str, int], ...]:
+        """Per state, each letter it moves on mapped to its target mask, in letter order."""
+        out = []
+        for row in self._succ:
+            moves: dict[str, int] = {}
+            for s, q in row:  # rows are sorted, so letters arrive in order
+                moves[s] = moves.get(s, 0) | 1 << q
+            out.append(moves)
+        return tuple(out)
 
     @cached_property
     def _initial_mask(self) -> int:
@@ -261,16 +267,16 @@ class _Graph:
         return range(self.n_states)
 
     def successors(self, state: int, symbol: str) -> tuple[int, ...]:
-        return tuple(_bit_indices(self._move[symbol][state]))
+        return tuple(_bit_indices(self._out[state].get(symbol, 0)))
 
     def step_mask(self, mask: int, symbol: str) -> int:
-        row = self._move[symbol]
+        out = self._out
         if not mask & (mask - 1):  # at most one state: one lookup
-            return mask and row[mask.bit_length() - 1]
-        out = 0
+            return mask and out[mask.bit_length() - 1].get(symbol, 0)
+        after = 0
         for q in _bit_indices(mask):
-            out |= row[q]
-        return out
+            after |= out[q].get(symbol, 0)
+        return after
 
 
 class FinAutomaton(_Graph):
@@ -408,6 +414,21 @@ def _predecessors(rows) -> list[list[int]]:
     return pred
 
 
+def _post(a, mask: int) -> dict[str, int]:
+    """For each letter the state set ``mask`` moves on, its successor mask, in letter order.
+
+    For a single state this is that state's dict in ``_out``: do not mutate it.
+    """
+    out = a._out
+    if not mask & (mask - 1):
+        return out[mask.bit_length() - 1] if mask else {}
+    post: dict[str, int] = {}
+    for q in _bit_indices(mask):
+        for s, m in out[q].items():
+            post[s] = post.get(s, 0) | m
+    return dict(sorted(post.items()))
+
+
 def _subsets(a, starts: list[int], keep_mask: int):
     """Subset construction from several distinct start sets at once.
 
@@ -416,12 +437,11 @@ def _subsets(a, starts: list[int], keep_mask: int):
     in letter order.  Successor sets are cut to ``keep_mask`` (-1 keeps every
     state); empty ones are dropped, so a missing move means the dead sink.
     """
-    symbols = a.alphabet.symbols
 
     def moves(mask):
-        for s in symbols:
-            if nm := a.step_mask(mask, s) & keep_mask:
-                yield s, nm
+        for s, after in _post(a, mask).items():
+            if after := after & keep_mask:
+                yield s, after
 
     return _explore(moves, starts)
 
@@ -507,15 +527,12 @@ def language_equal(
 
 
 def _pair_search(a, b, subset_only: bool):
-    symbols = a.alphabet.symbols
-
     def moves(pair):
-        ma, mb = pair
-        for s in symbols:
-            na = a.step_mask(ma, s)
-            nb = b.step_mask(mb, s)
-            if na or (nb and not subset_only):
-                yield s, (na, nb)
+        post_a, post_b = _post(a, pair[0]), _post(b, pair[1])
+        # for inclusion only a's letters matter: a pair without an a-state is never bad
+        letters = post_a if subset_only else sorted(post_a.keys() | post_b.keys())
+        for s in letters:
+            yield s, (post_a.get(s, 0), post_b.get(s, 0))
 
     tree: dict = {}
     for pair in _bfs(moves, [(a._initial_mask, b._initial_mask)], tree):
@@ -656,13 +673,13 @@ def _product_pairs(a, b, next_phase):
     their successor rows.
     """
     _check_same_alphabet(a, b)
-    a_succ, b_move = a._succ, b._move
+    a_succ, b_out = a._succ, b._out
 
     def moves(triple):
         p, q, phase = triple
         nphase = next_phase(p, q, phase)
         for s, p2 in a_succ[p]:
-            m = b_move[s][q]
+            m = b_out[q].get(s, 0)
             while m:
                 low = m & -m
                 m ^= low
@@ -750,16 +767,9 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
 
 def _stems_by_subset(b: BuchiAutomaton, max_len: int):
     """Stems in (length, lex) order, one per distinct reachable state set."""
-    symbols = b.alphabet.symbols
-
-    def moves(mask):
-        for s in symbols:
-            if m2 := b.step_mask(mask, s):
-                yield s, m2
-
     out: list[list[tuple[tuple[str, ...], int]]] = [[] for _ in range(max_len + 1)]
     tree: dict = {}
-    for mask in _bfs(moves, [b._initial_mask], tree):
+    for mask in _bfs(lambda mask: _post(b, mask).items(), [b._initial_mask], tree):
         stem = _path_from(tree, mask)
         if len(stem) > max_len:
             break
@@ -789,7 +799,6 @@ def _denotation_minimal_lasso(
     """
     m_cap = len(baseline.stem)
     p_base = len(baseline.cycle)
-    syms = b.alphabet.symbols
     stems = _stems_by_subset(b, m_cap)
     for m in range(m_cap + 1):
         p_cap = p_base if m == m_cap else max(p_base, 8)
@@ -800,10 +809,7 @@ def _denotation_minimal_lasso(
             for i, (stem, mask) in enumerate(stems[m]):
                 longer = []
                 for word, reached, passes in live[i]:
-                    for s in syms:
-                        after = b.step_mask(reached, s)
-                        if not after:
-                            continue
+                    for s, after in _post(b, reached).items():
                         cycle = (*word, s)
                         grown = [_cycle_pass(b, m0, m1, (s,)) for m0, m1 in passes]
                         longer.append((cycle, after, grown))

@@ -547,12 +547,6 @@ class Labeling:
     def domain(self) -> tuple[str, ...]:
         return tuple(sym for sym, _ in self.entries)
 
-    def proposition_set(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for _, props in self.entries:
-            out |= props
-        return out
-
     def _with_entry(self, symbol: str, props: frozenset[str]) -> "Labeling":
         rest = tuple((s, p) for s, p in self.entries if s != symbol)
         return Labeling(rest + ((symbol, props),))

@@ -20,7 +20,6 @@ from .automata import (
     LassoWord,
     accepting_lasso,
     is_empty,
-    language_equal,
     language_subset,
     lasso_membership,
     limit,
@@ -127,8 +126,9 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
 
 
 def _relative_liveness(system: BuchiAutomaton, good_prefixes: FinAutomaton) -> Verdict:
-    # good_prefixes: the prefixes of the system's conforming computations
-    return Verdict(*language_equal(prefix_automaton(system), good_prefixes))
+    # good_prefixes: the prefixes of the system's conforming computations, so
+    # contained in the system's prefixes, and equality is the other inclusion
+    return Verdict(*language_subset(prefix_automaton(system), good_prefixes))
 
 
 satisfies_within_fairness = is_relative_liveness

@@ -20,6 +20,7 @@ from .automata import (
     FinAutomaton,
     LassoWord,
     _is_normal_form,
+    _post,
     accepting_lasso,
     canonicalize,
     language_equal,
@@ -127,7 +128,6 @@ def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
         raise ValueError("max_len must be at least 1")
     fair = impl.as_buchi()
     aut = impl.underlying
-    symbols = aut.alphabet.symbols
     found: list[LassoWord] = []
 
     def extend(word: tuple[str, ...], mask: int) -> None:
@@ -137,10 +137,8 @@ def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
                 found.append(x)
         if len(word) == max_len:
             return
-        for sym in symbols:
-            nxt = aut.step_mask(mask, sym)
-            if nxt:
-                extend(word + (sym,), nxt)
+        for sym, nxt in _post(aut, mask).items():
+            extend(word + (sym,), nxt)
 
     if aut.initial:
         extend((), aut._initial_mask)

@@ -390,12 +390,22 @@ class TestProductStructure:
         for _ in range(60):
             a = _nondeterministic(rng, gen.random_fin)
             for mask in range(1 << a.n_states):
+                steps = {}
                 for s in a.alphabet:
                     expected = 0
                     for p, letter, q in a.transitions:
                         if letter == s and mask >> p & 1:
                             expected |= 1 << q
-                    assert a.step_mask(mask, s) == expected
+                    steps[s] = a.step_mask(mask, s)
+                    assert steps[s] == expected
+                # the successor kernel: every letter with a nonzero step, in letter order
+                post = automata._post(a, mask)
+                assert post == {s: m for s, m in steps.items() if m}
+                assert list(post) == sorted(post)
+            for q in a.states:
+                for s in a.alphabet:
+                    raw = sorted(t for p, letter, t in a.transitions if p == q and letter == s)
+                    assert a.successors(q, s) == tuple(raw)
 
 
 class TestReduceBuchi:

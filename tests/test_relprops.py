@@ -14,6 +14,8 @@ from faircheck.automata import (
     canonicalize,
     cantor_distance,
     is_empty,
+    language_equal,
+    language_subset,
     lasso_membership,
     limit,
     prefix_automaton,
@@ -154,10 +156,13 @@ class TestRelativeLiveness:
             system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
             p = prop(gen_formula_text(rng))
             v = is_relative_liveness(system, p)
+            good = prefix_automaton(product(system, p.positive))
+            # the check compares one way only, which needs this inclusion
+            assert language_subset(good, prefix_automaton(system)) == (True, None)
+            assert v == Verdict(*language_equal(prefix_automaton(system), good))
             if v.holds:
                 continue
             w = v.witness
-            good = prefix_automaton(product(system, p.positive))
             assert oracles.nfa_accepts(prefix_automaton(system), w)
             assert not oracles.nfa_accepts(good, w)
             for shorter in oracles.enumerate_words(AB.symbols, len(w) - 1):
