@@ -16,6 +16,10 @@ one move lookup: per state, each letter it moves on mapped to its target
 mask.  Every subset walk reads it through ``_post``, which lists only the
 letters a state set moves on.
 
+One Tarjan pass, ``_sccs``, gives the two state sets every Buchi liveness
+question needs: core states (accepting states on a cycle), where witnesses
+are anchored, and live states (those that reach a core state).
+
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
 it, and automata are immutable, so a marked automaton stays canonical.
@@ -295,16 +299,19 @@ class BuchiAutomaton(_Graph):
     """Automaton over omega-words; a run accepts when it visits accepting states infinitely often."""
 
 
-def accepts(a: FinAutomaton, word: Iterable[str]) -> bool:
-    """Finite-word membership by subset simulation."""
+def _run(a: FinAutomaton, word: Iterable[str]) -> int:
+    """The mask of the states ``word`` leads to; every letter is checked, a dead run's too."""
     mask = a._initial_mask
     for letter in word:
         if letter not in a.alphabet:
             raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
         mask = a.step_mask(mask, letter)
-        if not mask:
-            return False
-    return bool(mask & a._accepting_mask)
+    return mask
+
+
+def accepts(a: FinAutomaton, word: Iterable[str]) -> bool:
+    """Finite-word membership by subset simulation."""
+    return bool(_run(a, word) & a._accepting_mask)
 
 
 def _check_same_alphabet(a, b) -> None:
@@ -546,29 +553,26 @@ def _pair_search(a, b, subset_only: bool):
 def left_quotient(a: FinAutomaton, word: Iterable[str]) -> FinAutomaton:
     """Canonical automaton for ``word \\ L(a)``, the continuations of ``word``."""
     c = canonicalize(a)
-    if c.n_states == 0:
-        return c
-    state = 0
-    for letter in word:
-        if letter not in c.alphabet:
-            raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
-        nxt = c.successors(state, letter)
-        if not nxt:
-            return FinAutomaton.empty(c.alphabet)
-        state = nxt[0]
-    return canonicalize(c._recast(FinAutomaton, initial={state}))
+    mask = _run(c, word)
+    if not mask:
+        return FinAutomaton.empty(c.alphabet)
+    return canonicalize(c._recast(FinAutomaton, initial=_bit_indices(mask)))
 
 
-def _nontrivial_scc_states(succ) -> set[int]:
-    """States lying on some cycle: members of an SCC with >1 state or a self-loop.
+def _sccs(succ, accepting) -> tuple[set[int], set[int]]:
+    """The core states (accepting, in an SCC with a cycle) and the live states
+    (with a path to a core state) of the successor rows ``succ``.
 
-    One iterative pass of Tarjan's algorithm over the successor rows ``succ``.
+    One iterative pass of Tarjan's algorithm: components close in reverse
+    topological order, so a closing component is live exactly when it holds
+    a core state or has an edge to a live state.
     """
     n_states = len(succ)
     number = [0] * n_states  # DFS number from 1; 0 while unvisited
     low = [0] * n_states  # n_states + 1 once the state's component is closed
     stack: list[int] = []
-    cyclic: set[int] = set()
+    core: set[int] = set()
+    live: set[int] = set()
     count = 0
     for root in range(n_states):
         if number[root]:
@@ -595,28 +599,26 @@ def _nontrivial_scc_states(succ) -> set[int]:
                     comp = stack[at:]
                     del stack[at:]
                     if len(comp) > 1 or any(v == u for _, v in succ[u]):
-                        cyclic.update(comp)
+                        core.update(q for q in comp if q in accepting)
+                    out = (v for w in comp for _, v in succ[w])
+                    if not core.isdisjoint(comp) or not live.isdisjoint(out):
+                        live.update(comp)
                     for w in comp:
                         low[w] = n_states + 1
                 if work:
                     p = work[-1][0]
                     low[p] = min(low[p], low[u])
-    return cyclic
-
-
-def _core_states(b: BuchiAutomaton) -> set[int]:
-    """Accepting states that lie on a cycle (anchors of accepted omega-words)."""
-    return set(b.accepting) & _nontrivial_scc_states(b._succ)
+    return core, live
 
 
 def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     """Drop every state from which no omega-word can be accepted.
 
-    Keeps exactly the states that can reach an accepting cycle; surviving
-    states are compacted in increasing order, so an already-reduced automaton
-    comes back identical.
+    Keeps exactly the live states of the one Tarjan pass ``_sccs``; they
+    are compacted in increasing order, so a reduced automaton comes back
+    identical.
     """
-    keep = _closure(_predecessors(b._succ), _core_states(b))
+    keep = _sccs(b._succ, b.accepting)[1]
     if len(keep) == b.n_states:
         return b
     if not keep:
@@ -833,53 +835,52 @@ def _denotation_minimal_lasso(
     return baseline
 
 
-def _accepting_lasso_from(b: BuchiAutomaton, starts: Iterable[int]) -> LassoWord | None:
-    stems = _bfs_tree(b._succ.__getitem__, sorted(starts))
-    candidates = sorted(_core_states(b) & stems.keys())
-    if not candidates:
+def _accepting_lasso_from(b: BuchiAutomaton) -> LassoWord | None:
+    core = _sccs(b._succ, b.accepting)[0]
+    if not core:
         return None
-    # every candidate is reachable and on a cycle, so the key below is decided
-    # by stem length first: only the shallowest candidates need a cycle search
-    depth: dict[int, int] = {}
-    for q, edge in stems.items():  # parents come before children
-        depth[q] = 0 if edge is None else depth[edge[0]] + 1
-    shallowest = min(depth[f] for f in candidates)
+    # every anchor is on a cycle, so the key below is decided by stem length
+    # first: only the shallowest anchors need a cycle search, and the
+    # breadth-first walk stops at the first anchor with a longer stem
+    stems: dict = {}
     best: tuple[int, int, tuple[str, ...], tuple[str, ...]] | None = None
-    for f in candidates:
-        if depth[f] != shallowest:
+    for f in _bfs(b._succ.__getitem__, sorted(b.initial), stems):
+        if f not in core:
             continue
         stem = _path_from(stems, f)
+        if best is not None and len(stem) > best[0]:
+            break
         cyc = _shortest_cycle(b._succ, f)
         key = (len(stem), len(cyc), stem, cyc)
         if best is None or key < best:
             best = key
-    return LassoWord(best[2], best[3]).normalize()
+    return None if best is None else LassoWord(best[2], best[3]).normalize()
 
 
 def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     """A small accepted lasso (stem length, then cycle length, then lex), or None.
 
-    A graph-level witness is found first: a shortest stem to an accepting
-    state on a cycle, then a shortest cycle through it.  A bounded refinement
-    then searches for a smaller normalized form, which a run-level search
-    alone can miss when tracking states forces a longer cycle than the word
-    itself needs.  The result is the smallest accepted lasso among those
-    with a stem no longer than the witness's and a cycle of at most
-    max(witness cycle length, 8) letters (the witness's cycle length for an
-    equally long stem), unless the refinement's budget of 24,000 letters of
-    live cycles runs out first; then it is the graph-level witness.  A
-    smaller lasso outside that range, with a shorter stem and a longer
-    cycle, can exist and is not found.
+    A graph-level witness is found first: a shortest stem to a core state of
+    the one Tarjan pass ``_sccs`` (with none, nothing is searched), then a
+    shortest cycle through it.  A bounded refinement then searches for a
+    smaller normalized form, which a run-level search alone can miss when
+    tracking states forces a longer cycle than the word itself needs.  The
+    result is the smallest accepted lasso among those with a stem no longer
+    than the witness's and a cycle of at most max(witness cycle length, 8)
+    letters (the witness's cycle length for an equally long stem), unless the
+    refinement's budget of 24,000 letters of live cycles runs out first; then
+    it is the graph-level witness.  A smaller lasso outside that range, with a
+    shorter stem and a longer cycle, can exist and is not found.
     """
-    baseline = _accepting_lasso_from(b, b.initial)
+    baseline = _accepting_lasso_from(b)
     if baseline is None:
         return None
     return _denotation_minimal_lasso(b, baseline)
 
 
 def is_empty(b: BuchiAutomaton) -> bool:
-    reachable = _bfs_tree(b._succ.__getitem__, b.initial)
-    return not (_core_states(b) & reachable.keys())
+    """Exactly when no initial state is live in the one Tarjan pass ``_sccs``."""
+    return not (_sccs(b._succ, b.accepting)[1] & b.initial)
 
 
 def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:
@@ -908,7 +909,7 @@ def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoW
     seen: set[LassoWord] = set()
     moves = b._succ.__getitem__
     stems = _bfs_tree(moves, sorted(b.initial))
-    for f in sorted(_core_states(b) & stems.keys()):
+    for f in sorted(_sccs(b._succ, b.accepting)[0] & stems.keys()):
         stem = _path_from(stems, f)
         cycles = []
         for sym, v in b._succ[f]:

@@ -26,7 +26,6 @@ from .automata import (
     FinAutomaton,
     InvariantError,
     LassoWord,
-    canonicalize,
     limit,
 )
 from .pltl import (
@@ -101,7 +100,7 @@ def _behavior(a: FinAutomaton | BuchiAutomaton) -> BuchiAutomaton:
     # finitary files describe systems by their prefix-closed language
     if isinstance(a, BuchiAutomaton):
         return a
-    return limit(canonicalize(a))
+    return limit(a)
 
 
 def _verdict_json(verdict: Verdict) -> dict:

@@ -54,13 +54,11 @@ class PropertySpec:
     """A linear-time property packaged as a complementary automaton pair.
 
     positive accepts the property's computations, complement accepts exactly
-    the rest.  Formula-built specs carry their origin for reporting.
+    the rest.
     """
 
     positive: BuchiAutomaton
     complement: BuchiAutomaton
-    formula: Formula | None = None
-    labeling: Labeling | None = None
 
     def __post_init__(self) -> None:
         if self.positive.alphabet != self.complement.alphabet:
@@ -83,7 +81,7 @@ class PropertySpec:
         if labeling is None:
             labeling = Labeling.canonical(alphabet)
         pos, neg = to_buchi(formula, alphabet, labeling)
-        return cls(pos, neg, formula, labeling)
+        return cls(pos, neg)
 
     @classmethod
     def from_automata(

@@ -22,7 +22,6 @@ from .automata import (
     _is_normal_form,
     _post,
     accepting_lasso,
-    canonicalize,
     language_equal,
     lasso_membership,
     limit,
@@ -83,7 +82,7 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
     reduced automaton for them, with acceptance demoted to marks, implements
     the system exactly.
     """
-    behavior = limit(canonicalize(system))
+    behavior = limit(system)
     _check_alphabet(behavior, p)
     conforming = reduce_buchi(product(behavior, p.positive))
     # every state of the reduced product starts a conforming computation, so
@@ -110,7 +109,7 @@ def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Ve
     # every state accepts, so as a Buchi automaton the LTS recognizes the
     # limit of its language (Konig's lemma)
     impl_prefixes = prefix_automaton(impl.underlying._recast(BuchiAutomaton))
-    system_prefixes = prefix_automaton(limit(canonicalize(system)))
+    system_prefixes = prefix_automaton(limit(system))
     same = Verdict(*language_equal(impl_prefixes, system_prefixes))
     if not same:
         return same

@@ -195,6 +195,11 @@ class TestAccepts:
         with pytest.raises(AlphabetMismatchError):
             accepts(a_star_b(), ("z",))
 
+    def test_rejects_foreign_letter_after_a_dead_prefix(self):
+        # "b b" already kills every run; the foreign letter is still an error
+        with pytest.raises(AlphabetMismatchError):
+            accepts(a_star_b(), ("b", "b", "zzz"))
+
 
 class TestCanonicalize:
     def test_ends_with_b_golden(self):
@@ -335,6 +340,12 @@ class TestLeftQuotient:
         assert language_equal(left_quotient(m, ("b",)), only_eps)[0]
         assert left_quotient(m, ("b", "b")) == FinAutomaton.empty(AB)
 
+    def test_rejects_foreign_letter_after_a_dead_prefix(self):
+        with pytest.raises(AlphabetMismatchError):
+            left_quotient(a_star_b(), ("zzz",))
+        with pytest.raises(AlphabetMismatchError):
+            left_quotient(a_star_b(), ("b", "b", "zzz"))
+
     def test_quotient_membership(self, rng):
         # v in w\L exactly when wv in L
         for _ in range(30):
@@ -432,6 +443,39 @@ class TestReduceBuchi:
             for _ in range(6):
                 x = gen.random_lasso(rng, b.alphabet)
                 assert oracles.buchi_accepts_lasso(b, x) == oracles.buchi_accepts_lasso(r, x)
+
+    def test_keeps_exactly_the_live_states(self, rng):
+        dropped = 0
+        for _ in range(200):
+            b = _random_unreachable_buchi(rng)
+            live = sorted(oracles._live_states(b))
+            number = {q: i for i, q in enumerate(live)}
+            expected = BuchiAutomaton(
+                AB,
+                len(live),
+                {number[q] for q in b.initial if q in number},
+                {number[q] for q in b.accepting if q in number},
+                {(number[p], s, number[q]) for p, s, q in b.transitions
+                 if p in number and q in number},
+            )
+            assert reduce_buchi(b) == expected
+            dropped += len(live) < b.n_states
+        assert 50 < dropped < 200
+
+    def test_reduction_builds_no_predecessor_lists(self, rng, monkeypatch):
+        calls = []
+        real = automata._predecessors
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(automata, "_predecessors", counted)
+        for _ in range(40):
+            b = _random_unreachable_buchi(rng)
+            reduce_buchi(b)
+            prefix_automaton(b)
+        assert calls == []
 
 
 class TestLimitAndPrefix:
@@ -545,6 +589,23 @@ class TestEmptinessAndWitness:
         assert oracles.buchi_accepts_lasso(b, ring_word)
         assert accepting_lasso(b) == ring_word
 
+    def test_no_search_without_a_core_state(self, monkeypatch):
+        calls = []
+        real = automata._bfs
+
+        def counted(moves, starts, tree):
+            calls.append(starts)
+            return real(moves, starts, tree)
+
+        monkeypatch.setattr(automata, "_bfs", counted)
+        # accepting states only off every cycle, and a non-accepting cycle
+        chain = BuchiAutomaton(
+            AB, 3, {0}, {0, 1}, {(0, "a", 1), (1, "b", 2), (2, "a", 2)}
+        )
+        assert is_empty(chain)
+        assert accepting_lasso(chain) is None
+        assert calls == []
+
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
         # reference: one cycle search per reachable anchor, least key wins
         for _ in range(150):
@@ -557,36 +618,36 @@ class TestEmptinessAndWitness:
                     stem = automata._path_from(stems, f)
                     keys.append((len(stem), len(cyc), stem, cyc))
             expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
-            assert automata._accepting_lasso_from(b, b.initial) == expected
+            assert automata._accepting_lasso_from(b) == expected
 
 
 class TestWitnessSearch:
     def test_cyclic_states_against_the_oracle(self, rng):
         for _ in range(250):
-            n = rng.randint(1, 9)
-            edges = {
-                (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
-                for _ in range(rng.randint(0, 2 * n))
-            }
-            initial = rng.sample(range(n), rng.randint(1, min(n, 3)))
-            accepting = {q for q in range(n) if rng.random() < 0.4}
-            b = BuchiAutomaton(AB, n, initial, accepting, edges)
-            succ = {p: {q for pp, _, q in edges if pp == p} for p in range(n)}
+            b = _random_unreachable_buchi(rng)
+            n, accepting = b.n_states, set(b.accepting)
+            succ = {p: {q for pp, _, q in b.transitions if pp == p} for p in range(n)}
             expected = set()
             for comp in oracles._sccs(range(n), succ):
                 if len(comp) > 1 or any(q in succ[q] for q in comp):
                     expected |= comp
-            assert automata._nontrivial_scc_states(b._succ) == expected
-            assert automata._core_states(b) == expected & accepting
-            assert is_empty(b) == (not oracles._live_states(b) & set(initial))
+            # with every state accepting, the core states are the cyclic ones
+            assert automata._sccs(b._succ, range(n))[0] == expected
+            core, live = automata._sccs(b._succ, b.accepting)
+            assert core == expected & accepting
+            assert live == oracles._live_states(b)
+            assert is_empty(b) == (not live & b.initial)
 
     def test_cyclic_states_of_a_long_ring_and_chain(self):
         # deep enough that a recursive search would exceed the recursion limit
         n = 100_000
+        everything = set(range(n))
         ring = [(("a", (q + 1) % n),) for q in range(n)]
-        assert automata._nontrivial_scc_states(ring) == set(range(n))
+        assert automata._sccs(ring, everything) == (everything, everything)
+        # only the last state is on a cycle: liveness has to flow back along
+        # the whole chain
         chain = [(("a", q + 1),) for q in range(n - 1)] + [(("a", n - 1),)]
-        assert automata._nontrivial_scc_states(chain) == {n - 1}
+        assert automata._sccs(chain, everything) == ({n - 1}, everything)
 
     def test_periodic_acceptance_against_the_oracle(self, rng):
         outcomes = []
@@ -606,7 +667,7 @@ class TestWitnessSearch:
         improved = 0
         for _ in range(60):
             b = gen.random_buchi(rng, gen.letters(rng.randint(2, 3)), max_states=5)
-            baseline = automata._accepting_lasso_from(b, b.initial)
+            baseline = automata._accepting_lasso_from(b)
             if baseline is None:
                 continue
             best, spent = oracles.least_lasso(b, baseline, 24_000)
@@ -616,6 +677,19 @@ class TestWitnessSearch:
                 expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
                 assert automata._denotation_minimal_lasso(b, baseline, budget) == expected
         assert improved >= 5
+
+
+def _random_unreachable_buchi(rng) -> BuchiAutomaton:
+    """A random automaton over a b, with up to three initial states and often
+    with states no initial state reaches."""
+    n = rng.randint(1, 9)
+    edges = {
+        (rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+        for _ in range(rng.randint(0, 2 * n))
+    }
+    initial = rng.sample(range(n), rng.randint(1, min(n, 3)))
+    accepting = {q for q in range(n) if rng.random() < 0.4}
+    return BuchiAutomaton(AB, n, initial, accepting, edges)
 
 
 def _random_graph(rng):
