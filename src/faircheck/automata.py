@@ -534,6 +534,9 @@ def language_equal(
 
 
 def _pair_search(a, b, subset_only: bool):
+    if a == b:  # equal automata (fields and kind): equal languages, nothing to search
+        return True, None
+
     def moves(pair):
         post_a, post_b = _post(a, pair[0]), _post(b, pair[1])
         # for inclusion only a's letters matter: a pair without an a-state is never bad
@@ -738,10 +741,10 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
     """Does ``b`` accept cycle^omega from some state in the ``start`` mask?
 
     ``passes`` lists, for the states of ``start`` in increasing order, the
-    (unmarked, marked) masks that ``_cycle_pass`` gives from each state alone.
-    The mask is closed under whole-cycle passes, computing them only for the
-    states the closure adds; the word is accepted exactly when some marked
-    pass u -> v leads back to u in zero or more passes.
+    (unmarked, marked) masks that ``_cycle_pass`` gives from each state alone;
+    it may be empty.  The mask is closed under whole-cycle passes, computing
+    those not given; the word is accepted exactly when some marked pass
+    u -> v leads back to u in zero or more passes.
     """
     known = dict(zip(_bit_indices(start), passes))
     reach, frontier = 0, start
@@ -894,16 +897,19 @@ def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:
 
 
 def lasso_membership(x: LassoWord, b: BuchiAutomaton) -> bool:
-    """Does ``b`` accept the omega-word of ``x``?  Product plus emptiness."""
-    return not is_empty(product(lasso_automaton(x, b.alphabet), b))
+    """Does ``b`` accept the omega-word of ``x``?  The stem by subset
+    simulation, then ``_accepts_periodic`` from the states it reaches."""
+    for letter in x.cycle:  # _run checks the stem's
+        if letter not in b.alphabet:
+            raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
+    return _accepts_periodic(b, _run(b, x.stem), x.cycle, ())
 
 
 def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoWord]:
     """A small deterministic sample of accepted lassos.
 
     One lasso per (accepting cycle anchor, first cycle letter), so cycles
-    through different branches of an anchor all appear; used for the sampled
-    spot-checks of complementation and containment preconditions.
+    through different branches of an anchor all appear.
     """
     out: list[LassoWord] = []
     seen: set[LassoWord] = set()

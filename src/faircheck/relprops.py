@@ -21,11 +21,9 @@ from .automata import (
     accepting_lasso,
     is_empty,
     language_subset,
-    lasso_membership,
     limit,
     prefix_automaton,
     product,
-    sample_accepted_lassos,
 )
 from .pltl import Formula, Labeling, to_buchi
 
@@ -115,12 +113,12 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     """Does the system satisfy the property within fairness?
 
     Holds when every finite behavior of the system is a prefix of some
-    conforming computation, i.e. the conforming part of the system has the
-    same prefixes as the whole system.  The witness on failure is a shortest
-    system prefix with no conforming continuation.
+    conforming computation: relative liveness is machine closure of the
+    system with the property's positive automaton.  The witness on failure
+    is the least shortest system prefix with no conforming continuation.
     """
     _check_alphabet(system, p)
-    return _relative_liveness(system, prefix_automaton(product(system, p.positive)))
+    return is_machine_closed(system, p.positive)
 
 
 def _relative_liveness(system: BuchiAutomaton, good_prefixes: FinAutomaton) -> Verdict:
@@ -157,20 +155,11 @@ def satisfies(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
 def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
     """Does every finite behavior of the system extend into the sublanguage?
 
-    The caller promises the sublanguage is contained in the system; that
-    inclusion is only spot-checked on sampled lassos.
+    Machine closure of (S, L): pref(S) is contained in pref(S & L), decided
+    exactly; L need not lie inside S.  The witness on failure is the least
+    shortest system prefix with no continuation in S & L.
     """
-    if system.alphabet != sub.alphabet:
-        raise AlphabetMismatchError(
-            "system and sublanguage disagree on the alphabet: "
-            f"{system.alphabet.symbols} vs {sub.alphabet.symbols}"
-        )
-    for x in sample_accepted_lassos(sub):
-        if not lasso_membership(x, system):
-            raise ValueError(
-                f"sublanguage is not contained in the system: {x.as_text()}"
-            )
-    return Verdict(*language_subset(prefix_automaton(system), prefix_automaton(sub)))
+    return _relative_liveness(system, prefix_automaton(product(system, sub)))
 
 
 def is_safety_property(p: PropertySpec, alphabet: Alphabet) -> bool:

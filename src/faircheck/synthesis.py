@@ -23,6 +23,7 @@ from .automata import (
     _post,
     accepting_lasso,
     language_equal,
+    language_subset,
     lasso_membership,
     limit,
     prefix_automaton,
@@ -101,10 +102,12 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> FairLts:
 def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Verdict:
     """Check that a marked LTS implements the system fairly w.r.t. p.
 
-    Two obligations: the unmarked structure must have exactly the system's
-    behaviors (compared on the prefixes of both limits), and every fair
-    computation must conform to p.  The witness is a finite behavior on a
-    language mismatch, or a violating fair lasso.
+    Three obligations, checked in order: the unmarked structure must have
+    exactly the system's behaviors (compared on the prefixes of both
+    limits); every one of those behaviors must extend to a fair computation
+    (the fair part is machine closed in the LTS); and every fair computation
+    must conform to p.  The witness is the least shortest finite behavior
+    that breaks one of the first two, or a violating fair lasso.
     """
     # every state accepts, so as a Buchi automaton the LTS recognizes the
     # limit of its language (Konig's lemma)
@@ -113,7 +116,12 @@ def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Ve
     same = Verdict(*language_equal(impl_prefixes, system_prefixes))
     if not same:
         return same
-    violating = accepting_lasso(product(impl.as_buchi(), p.complement))
+    # the fair computations lie inside the LTS, so no product is needed
+    fair = impl.as_buchi()
+    closed = Verdict(*language_subset(impl_prefixes, prefix_automaton(fair)))
+    if not closed:
+        return closed
+    violating = accepting_lasso(product(fair, p.complement))
     return Verdict(violating is None, violating)
 
 

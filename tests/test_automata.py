@@ -824,6 +824,33 @@ class TestLassoMembership:
                 x = gen.random_lasso(rng, b.alphabet)
                 assert lasso_membership(x, b) == oracles.buchi_accepts_lasso(b, x)
 
+    def test_foreign_letters_raise(self):
+        inf_a = infinitely_many_a()
+        with pytest.raises(AlphabetMismatchError):
+            lasso_membership(LassoWord(("c",), ("a",)), inf_a)
+        with pytest.raises(AlphabetMismatchError):
+            lasso_membership(LassoWord(("a",), ("a", "c")), inf_a)
+
+    def test_builds_no_product(self, rng, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(automata, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("product", "is_empty"):
+            monkeypatch.setattr(automata, name, counted(name))
+        for _ in range(20):
+            b = gen.random_buchi(rng, gen.letters(2), max_states=5)
+            x = gen.random_lasso(rng, b.alphabet)
+            assert lasso_membership(x, b) == oracles.buchi_accepts_lasso(b, x)
+        assert calls == []
+
     def test_single_lasso_automaton(self, rng):
         for _ in range(20):
             x = gen.random_lasso(rng, gen.letters(2))

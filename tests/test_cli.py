@@ -257,6 +257,17 @@ class TestOtherVerdicts:
         assert code == 0
         assert report_of(capsys)["verdict"]["holds"] is True
 
+    def test_verify_impl_rejects_an_unmarked_implementation(self, tmp_path, capsys):
+        assert run(["synthesize", "--system", FIG2, "--formula", "G F result"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        unmarked = tmp_path / "unmarked.aut"
+        unmarked.write_text(
+            "".join("accepting:\n" if ln.startswith("accepting:") else ln for ln in lines)
+        )
+        argv = ["--impl", str(unmarked), "--system", FIG2, "--formula", "G F result"]
+        assert run(["verify-impl", *argv]) == 1
+        assert report_of(capsys)["verdict"]["witness"] == {"word": []}
+
     def test_verify_impl_rejects_a_naive_marking(self, tmp_path, capsys):
         naive = tmp_path / "naive.aut"
         base = parse_automaton(Path(FIG2).read_text())

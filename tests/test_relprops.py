@@ -11,6 +11,7 @@ from faircheck.automata import (
     InvariantError,
     LassoWord,
     accepting_lasso,
+    accepts,
     canonicalize,
     cantor_distance,
     is_empty,
@@ -243,12 +244,36 @@ class TestMachineClosed:
         assert not v.holds
         assert v.witness == ("b",)
 
-    def test_rejects_non_sublanguage(self):
+    def test_holds_without_containment(self):
+        # machine closure reads pref(S) against pref(S & L): L may be larger
         a_only = BuchiAutomaton(
             AB, 1, frozenset({0}), frozenset({0}), frozenset({(0, "a", 0)})
         )
-        with pytest.raises(ValueError):
-            is_machine_closed(a_only, sigma_omega(AB))
+        assert is_machine_closed(a_only, sigma_omega(AB)).holds
+
+    def test_is_relative_liveness_of_the_positive_automaton(self, rng):
+        # the paper's identity, on systems the positive automaton need not lie in
+        outside = 0
+        for _ in range(150):
+            system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
+            p = prop(gen_formula_text(rng))
+            v = is_machine_closed(system, p.positive)
+            assert v == is_relative_liveness(system, p)
+            assert v.holds == oracles.brute_rl(system, p.positive)
+            # a closed system contains L exactly when it contains L's prefixes
+            outside += not language_subset(
+                prefix_automaton(p.positive), prefix_automaton(system)
+            )[0]
+        assert outside >= 30
+
+    def test_matches_the_definition_on_random_sublanguages(self, rng):
+        for _ in range(100):
+            system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
+            sub = gen.random_buchi(rng, AB, max_states=4)
+            v = is_machine_closed(system, sub)
+            assert v.holds == oracles.brute_rl(system, sub)
+            if not v.holds:
+                assert accepts(prefix_automaton(system), v.witness)
 
     def test_matches_relative_liveness_on_conforming_restriction(self, rng):
         hits = 0

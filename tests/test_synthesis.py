@@ -139,6 +139,22 @@ class TestVerify:
         assert isinstance(verdict.witness, tuple)
         assert "b" in verdict.witness
 
+    def test_behavior_without_a_fair_continuation_fails(self):
+        # after b the run sits in state 1 for good, and no mark lies ahead
+        lts = FinAutomaton(
+            AB, 2, {0}, {0, 1}, {(0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)}
+        )
+        verdict = verify_fair_impl(FairLts(lts, frozenset({0})), sigma_star(AB), prop("G F a"))
+        assert not verdict
+        assert verdict.witness == ("b",)
+
+    def test_no_marks_leave_no_fair_continuation(self):
+        p = prop(DOUBLE_A)
+        impl = synthesize_fair_impl(sigma_star(AB), p)
+        verdict = verify_fair_impl(FairLts(impl.underlying, frozenset()), sigma_star(AB), p)
+        assert not verdict
+        assert verdict.witness == ()
+
     def test_alphabet_mismatch_is_rejected(self):
         impl = FairLts(sigma_star(AB), frozenset({0}))
         with pytest.raises(AlphabetMismatchError):
