@@ -20,6 +20,12 @@ One Tarjan pass, ``_sccs``, gives the two state sets every Buchi liveness
 question needs: core states (accepting states on a cycle), where witnesses
 are anchored, and live states (those that reach a core state).
 
+Every finitary language compare is one inclusion search, ``_pair_search``,
+a breadth-first walk over pairs of subset states whose first bad pair gives
+the least shortest word of the difference; equality runs it both ways.
+``accepted_lassos`` lists every accepted lasso up to a length, in one fixed
+order; ``accepting_lasso`` finds one small witness.
+
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
 it, and automata are immutable, so a marked automaton stays canonical.
@@ -61,13 +67,15 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
-        syms = tuple(sorted(self.symbols))
+        letters = tuple(self.symbols)
+        # checked before sorting, since letters of mixed types do not compare
+        if not all(isinstance(s, str) and s for s in letters):
+            raise ValueError("alphabet letters must be non-empty strings")
+        syms = tuple(sorted(letters))
         if not syms:
             raise ValueError("alphabet must not be empty")
         seen: set[str] = set()
         for s in syms:
-            if not isinstance(s, str) or not s:
-                raise ValueError("alphabet letters must be non-empty strings")
             if s == EPS_TOKEN:
                 raise ValueError("'eps' is reserved and cannot be an alphabet letter")
             if s in seen:
@@ -367,14 +375,6 @@ def _explore(moves, starts):
     return order, rows
 
 
-def _bfs_tree(moves, starts) -> dict:
-    """The whole breadth-first tree of ``_bfs``: every node reachable from the starts."""
-    tree: dict = {}
-    for _ in _bfs(moves, starts, tree):
-        pass
-    return tree
-
-
 def _path_from(tree: dict, node) -> tuple[str, ...]:
     """The letters on the tree path from its start to ``node``."""
     word: list[str] = []
@@ -516,39 +516,45 @@ def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
 def language_subset(
     a: FinAutomaton, b: FinAutomaton
 ) -> tuple[bool, tuple[str, ...] | None]:
-    """Is L(a) a subset of L(b)?  On failure also return a shortest witness word.
+    """Is L(a) a subset of L(b)?  On failure also return the least shortest witness.
 
-    Breadth-first search over pairs of on-the-fly subset states; letters are
-    explored in sorted order, so the witness is the least shortest one.
+    Breadth-first search over pairs of on-the-fly subset states, following
+    a's letters in sorted order: pairs are discovered in shortlex order of
+    their least words, so the first pair that a accepts and b does not gives
+    the least shortest word of L(a) - L(b).
     """
     _check_same_alphabet(a, b)
-    return _pair_search(a, b, subset_only=True)
+    return _pair_search(a, b)
 
 
 def language_equal(
     a: FinAutomaton, b: FinAutomaton
 ) -> tuple[bool, tuple[str, ...] | None]:
-    """Language equality with a shortest distinguishing word on failure."""
+    """Language equality; on failure the least shortest word of the symmetric difference.
+
+    Two inclusion searches, one each way: the shortlex-lesser of their
+    witnesses is the least shortest word on either side of the difference.
+    """
     _check_same_alphabet(a, b)
-    return _pair_search(a, b, subset_only=False)
+    witnesses = [w for _, w in (_pair_search(a, b), _pair_search(b, a)) if w is not None]
+    if not witnesses:
+        return True, None
+    return False, min(witnesses, key=lambda w: (len(w), w))
 
 
-def _pair_search(a, b, subset_only: bool):
+def _pair_search(a, b):
     if a == b:  # equal automata (fields and kind): equal languages, nothing to search
         return True, None
 
     def moves(pair):
-        post_a, post_b = _post(a, pair[0]), _post(b, pair[1])
-        # for inclusion only a's letters matter: a pair without an a-state is never bad
-        letters = post_a if subset_only else sorted(post_a.keys() | post_b.keys())
-        for s in letters:
-            yield s, (post_a.get(s, 0), post_b.get(s, 0))
+        # only a's letters matter: a pair without an a-state is never bad
+        post_b = _post(b, pair[1])
+        for s, after in _post(a, pair[0]).items():
+            yield s, (after, post_b.get(s, 0))
 
     tree: dict = {}
     for pair in _bfs(moves, [(a._initial_mask, b._initial_mask)], tree):
-        acc_a = bool(pair[0] & a._accepting_mask)
-        acc_b = bool(pair[1] & b._accepting_mask)
-        if (acc_a and not acc_b) if subset_only else (acc_a != acc_b):
+        if pair[0] & a._accepting_mask and not pair[1] & b._accepting_mask:
             return False, _path_from(tree, pair)
     return True, None
 
@@ -905,31 +911,30 @@ def lasso_membership(x: LassoWord, b: BuchiAutomaton) -> bool:
     return _accepts_periodic(b, _run(b, x.stem), x.cycle, ())
 
 
-def sample_accepted_lassos(b: BuchiAutomaton, max_count: int = 8) -> list[LassoWord]:
-    """A small deterministic sample of accepted lassos.
+def accepted_lassos(b: BuchiAutomaton, max_len: int) -> list[LassoWord]:
+    """Every accepted lasso with stem plus cycle at most ``max_len`` letters.
 
-    One lasso per (accepting cycle anchor, first cycle letter), so cycles
-    through different branches of an anchor all appear.
+    Only normal forms are listed (each ultimately periodic word once),
+    ordered by total length, then stem length, then letters.  The walk
+    extends only words on which some run from an initial state survives.
     """
-    out: list[LassoWord] = []
-    seen: set[LassoWord] = set()
-    moves = b._succ.__getitem__
-    stems = _bfs_tree(moves, sorted(b.initial))
-    for f in sorted(_sccs(b._succ, b.accepting)[0] & stems.keys()):
-        stem = _path_from(stems, f)
-        cycles = []
-        for sym, v in b._succ[f]:
-            back: dict = {}
-            if any(u == f for u in _bfs(moves, [v], back)):
-                cycles.append((sym,) + _path_from(back, f))
-        for cyc in sorted(cycles, key=lambda c: (len(c), c)):
-            x = LassoWord(stem, cyc).normalize()
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-            if len(out) >= max_count:
-                return out
-    return out
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    found: list[LassoWord] = []
+
+    def extend(word: tuple[str, ...], mask: int) -> None:
+        for split in range(len(word)):
+            stem, cycle = word[:split], word[split:]
+            if _is_normal_form(stem, cycle) and lasso_membership(x := LassoWord(stem, cycle), b):
+                found.append(x)
+        if len(word) == max_len:
+            return
+        for sym, nxt in _post(b, mask).items():
+            extend(word + (sym,), nxt)
+
+    extend((), b._initial_mask)
+    found.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
+    return found
 
 
 def cantor_distance(x: LassoWord, y: LassoWord) -> Fraction:

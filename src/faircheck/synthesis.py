@@ -19,12 +19,10 @@ from .automata import (
     BuchiAutomaton,
     FinAutomaton,
     LassoWord,
-    _is_normal_form,
-    _post,
+    accepted_lassos,
     accepting_lasso,
     language_equal,
     language_subset,
-    lasso_membership,
     limit,
     prefix_automaton,
     product,
@@ -128,26 +126,7 @@ def verify_fair_impl(impl: FairLts, system: FinAutomaton, p: PropertySpec) -> Ve
 def enumerate_fair_lassos(impl: FairLts, max_len: int) -> list[LassoWord]:
     """All fair lassos with stem plus cycle at most max_len letters.
 
-    Only canonical representatives are reported (each ultimately periodic
-    word once), ordered by total length, then stem length, then letters.
+    These are the ``accepted_lassos`` of ``impl.as_buchi()``: normal forms
+    only, ordered by total length, then stem length, then letters.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    fair = impl.as_buchi()
-    aut = impl.underlying
-    found: list[LassoWord] = []
-
-    def extend(word: tuple[str, ...], mask: int) -> None:
-        for split in range(len(word)):
-            stem, cycle = word[:split], word[split:]
-            if _is_normal_form(stem, cycle) and lasso_membership(x := LassoWord(stem, cycle), fair):
-                found.append(x)
-        if len(word) == max_len:
-            return
-        for sym, nxt in _post(aut, mask).items():
-            extend(word + (sym,), nxt)
-
-    if aut.initial:
-        extend((), aut._initial_mask)
-    found.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
-    return found
+    return accepted_lassos(impl.as_buchi(), max_len)

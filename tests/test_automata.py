@@ -19,6 +19,7 @@ from faircheck.automata import (
     InvariantError,
     LassoWord,
     NotPrefixClosedError,
+    accepted_lassos,
     accepting_lasso,
     accepts,
     canonicalize,
@@ -35,7 +36,6 @@ from faircheck.automata import (
     product,
     product_fin,
     reduce_buchi,
-    sample_accepted_lassos,
 )
 
 AB = Alphabet(("a", "b"))
@@ -86,6 +86,12 @@ class TestAlphabet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Alphabet(())
+
+    def test_non_string_among_strings_rejected(self):
+        # letters of mixed types do not sort, so each is checked first
+        for symbols in (("a", 1), (1, "a"), ("a", None), (b"a", "b"), ("a", "")):
+            with pytest.raises(ValueError, match="non-empty strings"):
+                Alphabet(symbols)
 
 
 class TestLassoWord:
@@ -306,24 +312,29 @@ class TestLanguageComparisons:
             a = gen.random_fin(rng, gen.letters(2), max_states=4)
             b = gen.random_fin(rng, gen.letters(2), max_states=4)
             ok, w = language_equal(a, b)
-            if ok:
-                for v in oracles.enumerate_words(a.alphabet, 6):
-                    assert oracles.nfa_accepts(a, v) == oracles.nfa_accepts(b, v)
-            else:
-                assert oracles.nfa_accepts(a, w) != oracles.nfa_accepts(b, w)
-                for v in oracles.enumerate_words(a.alphabet, len(w) - 1):
-                    assert oracles.nfa_accepts(a, v) == oracles.nfa_accepts(b, v)
+            # words come length first, then lex: the first that differs is
+            # the least shortest word of the symmetric difference
+            differing = (
+                v
+                for v in oracles.enumerate_words(a.alphabet, 6 if ok else len(w))
+                if oracles.nfa_accepts(a, v) != oracles.nfa_accepts(b, v)
+            )
+            assert next(differing, None) == w
+            assert ok == (w is None)
 
     def test_subset_witnesses(self, rng):
         for _ in range(60):
             a = gen.random_fin(rng, gen.letters(2), max_states=4)
             b = gen.random_fin(rng, gen.letters(2), max_states=4)
             ok, w = language_subset(a, b)
-            if ok:
-                for v in oracles.enumerate_words(a.alphabet, 6):
-                    assert not oracles.nfa_accepts(a, v) or oracles.nfa_accepts(b, v)
-            else:
-                assert oracles.nfa_accepts(a, w) and not oracles.nfa_accepts(b, w)
+            # the least shortest word of L(a) - L(b), by the same order
+            outside = (
+                v
+                for v in oracles.enumerate_words(a.alphabet, 6 if ok else len(w))
+                if oracles.nfa_accepts(a, v) and not oracles.nfa_accepts(b, v)
+            )
+            assert next(outside, None) == w
+            assert ok == (w is None)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
@@ -509,7 +520,7 @@ class TestLimitAndPrefix:
         for _ in range(20):
             a = gen.random_fin(rng, gen.letters(2), max_states=5, all_accepting=True)
             lim = limit(a)
-            for x in sample_accepted_lassos(lim):
+            for x in accepted_lassos(lim, 5)[:8]:
                 for k in range(6):
                     w = tuple(x.letter_at(i) for i in range(k))
                     assert oracles.nfa_accepts(a, w)
@@ -610,7 +621,8 @@ class TestEmptinessAndWitness:
         # reference: one cycle search per reachable anchor, least key wins
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
-            stems = automata._bfs_tree(b._succ.__getitem__, sorted(b.initial))
+            stems: dict = {}
+            list(automata._bfs(b._succ.__getitem__, sorted(b.initial), stems))
             keys = []
             for f in sorted(set(b.accepting) & set(stems)):
                 cyc = automata._shortest_cycle(b._succ, f)
@@ -703,7 +715,8 @@ class TestGraphSearch:
             a = _random_graph(rng)
             k = min(a.n_states, rng.randint(1, 2))
             starts = sorted(rng.sample(range(a.n_states), k))
-            tree = automata._bfs_tree(a._succ.__getitem__, starts)
+            tree: dict = {}
+            list(automata._bfs(a._succ.__getitem__, starts, tree))
             lengths = oracles.shortest_word_lengths(a, starts)
             assert tree.keys() == lengths.keys()
             for q in tree:
@@ -850,6 +863,19 @@ class TestLassoMembership:
             x = gen.random_lasso(rng, b.alphabet)
             assert lasso_membership(x, b) == oracles.buchi_accepts_lasso(b, x)
         assert calls == []
+
+    def test_accepted_lassos_lists_every_accepted_normal_form_in_order(self, rng):
+        for _ in range(120):
+            b = gen.random_buchi(rng, gen.letters(rng.randint(2, 3)), max_states=4)
+            expected = [
+                x
+                for word in oracles.enumerate_words(b.alphabet, 4)
+                for x in (LassoWord(word[:k], word[k:]) for k in range(len(word)))
+                if x.normalize() == x and oracles.buchi_accepts_lasso(b, x)
+            ]
+            # total length, then stem length, then letters
+            expected.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
+            assert accepted_lassos(b, 4) == expected
 
     def test_single_lasso_automaton(self, rng):
         for _ in range(20):

@@ -592,6 +592,13 @@ class TestRoundTrip:
             assert code == 0
             assert report_of(capsys)["verdict"]["holds"] is True
 
+    def test_readme_library_block_runs(self, monkeypatch):
+        # the block reads fixtures/fig2.aut, so it runs from the repository root
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(ROOT)
+        exec(compile(block, "README.md", "exec"), {})
+
 
 # Outputs on the fixtures, byte for byte apart from elapsed_ms.  Paths are
 # relative to the repository root, where the test runs them.

@@ -1,10 +1,13 @@
-"""Source hygiene: every module-level private name in the package is used, and
-the package imports nothing outside the standard library."""
+"""Source hygiene: every module-level private name in the package is used,
+every exported name is bound, and the package imports nothing outside the
+standard library."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import faircheck
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "faircheck"
 
@@ -52,3 +55,10 @@ def test_package_imports_only_the_standard_library():
                 f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed
             ]
     assert foreign == []
+
+
+def test_every_exported_name_is_bound_and_listed_once():
+    # a deleted function must not linger in the export list
+    names = faircheck.__all__
+    assert [n for n in names if not hasattr(faircheck, n)] == []
+    assert len(names) == len(set(names))
