@@ -54,12 +54,7 @@ from .abstraction import (
     is_weakly_continuation_closed,
     preserve_check,
 )
-from .synthesis import (
-    FairLts,
-    PreconditionFailedError,
-    synthesize_fair_impl,
-    verify_fair_impl,
-)
+from .synthesis import PreconditionFailedError, synthesize_fair_impl, verify_fair_impl
 from .formats import (
     format_automaton,
     parse_automaton,
@@ -156,7 +151,7 @@ def _safety_class(args, inputs):
         alphabet = _letters(args.alphabet)
     else:
         alphabet = inputs.automaton(args.system).alphabet
-    safe = is_safety_property(_spec(args.formula, alphabet), alphabet)
+    safe = is_safety_property(_spec(args.formula, alphabet))
     reported = {"formula": args.formula, "alphabet": " ".join(alphabet.symbols)}
     return reported, {"is_safety": safe}, safe
 
@@ -205,7 +200,7 @@ def _xtd(args, inputs):
 def _synthesize(args, inputs):
     system = inputs.finitary(args.system)
     impl = synthesize_fair_impl(system, _spec(args.formula, system.alphabet))
-    return format_automaton(impl.as_buchi())
+    return format_automaton(impl)
 
 
 def _verify_impl(args, inputs):
@@ -215,9 +210,8 @@ def _verify_impl(args, inputs):
             f"{args.impl}: an implementation file must be 'acceptance: buchi' "
             "with the fairness marks as accepting states"
         )
-    impl = FairLts(marked._recast(FinAutomaton, accepting=marked.states), marked.accepting)
     system = inputs.finitary(args.system)
-    verdict = verify_fair_impl(impl, system, _spec(args.formula, system.alphabet))
+    verdict = verify_fair_impl(marked, system, _spec(args.formula, system.alphabet))
     reported = {"impl": args.impl, "system": args.system, "formula": args.formula}
     return reported, _verdict_json(verdict), verdict.holds
 

@@ -544,20 +544,10 @@ class Labeling:
     def _map(self) -> dict[str, frozenset[str]]:
         return dict(self.entries)
 
-    def domain(self) -> tuple[str, ...]:
-        return tuple(sym for sym, _ in self.entries)
-
-    def _with_entry(self, symbol: str, props: frozenset[str]) -> "Labeling":
-        rest = tuple((s, p) for s, p in self.entries if s != symbol)
-        return Labeling(rest + ((symbol, props),))
-
     def eps_extension(self) -> "Labeling":
         """Padding letter # counts as an invisible step."""
-        return self._with_entry(HASH_TOKEN, frozenset({EPS_TOKEN}))
-
-    def hash_extension(self) -> "Labeling":
-        """Padding letter # names itself."""
-        return self._with_entry(HASH_TOKEN, frozenset({HASH_TOKEN}))
+        rest = tuple((s, p) for s, p in self.entries if s != HASH_TOKEN)
+        return Labeling(rest + ((HASH_TOKEN, frozenset({EPS_TOKEN})),))
 
 
 def evaluate_lasso(x: LassoWord, labeling: Labeling, f: Formula) -> bool:

@@ -101,14 +101,6 @@ class PropertySpec:
         return spec
 
 
-def _check_alphabet(system: BuchiAutomaton, p: PropertySpec) -> None:
-    if system.alphabet != p.alphabet:
-        raise AlphabetMismatchError(
-            "system and property disagree on the alphabet: "
-            f"{system.alphabet.symbols} vs {p.alphabet.symbols}"
-        )
-
-
 def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     """Does the system satisfy the property within fairness?
 
@@ -117,7 +109,6 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     system with the property's positive automaton.  The witness on failure
     is the least shortest system prefix with no conforming continuation.
     """
-    _check_alphabet(system, p)
     return is_machine_closed(system, p.positive)
 
 
@@ -137,7 +128,6 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     prefixes actually conforms.  The witness on failure is such a limit
     computation outside the property.
     """
-    _check_alphabet(system, p)
     good_prefixes = prefix_automaton(product(system, p.positive))
     boundary = limit(good_prefixes)
     bad = product(product(system, boundary), p.complement)
@@ -147,7 +137,6 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
 
 def satisfies(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     """Plain satisfaction: every system computation conforms."""
-    _check_alphabet(system, p)
     x = accepting_lasso(product(system, p.complement))
     return Verdict(x is None, x)
 
@@ -162,16 +151,11 @@ def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
     return _relative_liveness(system, prefix_automaton(product(system, sub)))
 
 
-def is_safety_property(p: PropertySpec, alphabet: Alphabet) -> bool:
+def is_safety_property(p: PropertySpec) -> bool:
     """Is the property closed under limits of its own prefixes?
 
     The safety closure lim(pref(L)) is the trimmed positive automaton with
     every state accepting (Konig's lemma), so no determinization is needed.
     """
-    if alphabet != p.alphabet:
-        raise AlphabetMismatchError(
-            "property alphabet mismatch: "
-            f"{alphabet.symbols} vs {p.alphabet.symbols}"
-        )
     closure = prefix_automaton(p.positive)._recast(BuchiAutomaton)
     return is_empty(product(closure, p.complement))

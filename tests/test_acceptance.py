@@ -59,7 +59,6 @@ from faircheck.abstraction import (
     preserve_check,
 )
 from faircheck.synthesis import (
-    FairLts,
     synthesize_fair_impl,
     verify_fair_impl,
 )
@@ -161,7 +160,7 @@ def test_criterion_3_safety_collapses_fairness(capsys):
             a = gen.random_fin(rng, alphabet, max_states=6, all_accepting=True)
             f = gen.random_pnf_formula(rng, alphabet.symbols, 3)
             p = PropertySpec.from_formula(f, alphabet)
-            if not is_safety_property(p, alphabet):
+            if not is_safety_property(p):
                 continue
             system = limit(canonicalize(a))
             assert (
@@ -332,7 +331,8 @@ def test_criterion_8_synthesis(capsys):
         ab = Alphabet(("a", "b"))
         shuffle = FinAutomaton(ab, 1, {0}, {0}, {(0, s, 0) for s in ab})
         p = PropertySpec.from_formula(parse_formula("F (a & X a)"), ab)
-        naive = verify_fair_impl(FairLts(shuffle, frozenset({0})), shuffle, p)
+        marked = BuchiAutomaton(ab, 1, {0}, {0}, {(0, s, 0) for s in ab})
+        naive = verify_fair_impl(marked, shuffle, p)
         assert not naive
         assert isinstance(naive.witness, LassoWord)
         assert not evaluate_lasso(

@@ -423,12 +423,10 @@ class TestLabeling:
     def test_canonical(self):
         lab = Labeling.canonical(AB)
         assert lab.props("a") == frozenset({"a"})
-        assert lab.domain() == ("a", "b")
 
     def test_extensions(self):
         lab = Labeling.canonical(AB)
         assert lab.eps_extension().props("#") == frozenset({"eps"})
-        assert lab.hash_extension().props("#") == frozenset({"#"})
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
+    FinAutomaton,
     InvariantError,
     LassoWord,
     accepted_lassos,
@@ -34,6 +35,7 @@ from faircheck.relprops import (
     satisfies,
     satisfies_within_fairness,
 )
+from faircheck.synthesis import synthesize_fair_impl, verify_fair_impl
 
 AB = Alphabet(("a", "b"))
 
@@ -288,19 +290,36 @@ class TestMachineClosed:
         assert hits >= 30
 
 
+# every check and the synthesis pair, on a 2-letter system and a 3-letter
+# property; the first product each one builds compares the alphabets
+MISMATCHED = {
+    "is_relative_liveness": lambda lts, p: is_relative_liveness(limit(lts), p),
+    "is_relative_safety": lambda lts, p: is_relative_safety(limit(lts), p),
+    "satisfies": lambda lts, p: satisfies(limit(lts), p),
+    "is_machine_closed": lambda lts, p: is_machine_closed(limit(lts), p.positive),
+    "synthesize_fair_impl": synthesize_fair_impl,
+    # the implementation has the system's behaviors and is machine closed,
+    # so the check reaches its product with the property
+    "verify_fair_impl": lambda lts, p: verify_fair_impl(sigma_omega(AB), lts, p),
+}
+
+
+@pytest.mark.parametrize("check", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_a_mismatched_alphabet_is_rejected(check):
+    sigma_star = FinAutomaton(AB, 1, {0}, {0}, {(0, c, 0) for c in AB})
+    with pytest.raises(AlphabetMismatchError):
+        check(sigma_star, prop("F a", gen.letters(3)))
+
+
 class TestSafetyClassification:
     def test_always_a_is_safety(self):
-        assert is_safety_property(prop("G a"), AB)
+        assert is_safety_property(prop("G a"))
 
     def test_eventually_a_is_not(self):
-        assert not is_safety_property(prop("F a"), AB)
+        assert not is_safety_property(prop("F a"))
 
     def test_no_doubled_a_is_safety(self):
-        assert is_safety_property(prop("G (a -> X (!a))"), AB)
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatchError):
-            is_safety_property(prop("G a"), gen.letters(3))
+        assert is_safety_property(prop("G (a -> X (!a))"))
 
     def test_agrees_with_the_determinized_closure(self, rng):
         # reference: the closure read off the canonical prefix automaton;
@@ -314,7 +333,7 @@ class TestSafetyClassification:
             p = PropertySpec.from_formula(f, alphabet)
             boundary = limit(prefix_automaton(p.positive))
             expected = accepting_lasso(product(boundary, p.complement)) is None
-            assert is_safety_property(p, alphabet) == expected, f
+            assert is_safety_property(p) == expected, f
             counts[expected] += 1
         assert min(counts.values()) >= 25
 
@@ -334,7 +353,7 @@ class TestTheorems:
         for _ in range(120):
             system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
             p = prop(gen_formula_text(rng))
-            if not is_safety_property(p, AB):
+            if not is_safety_property(p):
                 continue
             assert is_relative_liveness(system, p).holds == satisfies(system, p).holds
             hits += 1

@@ -1,27 +1,30 @@
 """Fair implementation synthesis: construction, verification, enumeration."""
 
+from pathlib import Path
+
 import pytest
 
 import gen
 from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
+    BuchiAutomaton,
     FinAutomaton,
     LassoWord,
+    accepted_lassos,
     accepting_lasso,
     canonicalize,
     language_equal,
-    lasso_membership,
     limit,
     prefix_automaton,
     product,
+    reduce_buchi,
 )
+from faircheck.formats import parse_automaton
 from faircheck.pltl import Labeling, evaluate_lasso, parse_formula
 from faircheck.relprops import PropertySpec, is_relative_liveness, satisfies
 from faircheck.synthesis import (
-    FairLts,
     PreconditionFailedError,
-    enumerate_fair_lassos,
     synthesize_fair_impl,
     verify_fair_impl,
 )
@@ -35,28 +38,16 @@ def sigma_star(alphabet: Alphabet) -> FinAutomaton:
     )
 
 
+def marked(lts: FinAutomaton | BuchiAutomaton, marks) -> BuchiAutomaton:
+    """The same transition structure, with the marks as accepting states."""
+    return BuchiAutomaton(lts.alphabet, lts.n_states, lts.initial, marks, lts.transitions)
+
+
 def prop(text: str, alphabet: Alphabet = AB) -> PropertySpec:
     return PropertySpec.from_formula(parse_formula(text), alphabet)
 
 
 DOUBLE_A = "F (a & X a)"
-
-
-class TestFairLts:
-    def test_marks_must_be_states(self):
-        with pytest.raises(ValueError):
-            FairLts(sigma_star(AB), frozenset({3}))
-
-    def test_underlying_must_accept_everywhere(self):
-        partial = FinAutomaton(AB, 2, {0}, {0}, {(0, "a", 1), (1, "b", 1)})
-        with pytest.raises(ValueError):
-            FairLts(partial, frozenset({0}))
-
-    def test_as_buchi_keeps_structure_and_swaps_acceptance(self):
-        impl = FairLts(sigma_star(AB), frozenset({0}))
-        fair = impl.as_buchi()
-        assert fair.transitions == impl.underlying.transitions
-        assert fair.accepting == frozenset({0})
 
 
 class TestSynthesize:
@@ -65,7 +56,7 @@ class TestSynthesize:
         # fairness: marking its single state does not help, while the
         # synthesized implementation makes every fair run conform
         p = prop(DOUBLE_A)
-        naive = FairLts(sigma_star(AB), frozenset({0}))
+        naive = marked(sigma_star(AB), {0})
         verdict = verify_fair_impl(naive, sigma_star(AB), p)
         assert not verdict
         assert isinstance(verdict.witness, LassoWord)
@@ -74,7 +65,7 @@ class TestSynthesize:
         )
 
         impl = synthesize_fair_impl(sigma_star(AB), p)
-        assert impl.underlying.n_states > 1
+        assert impl.n_states > 1
         assert verify_fair_impl(impl, sigma_star(AB), p)
 
     def test_releasing_server_synthesis(self):
@@ -82,8 +73,8 @@ class TestSynthesize:
         p = prop("G F result", sigma)
         impl = synthesize_fair_impl(gen.releasing_server(), p)
         assert verify_fair_impl(impl, gen.releasing_server(), p)
-        assert impl.fairness_marks
-        for x in enumerate_fair_lassos(impl, 6):
+        assert impl.accepting
+        for x in accepted_lassos(impl, 6):
             assert "result" in x.cycle
 
     def test_trivial_property_keeps_the_language(self):
@@ -95,7 +86,7 @@ class TestSynthesize:
         )
         impl = synthesize_fair_impl(sigma_star(AB), sigma_omega)
         ok, witness = language_equal(
-            prefix_automaton(limit(impl.underlying)), sigma_star(AB)
+            prefix_automaton(marked(impl, impl.states)), sigma_star(AB)
         )
         assert ok, witness
         assert verify_fair_impl(impl, sigma_star(AB), sigma_omega)
@@ -114,95 +105,77 @@ class TestSynthesize:
         dead = FinAutomaton(AB, 1, {0}, {0}, frozenset())
         p = prop("F a")
         impl = synthesize_fair_impl(dead, p)
-        assert impl.underlying.n_states == 0
+        assert impl.n_states == 0
         assert verify_fair_impl(impl, dead, p)
-        assert enumerate_fair_lassos(impl, 3) == []
+        assert accepted_lassos(impl, 3) == []
+
+    def test_implementation_is_the_reduced_conforming_product(self):
+        fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
+        p = prop("G F result", fig2.alphabet)
+        impl = synthesize_fair_impl(fig2, p)
+        assert impl == reduce_buchi(product(limit(fig2), p.positive))
 
 
 class TestVerify:
     def test_missing_behavior_fails_the_language_check(self):
         p = prop(DOUBLE_A)
         impl = synthesize_fair_impl(sigma_star(AB), p)
-        pruned = FinAutomaton(
-            impl.underlying.alphabet,
-            impl.underlying.n_states,
-            impl.underlying.initial,
-            impl.underlying.accepting,
-            frozenset(
-                t for t in impl.underlying.transitions if t[1] != "b"
-            ),
+        pruned = BuchiAutomaton(
+            impl.alphabet,
+            impl.n_states,
+            impl.initial,
+            impl.accepting,
+            frozenset(t for t in impl.transitions if t[1] != "b"),
         )
-        verdict = verify_fair_impl(
-            FairLts(pruned, impl.fairness_marks), sigma_star(AB), p
-        )
+        verdict = verify_fair_impl(pruned, sigma_star(AB), p)
         assert not verdict
         assert isinstance(verdict.witness, tuple)
         assert "b" in verdict.witness
 
     def test_behavior_without_a_fair_continuation_fails(self):
         # after b the run sits in state 1 for good, and no mark lies ahead
-        lts = FinAutomaton(
-            AB, 2, {0}, {0, 1}, {(0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)}
+        impl = BuchiAutomaton(
+            AB, 2, {0}, {0}, {(0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)}
         )
-        verdict = verify_fair_impl(FairLts(lts, frozenset({0})), sigma_star(AB), prop("G F a"))
+        verdict = verify_fair_impl(impl, sigma_star(AB), prop("G F a"))
         assert not verdict
         assert verdict.witness == ("b",)
 
     def test_no_marks_leave_no_fair_continuation(self):
         p = prop(DOUBLE_A)
         impl = synthesize_fair_impl(sigma_star(AB), p)
-        verdict = verify_fair_impl(FairLts(impl.underlying, frozenset()), sigma_star(AB), p)
+        verdict = verify_fair_impl(marked(impl, ()), sigma_star(AB), p)
         assert not verdict
         assert verdict.witness == ()
 
     def test_alphabet_mismatch_is_rejected(self):
-        impl = FairLts(sigma_star(AB), frozenset({0}))
+        impl = marked(sigma_star(AB), {0})
         with pytest.raises(AlphabetMismatchError):
             verify_fair_impl(impl, sigma_star(AB), prop("F a", Alphabet(("a",))))
 
 
 class TestEnumerate:
+    """The fair lassos of a marked implementation are its accepted lassos."""
+
     def test_single_loop(self):
-        a1 = Alphabet(("a",))
-        tiny = FairLts(
-            FinAutomaton(a1, 1, {0}, {0}, {(0, "a", 0)}), frozenset({0})
-        )
-        assert [x.as_text() for x in enumerate_fair_lassos(tiny, 2)] == [";a"]
+        tiny = BuchiAutomaton(Alphabet(("a",)), 1, {0}, {0}, {(0, "a", 0)})
+        assert [x.as_text() for x in accepted_lassos(tiny, 2)] == [";a"]
 
     def test_max_len_must_be_positive(self):
-        tiny = FairLts(sigma_star(AB), frozenset({0}))
         with pytest.raises(ValueError):
-            enumerate_fair_lassos(tiny, 0)
+            accepted_lassos(marked(sigma_star(AB), {0}), 0)
 
     def test_unfair_cycles_are_left_out(self):
         # mark only the a-loop; pure b cycles are possible but unfair
-        two = FinAutomaton(
-            AB, 2, {0}, {0, 1},
+        impl = BuchiAutomaton(
+            AB, 2, {0}, {0},
             {(0, "a", 0), (0, "b", 1), (1, "b", 1), (1, "a", 0)},
         )
-        impl = FairLts(two, frozenset({0}))
-        lassos = enumerate_fair_lassos(impl, 3)
+        lassos = accepted_lassos(impl, 3)
         texts = [x.as_text() for x in lassos]
         assert ";a" in texts
         assert ";b" not in texts
         assert all("a" in x.cycle for x in lassos)
-
-    def test_enumeration_is_deterministic_and_canonical(self, rng):
-        for _ in range(10):
-            alphabet = gen.letters(rng.randint(2, 3))
-            a = gen.random_fin(rng, alphabet, max_states=4, all_accepting=True)
-            a = canonicalize(a)
-            if a.n_states == 0:
-                continue
-            marks = frozenset(
-                q for q in range(a.n_states) if rng.random() < 0.6
-            )
-            impl = FairLts(a, marks)
-            first = enumerate_fair_lassos(impl, 4)
-            assert first == enumerate_fair_lassos(impl, 4)
-            assert all(x.normalize() == x for x in first)
-            fair = impl.as_buchi()
-            assert all(lasso_membership(x, fair) for x in first)
 
 
 class TestSynthesisInvariants:
@@ -219,16 +192,15 @@ class TestSynthesisInvariants:
                 continue
             built += 1
             impl = synthesize_fair_impl(a, p)
+            assert impl == reduce_buchi(product(limit(a), p.positive))
             assert verify_fair_impl(impl, a, p), (a, f)
             labeling = Labeling.canonical(alphabet)
-            for x in enumerate_fair_lassos(impl, 5):
+            for x in accepted_lassos(impl, 5):
                 assert evaluate_lasso(x, labeling, f), (a, f, x.as_text())
             if not satisfies(behavior, p):
                 # fairness must be doing real work: some unfair run of the
                 # very same structure violates the property
-                bad = accepting_lasso(
-                    product(limit(impl.underlying), p.complement)
-                )
+                bad = accepting_lasso(product(marked(impl, impl.states), p.complement))
                 assert bad is not None, (a, f)
                 assert not evaluate_lasso(bad, labeling, f)
                 fairness_working += 1
