@@ -8,187 +8,23 @@ homomorphisms with the weak-continuation-closure check and the
 preservation pipeline (:mod:`faircheck.abstraction`), synthesis of fair
 finite-state implementations (:mod:`faircheck.synthesis`), and the text
 formats plus command line front end (:mod:`faircheck.formats`,
-:mod:`faircheck.cli`).  Everything commonly needed is re-exported here.
+:mod:`faircheck.cli`).  Each of the first six declares its public names in
+its ``__all__``, and this package re-exports all six lists.
 """
 
-from faircheck.automata import (
-    EPS_TOKEN,
-    HASH_TOKEN,
-    Alphabet,
-    AlphabetMismatchError,
-    BuchiAutomaton,
-    FinAutomaton,
-    InvariantError,
-    LassoWord,
-    NotPrefixClosedError,
-    accepted_lassos,
-    accepting_lasso,
-    accepts,
-    canonicalize,
-    cantor_distance,
-    is_empty,
-    is_prefix_closed,
-    language_equal,
-    language_subset,
-    lasso_automaton,
-    lasso_membership,
-    left_quotient,
-    limit,
-    prefix_automaton,
-    product,
-    product_fin,
-    reduce_buchi,
-)
-from faircheck.pltl import (
-    EPS,
-    TRUE,
-    Always,
-    And,
-    Atom,
-    Before,
-    Eventually,
-    FormulaSyntaxError,
-    Iff,
-    Implies,
-    Labeling,
-    Next,
-    Not,
-    NotNormalFormError,
-    Or,
-    TrueFormula,
-    Until,
-    atoms_of,
-    check_normal_form,
-    evaluate_lasso,
-    format_formula,
-    parse_formula,
-    substitute_atom,
-    to_buchi,
-    to_positive_normal_form,
-    transform,
-)
-from faircheck.relprops import (
-    PropertySpec,
-    Verdict,
-    is_machine_closed,
-    is_relative_liveness,
-    is_relative_safety,
-    is_safety_property,
-    satisfies,
-    satisfies_within_fairness,
-)
-from faircheck.abstraction import (
-    UNDEFINED,
-    Homomorphism,
-    PreserveReport,
-    Undefined,
-    WccReport,
-    abstract_behavior,
-    apply_hom_lasso,
-    compute_xtd,
-    image_automaton,
-    inverse_image_automaton,
-    is_weakly_continuation_closed,
-    preserve_check,
-    within_fairness_finitary,
-)
-from faircheck.synthesis import (
-    PreconditionFailedError,
-    synthesize_fair_impl,
-    verify_fair_impl,
-)
-from faircheck.formats import (
-    AutFormatError,
-    HomFormatError,
-    format_automaton,
-    format_homomorphism,
-    parse_automaton,
-    parse_homomorphism,
-)
+from faircheck.automata import *
+from faircheck.pltl import *
+from faircheck.relprops import *
+from faircheck.abstraction import *
+from faircheck.synthesis import *
+from faircheck.formats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS",
-    "EPS_TOKEN",
-    "HASH_TOKEN",
-    "TRUE",
-    "UNDEFINED",
-    "Alphabet",
-    "AlphabetMismatchError",
-    "Always",
-    "And",
-    "Atom",
-    "AutFormatError",
-    "Before",
-    "BuchiAutomaton",
-    "Eventually",
-    "FinAutomaton",
-    "FormulaSyntaxError",
-    "HomFormatError",
-    "Homomorphism",
-    "Iff",
-    "Implies",
-    "InvariantError",
-    "Labeling",
-    "LassoWord",
-    "Next",
-    "Not",
-    "NotNormalFormError",
-    "NotPrefixClosedError",
-    "Or",
-    "PreconditionFailedError",
-    "PreserveReport",
-    "PropertySpec",
-    "TrueFormula",
-    "Undefined",
-    "Until",
-    "Verdict",
-    "WccReport",
-    "abstract_behavior",
-    "accepted_lassos",
-    "accepting_lasso",
-    "accepts",
-    "apply_hom_lasso",
-    "atoms_of",
-    "canonicalize",
-    "cantor_distance",
-    "check_normal_form",
-    "compute_xtd",
-    "evaluate_lasso",
-    "format_automaton",
-    "format_formula",
-    "format_homomorphism",
-    "image_automaton",
-    "inverse_image_automaton",
-    "is_empty",
-    "is_machine_closed",
-    "is_prefix_closed",
-    "is_relative_liveness",
-    "is_relative_safety",
-    "is_safety_property",
-    "is_weakly_continuation_closed",
-    "language_equal",
-    "language_subset",
-    "lasso_automaton",
-    "lasso_membership",
-    "left_quotient",
-    "limit",
-    "parse_automaton",
-    "parse_formula",
-    "parse_homomorphism",
-    "prefix_automaton",
-    "preserve_check",
-    "product",
-    "product_fin",
-    "reduce_buchi",
-    "satisfies",
-    "satisfies_within_fairness",
-    "substitute_atom",
-    "synthesize_fair_impl",
-    "to_buchi",
-    "to_positive_normal_form",
-    "transform",
-    "verify_fair_impl",
-    "within_fairness_finitary",
-]
+__all__: list[str] = []
+__all__ += automata.__all__
+__all__ += pltl.__all__
+__all__ += relprops.__all__
+__all__ += abstraction.__all__
+__all__ += synthesis.__all__
+__all__ += formats.__all__

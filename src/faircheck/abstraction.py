@@ -50,6 +50,22 @@ from .pltl import (
 )
 from .relprops import PropertySpec, Verdict, is_relative_liveness
 
+__all__ = [
+    "UNDEFINED",
+    "Homomorphism",
+    "PreserveReport",
+    "Undefined",
+    "WccReport",
+    "abstract_behavior",
+    "apply_hom_lasso",
+    "compute_xtd",
+    "image_automaton",
+    "inverse_image_automaton",
+    "is_weakly_continuation_closed",
+    "preserve_check",
+    "within_fairness_finitary",
+]
+
 
 class Undefined:
     """Marker for erased omega-word images.

@@ -40,6 +40,35 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable
 
+__all__ = [
+    "EPS_TOKEN",
+    "HASH_TOKEN",
+    "Alphabet",
+    "AlphabetMismatchError",
+    "BuchiAutomaton",
+    "FinAutomaton",
+    "InvariantError",
+    "LassoWord",
+    "NotPrefixClosedError",
+    "accepted_lassos",
+    "accepting_lasso",
+    "accepts",
+    "canonicalize",
+    "cantor_distance",
+    "is_empty",
+    "is_prefix_closed",
+    "language_equal",
+    "language_subset",
+    "lasso_automaton",
+    "lasso_membership",
+    "left_quotient",
+    "limit",
+    "prefix_automaton",
+    "product",
+    "product_fin",
+    "reduce_buchi",
+]
+
 EPS_TOKEN = "eps"
 HASH_TOKEN = "#"
 
@@ -71,13 +100,13 @@ class Alphabet:
         # checked before sorting, since letters of mixed types do not compare
         if not all(isinstance(s, str) and s for s in letters):
             raise ValueError("alphabet letters must be non-empty strings")
+        if EPS_TOKEN in letters:  # reported before any repeated letter
+            raise ValueError("'eps' is reserved and cannot be an alphabet letter")
         syms = tuple(sorted(letters))
         if not syms:
             raise ValueError("alphabet must not be empty")
         seen: set[str] = set()
         for s in syms:
-            if s == EPS_TOKEN:
-                raise ValueError("'eps' is reserved and cannot be an alphabet letter")
             if s in seen:
                 raise ValueError(f"duplicate letter {s!r}")
             seen.add(s)

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from .automata import (
+    EPS_TOKEN,
     Alphabet,
     BuchiAutomaton,
     FinAutomaton,
@@ -29,7 +30,6 @@ from .automata import (
     limit,
 )
 from .pltl import (
-    EPS_TOKEN,
     atoms_of,
     evaluate_lasso,
     format_formula,

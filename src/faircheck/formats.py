@@ -24,9 +24,8 @@ back to the same object.
 
 from __future__ import annotations
 
-from .automata import HASH_TOKEN, Alphabet, BuchiAutomaton, FinAutomaton
+from .automata import EPS_TOKEN, HASH_TOKEN, Alphabet, BuchiAutomaton, FinAutomaton
 from .abstraction import Homomorphism
-from .pltl import EPS_TOKEN
 
 __all__ = [
     "AutFormatError",
@@ -74,7 +73,7 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
     index: dict[str, int] = {}
     initial: set[int] | None = None
     accepting: set[int] | None = None
-    transitions: set[tuple[int, str, int]] = set()
+    rows: list[set[tuple[str, int]]] = []
     seen: set[str] = set()
     last_line = 0
 
@@ -98,26 +97,21 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
             src, sym, dst = fields
             if alphabet is None:
                 raise AutFormatError(line_no, "alphabet: must come before trans:")
-            if sym not in letters:
+            if sym not in alphabet:
                 raise AutFormatError(line_no, f"letter {sym!r} not in the alphabet")
             p, q = index.get(src), index.get(dst)
             if p is None or q is None:
                 p, q = resolve(src, line_no), resolve(dst, line_no)
-            transitions.add((p, sym, q))
+            rows[p].add((sym, q))
             continue
         if key in seen:
             raise AutFormatError(line_no, f"duplicate {key}: line")
         if key == "alphabet":
             seen.add(key)
-            if EPS_TOKEN in fields:
-                raise AutFormatError(
-                    line_no, "'eps' is reserved and cannot be an alphabet letter"
-                )
             try:
                 alphabet = Alphabet(tuple(fields))
             except ValueError as exc:
                 raise AutFormatError(line_no, str(exc)) from None
-            letters = set(fields)
         elif key == "acceptance":
             seen.add(key)
             if fields != ["buchi"]:
@@ -129,6 +123,7 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
                 raise AutFormatError(line_no, "duplicate state name")
             names = fields
             index = {name: i for i, name in enumerate(names)}
+            rows = [set() for _ in names]
         elif key == "initial":
             seen.add(key)
             initial = {resolve(tok, line_no) for tok in fields}
@@ -150,7 +145,7 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
             raise AutFormatError(missing_at, "buchi automata need an accepting: line")
         accepting = set(range(len(names)))
     cls = BuchiAutomaton if acceptance_buchi else FinAutomaton
-    return cls(alphabet, len(names), initial, accepting, transitions)
+    return cls._from_rows(alphabet, len(names), initial, accepting, map(sorted, rows))
 
 
 def format_automaton(a: FinAutomaton | BuchiAutomaton) -> str:

@@ -24,6 +24,35 @@ from .automata import (
     reduce_buchi,
 )
 
+__all__ = [
+    "EPS",
+    "TRUE",
+    "Always",
+    "And",
+    "Atom",
+    "Before",
+    "Eventually",
+    "FormulaSyntaxError",
+    "Iff",
+    "Implies",
+    "Labeling",
+    "Next",
+    "Not",
+    "NotNormalFormError",
+    "Or",
+    "TrueFormula",
+    "Until",
+    "atoms_of",
+    "check_normal_form",
+    "evaluate_lasso",
+    "format_formula",
+    "parse_formula",
+    "substitute_atom",
+    "to_buchi",
+    "to_positive_normal_form",
+    "transform",
+]
+
 
 class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):

@@ -15,7 +15,6 @@ from .automata import (
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
-    FinAutomaton,
     InvariantError,
     LassoWord,
     accepting_lasso,
@@ -26,6 +25,17 @@ from .automata import (
     product,
 )
 from .pltl import Formula, Labeling, to_buchi
+
+__all__ = [
+    "PropertySpec",
+    "Verdict",
+    "is_machine_closed",
+    "is_relative_liveness",
+    "is_relative_safety",
+    "is_safety_property",
+    "satisfies",
+    "satisfies_within_fairness",
+]
 
 
 @dataclass(frozen=True)
@@ -112,12 +122,6 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     return is_machine_closed(system, p.positive)
 
 
-def _relative_liveness(system: BuchiAutomaton, good_prefixes: FinAutomaton) -> Verdict:
-    # good_prefixes: the prefixes of the system's conforming computations, so
-    # contained in the system's prefixes, and equality is the other inclusion
-    return Verdict(*language_subset(prefix_automaton(system), good_prefixes))
-
-
 satisfies_within_fairness = is_relative_liveness
 
 
@@ -148,7 +152,9 @@ def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
     exactly; L need not lie inside S.  The witness on failure is the least
     shortest system prefix with no continuation in S & L.
     """
-    return _relative_liveness(system, prefix_automaton(product(system, sub)))
+    # pref(S & L) lies inside pref(S), so equality is the other inclusion
+    good_prefixes = prefix_automaton(product(system, sub))
+    return Verdict(*language_subset(prefix_automaton(system), good_prefixes))
 
 
 def is_safety_property(p: PropertySpec) -> bool:

@@ -25,7 +25,7 @@ from .automata import (
     product,
     reduce_buchi,
 )
-from .relprops import PropertySpec, Verdict, _relative_liveness
+from .relprops import PropertySpec, Verdict
 
 __all__ = [
     "PreconditionFailedError",
@@ -53,9 +53,12 @@ def synthesize_fair_impl(system: FinAutomaton, p: PropertySpec) -> BuchiAutomato
     """
     behavior = limit(system)
     impl = reduce_buchi(product(behavior, p.positive))
-    # every state of the reduced product starts a conforming computation, so
-    # with all states accepting it recognizes exactly their prefixes
-    verdict = _relative_liveness(behavior, impl._recast(FinAutomaton, accepting=impl.states))
+    # every state of the reduced product starts a conforming computation, so with
+    # all states accepting it recognizes exactly their prefixes (prefix_automaton
+    # would return the same rows after one more Tarjan pass); they lie inside the
+    # system's prefixes, so equality is the other inclusion
+    conforming = impl._recast(FinAutomaton, accepting=impl.states)
+    verdict = Verdict(*language_subset(prefix_automaton(behavior), conforming))
     if not verdict:
         raise PreconditionFailedError(
             "the system does not satisfy the property within fairness; "
@@ -77,6 +80,9 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     must conform to p.  The witness is the least shortest finite behavior
     that breaks one of the first two, or a violating fair lasso.
     """
+    # built first, so a property over another alphabet is rejected before any
+    # obligation is decided
+    fair_product = product(impl, p.complement)
     # with every state accepting, the Buchi reading recognizes the limit of
     # the transition system's language (Konig's lemma)
     impl_prefixes = prefix_automaton(impl._recast(BuchiAutomaton, accepting=impl.states))
@@ -88,5 +94,5 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     closed = Verdict(*language_subset(impl_prefixes, prefix_automaton(impl)))
     if not closed:
         return closed
-    violating = accepting_lasso(product(impl, p.complement))
+    violating = accepting_lasso(fair_product)
     return Verdict(violating is None, violating)

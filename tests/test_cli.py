@@ -32,7 +32,7 @@ from faircheck.automata import (
 from faircheck.abstraction import Homomorphism, abstract_behavior
 from faircheck import cli, formats, relprops
 from faircheck.cli import run
-from faircheck.formats import format_automaton, parse_automaton
+from faircheck.formats import AutFormatError, format_automaton, parse_automaton
 from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
 from faircheck.synthesis import PreconditionFailedError
 
@@ -387,6 +387,23 @@ class TestErrors:
         path.write_text("alphabet: a eps\nstates: s0\ninitial: s0\n")
         assert run(["check", "rl", "--system", str(path), "--formula", "G a"]) == 2
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alphabet: b eps b\n", "line 1: 'eps' is reserved and cannot be an alphabet letter"),
+            ("alphabet: b a b\n", "line 1: duplicate letter 'b'"),
+            ("alphabet:\n", "line 1: alphabet must not be empty"),
+            ("alphabet: a\nstates: s0\ntrans: s0 b s0\n", "line 3: letter 'b' not in the alphabet"),
+            ("alphabet: a\ntrans: s0 a s0\n", "line 2: states: must come before this line"),
+            ("states: s0\ntrans: s0 a s0\n", "line 2: alphabet: must come before trans:"),
+            ("alphabet: a\nstates: s0\ntrans: s0 a s1\n", "line 3: unknown state name 's1'"),
+        ],
+    )
+    def test_automaton_errors_name_the_first_fault(self, text, message):
+        with pytest.raises(AutFormatError) as info:
+            parse_automaton(text)
+        assert str(info.value) == message
 
     def test_wcc_requires_a_finitary_system(self, tmp_path, capsys):
         path = tmp_path / "b.aut"

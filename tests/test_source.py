@@ -1,6 +1,6 @@
 """Source hygiene: every module-level private name in the package is used,
-every exported name is bound, and the package imports nothing outside the
-standard library."""
+every exported name is bound and declared once, next to its definition, and
+the package imports nothing outside the standard library."""
 
 import ast
 import re
@@ -62,3 +62,45 @@ def test_every_exported_name_is_bound_and_listed_once():
     names = faircheck.__all__
     assert [n for n in names if not hasattr(faircheck, n)] == []
     assert len(names) == len(set(names))
+
+
+MODULES = ("automata", "pltl", "relprops", "abstraction", "synthesis", "formats")
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_each_public_name_is_declared_next_to_its_definition():
+    # a module's __all__ names only what the module itself defines, and the
+    # package exports exactly the six lists
+    exported = []
+    for module in MODULES:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        listed = getattr(faircheck, module).__all__
+        assert sorted(set(listed) - _top_level_names(tree)) == [], module
+        exported += listed
+    assert sorted(faircheck.__all__) == sorted(exported)
+
+
+def test_only_the_automata_kernel_shares_private_names():
+    # a private helper that another layer needs belongs in the kernel
+    borrowed = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("faircheck."))
+        and (node.module or "").rpartition(".")[2] != "automata"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []

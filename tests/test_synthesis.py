@@ -153,6 +153,12 @@ class TestVerify:
         with pytest.raises(AlphabetMismatchError):
             verify_fair_impl(impl, sigma_star(AB), prop("F a", Alphabet(("a",))))
 
+    def test_property_over_another_alphabet_is_rejected_before_any_obligation(self):
+        # the language obligation alone would fail with the witness ('b',)
+        impl = marked(FinAutomaton(AB, 1, {0}, {0}, {(0, "a", 0)}), {0})
+        with pytest.raises(AlphabetMismatchError):
+            verify_fair_impl(impl, sigma_star(AB), prop("G F a", Alphabet(("a", "b", "c"))))
+
 
 class TestEnumerate:
     """The fair lassos of a marked implementation are its accepted lassos."""
