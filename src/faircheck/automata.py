@@ -16,9 +16,14 @@ one move lookup: per state, each letter it moves on mapped to its target
 mask.  Every subset walk reads it through ``_post``, which lists only the
 letters a state set moves on.
 
-One Tarjan pass, ``_sccs``, gives the two state sets every Buchi liveness
-question needs: core states (accepting states on a cycle), where witnesses
-are anchored, and live states (those that reach a core state).
+One Tarjan pass, ``_sccs``, gives the two state sets every liveness question
+needs when a run must visit each of a list of state sets infinitely often
+(generalized Buchi; Buchi is the one-set case): core states (states of the
+first set in a fair component, one with a cycle meeting every set), where
+witnesses are anchored, and live states (those that reach a core state).
+So the emptiness and live prefixes of an intersection are decided on the
+plain pair product (``_pair_prefixes``); ``product`` builds the
+phase-counter form only where a witness or a printed automaton reads it.
 
 Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states whose first bad pair gives
@@ -597,10 +602,13 @@ def left_quotient(a: FinAutomaton, word: Iterable[str]) -> FinAutomaton:
     return canonicalize(c._recast(FinAutomaton, initial=_bit_indices(mask)))
 
 
-def _sccs(succ, accepting) -> tuple[set[int], set[int]]:
-    """The core states (accepting, in an SCC with a cycle) and the live states
-    (with a path to a core state) of the successor rows ``succ``.
+def _sccs(succ, sets) -> tuple[set[int], set[int]]:
+    """The core and live states of the successor rows ``succ`` under the
+    acceptance sets ``sets``, a tuple of state sets.
 
+    A component is fair when it has a cycle and meets every set.  Core
+    states are the states of fair components that lie in the first set
+    (with no set, all of them); live states have a path to a core state.
     One iterative pass of Tarjan's algorithm: components close in reverse
     topological order, so a closing component is live exactly when it holds
     a core state or has an edge to a live state.
@@ -637,7 +645,9 @@ def _sccs(succ, accepting) -> tuple[set[int], set[int]]:
                     comp = stack[at:]
                     del stack[at:]
                     if len(comp) > 1 or any(v == u for _, v in succ[u]):
-                        core.update(q for q in comp if q in accepting)
+                        anchors = [q for q in comp if q in sets[0]] if sets else comp
+                        if anchors and all(any(q in s for q in comp) for s in sets[1:]):
+                            core.update(anchors)
                     out = (v for w in comp for _, v in succ[w])
                     if not core.isdisjoint(comp) or not live.isdisjoint(out):
                         live.update(comp)
@@ -649,6 +659,21 @@ def _sccs(succ, accepting) -> tuple[set[int], set[int]]:
     return core, live
 
 
+def _live_part(cls, alphabet, succ, initial, accepting, live):
+    """The ``live`` states of the rows ``succ`` as a ``cls``, compacted in order."""
+    if not live:
+        return cls.empty(alphabet)
+    kept = sorted(live)
+    number = {q: i for i, q in enumerate(kept)}
+    return cls._from_rows(
+        alphabet,
+        len(kept),
+        [number[q] for q in initial if q in live],
+        [number[q] for q in accepting if q in live],
+        [[(s, number[t]) for s, t in succ[q] if t in live] for q in kept],
+    )
+
+
 def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     """Drop every state from which no omega-word can be accepted.
 
@@ -656,21 +681,10 @@ def reduce_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
     are compacted in increasing order, so a reduced automaton comes back
     identical.
     """
-    keep = _sccs(b._succ, b.accepting)[1]
+    keep = _sccs(b._succ, (b.accepting,))[1]
     if len(keep) == b.n_states:
         return b
-    if not keep:
-        return BuchiAutomaton.empty(b.alphabet)
-    kept = sorted(keep)
-    number = {q: i for i, q in enumerate(kept)}
-    return BuchiAutomaton._from_rows(
-        b.alphabet,
-        len(kept),
-        [number[q] for q in b.initial if q in keep],
-        [number[q] for q in b.accepting if q in keep],
-        # renumbering keeps the order, so the rows stay sorted
-        [[(s, number[t]) for s, t in b._succ[q] if t in keep] for q in kept],
-    )
+    return _live_part(BuchiAutomaton, b.alphabet, b._succ, b.initial, b.accepting, keep)
 
 
 def prefix_automaton(b: BuchiAutomaton) -> FinAutomaton:
@@ -741,12 +755,34 @@ def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
     return FinAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
 
 
+def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
+    """The prefixes of L(a) & L(b), decided on the plain pair product.
+
+    Each operand that does not accept in every state contributes its
+    accepting set to the acceptance list of the (p, q) pairs; the live
+    pairs, all accepting, recognize the prefixes.  Every pair is reachable,
+    so the intersection is empty exactly when the result has no state.  Its
+    language, not its shape, is that of ``prefix_automaton(product(a, b))``.
+    """
+    order, n_starts, rows = _product_pairs(a, b, lambda *_: 0)
+    sets = tuple(
+        {i for i, pair in enumerate(order) if pair[k] in g.accepting}
+        for k, g in enumerate((a, b))
+        if len(g.accepting) < g.n_states
+    )
+    live = _sccs(rows, sets)[1]
+    return _live_part(FinAutomaton, a.alphabet, rows, range(n_starts), live, live)
+
+
 def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Intersection of omega-languages via the two-phase counter construction.
 
     Phase 0 hunts an accepting state of ``a``, phase 1 one of ``b``; the
     product accepts when phase-1 states whose second component is accepting
     recur forever, which forces both components to accept infinitely often.
+    This is the witness-shaped form: lassos and printed automata read its
+    states.  Emptiness and live prefixes alone are decided on the smaller
+    pair product, by ``_pair_prefixes``.
     """
 
     def next_phase(p: int, q: int, phase: int) -> int:
@@ -874,7 +910,7 @@ def _denotation_minimal_lasso(
 
 
 def _accepting_lasso_from(b: BuchiAutomaton) -> LassoWord | None:
-    core = _sccs(b._succ, b.accepting)[0]
+    core = _sccs(b._succ, (b.accepting,))[0]
     if not core:
         return None
     # every anchor is on a cycle, so the key below is decided by stem length
@@ -918,7 +954,7 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
 
 def is_empty(b: BuchiAutomaton) -> bool:
     """Exactly when no initial state is live in the one Tarjan pass ``_sccs``."""
-    return not (_sccs(b._succ, b.accepting)[1] & b.initial)
+    return not (_sccs(b._succ, (b.accepting,))[1] & b.initial)
 
 
 def lasso_automaton(x: LassoWord, alphabet: Alphabet) -> BuchiAutomaton:

@@ -17,8 +17,8 @@ from .automata import (
     BuchiAutomaton,
     InvariantError,
     LassoWord,
+    _pair_prefixes,
     accepting_lasso,
-    is_empty,
     language_subset,
     limit,
     prefix_automaton,
@@ -97,14 +97,15 @@ class PropertySpec:
     ) -> "PropertySpec":
         """Package a pre-built pair after checking that the two are disjoint.
 
-        Disjointness is decided exactly, by emptiness of the product; a
-        shared computation raises ValueError naming the smallest shared
-        lasso.  Coverage (every computation accepted by one of the two) is
-        not checked: it would need a complement construction.
+        Disjointness is decided exactly, by emptiness of the pair product;
+        only when they share a computation is the witness-shaped ``product``
+        built, and ValueError names its smallest accepted lasso.  Coverage
+        (every computation accepted by one of the two) is not checked: it
+        would need a complement construction.
         """
         spec = cls(positive, complement)
-        shared = accepting_lasso(product(positive, complement))
-        if shared is not None:
+        if _pair_prefixes(positive, complement).n_states:
+            shared = accepting_lasso(product(positive, complement))
             raise ValueError(
                 f"automata are not complementary: both accept {shared.as_text()}"
             )
@@ -132,7 +133,7 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     prefixes actually conforms.  The witness on failure is such a limit
     computation outside the property.
     """
-    good_prefixes = prefix_automaton(product(system, p.positive))
+    good_prefixes = _pair_prefixes(system, p.positive)
     boundary = limit(good_prefixes)
     bad = product(product(system, boundary), p.complement)
     x = accepting_lasso(bad)
@@ -153,7 +154,7 @@ def is_machine_closed(system: BuchiAutomaton, sub: BuchiAutomaton) -> Verdict:
     shortest system prefix with no continuation in S & L.
     """
     # pref(S & L) lies inside pref(S), so equality is the other inclusion
-    good_prefixes = prefix_automaton(product(system, sub))
+    good_prefixes = _pair_prefixes(system, sub)
     return Verdict(*language_subset(prefix_automaton(system), good_prefixes))
 
 
@@ -164,4 +165,4 @@ def is_safety_property(p: PropertySpec) -> bool:
     every state accepting (Konig's lemma), so no determinization is needed.
     """
     closure = prefix_automaton(p.positive)._recast(BuchiAutomaton)
-    return is_empty(product(closure, p.complement))
+    return not _pair_prefixes(closure, p.complement).n_states

@@ -17,6 +17,7 @@ import json
 from .automata import (
     BuchiAutomaton,
     FinAutomaton,
+    _pair_prefixes,
     accepting_lasso,
     language_equal,
     language_subset,
@@ -77,12 +78,14 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     the system's behaviors (compared on the prefixes of both limits); every
     one of those behaviors must extend to a fair computation (impl is
     machine closed in the transition system); and every fair computation
-    must conform to p.  The witness is the least shortest finite behavior
-    that breaks one of the first two, or a violating fair lasso.
+    must conform to p, which holds exactly when the pair product of impl
+    and p's complement is empty.  The witness is the least shortest finite
+    behavior that breaks one of the first two, or a violating fair lasso of
+    the witness-shaped ``product``, built only when the last one fails.
     """
-    # built first, so a property over another alphabet is rejected before any
-    # obligation is decided
-    fair_product = product(impl, p.complement)
+    # decided first, so a property over another alphabet is rejected before
+    # any obligation is reported
+    conforms = not _pair_prefixes(impl, p.complement).n_states
     # with every state accepting, the Buchi reading recognizes the limit of
     # the transition system's language (Konig's lemma)
     impl_prefixes = prefix_automaton(impl._recast(BuchiAutomaton, accepting=impl.states))
@@ -94,5 +97,6 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     closed = Verdict(*language_subset(impl_prefixes, prefix_automaton(impl)))
     if not closed:
         return closed
-    violating = accepting_lasso(fair_product)
-    return Verdict(violating is None, violating)
+    if conforms:
+        return Verdict(True)
+    return Verdict(False, accepting_lasso(product(impl, p.complement)))

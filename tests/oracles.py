@@ -259,6 +259,21 @@ def _backward_closure(targets, edges, nodes):
     return reach & set(nodes)
 
 
+def core_and_live_states(nodes, edges, sets):
+    """Core and live nodes when a run must visit every set in ``sets`` infinitely often.
+
+    A component is fair when it has a cycle and meets every set; its nodes
+    in the first set (all of them, with no set) are core, and a node is live
+    when some fair component is reachable from it.
+    """
+    fair = set()
+    for c in _sccs(nodes, edges):
+        if (len(c) > 1 or any(q in edges.get(q, ()) for q in c)) and all(c & set(s) for s in sets):
+            fair |= c
+    core = fair & set(sets[0]) if sets else fair
+    return core, _backward_closure(fair, edges, nodes)
+
+
 def _live_states(b):
     """States of a Buchi automaton from which some accepting run exists."""
     succ = _raw_succ(b.transitions)
@@ -266,11 +281,7 @@ def _live_states(b):
     edges = {
         p: {q for (pp, s), qs in succ.items() if pp == p for q in qs} for p in nodes
     }
-    cyclic_accepting = set()
-    for c in _sccs(nodes, edges):
-        if len(c) > 1 or any(q in edges.get(q, ()) for q in c):
-            cyclic_accepting |= c & set(b.accepting)
-    return _backward_closure(cyclic_accepting, edges, nodes)
+    return core_and_live_states(nodes, edges, (b.accepting,))[1]
 
 
 def brute_rl(system, positive) -> bool:

@@ -644,8 +644,8 @@ class TestWitnessSearch:
                 if len(comp) > 1 or any(q in succ[q] for q in comp):
                     expected |= comp
             # with every state accepting, the core states are the cyclic ones
-            assert automata._sccs(b._succ, range(n))[0] == expected
-            core, live = automata._sccs(b._succ, b.accepting)
+            assert automata._sccs(b._succ, (range(n),))[0] == expected
+            core, live = automata._sccs(b._succ, (b.accepting,))
             assert core == expected & accepting
             assert live == oracles._live_states(b)
             assert is_empty(b) == (not live & b.initial)
@@ -655,11 +655,11 @@ class TestWitnessSearch:
         n = 100_000
         everything = set(range(n))
         ring = [(("a", (q + 1) % n),) for q in range(n)]
-        assert automata._sccs(ring, everything) == (everything, everything)
+        assert automata._sccs(ring, (everything,)) == (everything, everything)
         # only the last state is on a cycle: liveness has to flow back along
         # the whole chain
         chain = [(("a", q + 1),) for q in range(n - 1)] + [(("a", n - 1),)]
-        assert automata._sccs(chain, everything) == ({n - 1}, everything)
+        assert automata._sccs(chain, (everything,)) == ({n - 1}, everything)
 
     def test_periodic_acceptance_against_the_oracle(self, rng):
         outcomes = []
@@ -689,6 +689,45 @@ class TestWitnessSearch:
                 expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
                 assert automata._denotation_minimal_lasso(b, baseline, budget) == expected
         assert improved >= 5
+
+
+class TestSetListAcceptance:
+    """Acceptance by a list of sets, each visited infinitely often, and the
+    pair product decided with it."""
+
+    def test_sccs_against_the_oracle(self, rng):
+        live_by_count = [0, 0, 0]
+        for _ in range(300):
+            b = _random_unreachable_buchi(rng)
+            n = b.n_states
+            sets = tuple(
+                {q for q in range(n) if rng.random() < 0.5} for _ in range(rng.randint(0, 2))
+            )
+            edges = {p: {q for pp, _, q in b.transitions if pp == p} for p in range(n)}
+            core, live = automata._sccs(b._succ, sets)
+            assert (core, live) == oracles.core_and_live_states(range(n), edges, sets)
+            live_by_count[len(sets)] += bool(live)
+        assert min(live_by_count) >= 20
+
+    def test_pair_product_against_the_counter_product(self, rng):
+        outcomes = []
+        for i in range(240):
+            if rng.random() < 0.5:
+                a, b = (_nondeterministic(rng, gen.random_buchi, 4) for _ in range(2))
+            else:
+                a, b = (gen.random_buchi(rng, gen.letters(3), max_states=5) for _ in range(2))
+            closed = i % 4  # 0: neither operand closed, 1: a, 2: b, 3: both
+            if closed in (1, 3):
+                a = a._recast(BuchiAutomaton, accepting=a.states)
+            if closed in (2, 3):
+                b = b._recast(BuchiAutomaton, accepting=b.states)
+            counter = product(a, b)
+            prefixes = automata._pair_prefixes(a, b)
+            assert (prefixes.n_states == 0) == is_empty(counter)
+            assert language_equal(prefixes, prefix_automaton(counter))[0]
+            outcomes.append((closed, is_empty(counter)))
+        for closed in range(4):
+            assert (closed, True) in outcomes and (closed, False) in outcomes
 
 
 def _random_unreachable_buchi(rng) -> BuchiAutomaton:

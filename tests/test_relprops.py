@@ -1,9 +1,12 @@
 """Tests for the fairness-relative decision procedures."""
 
+from pathlib import Path
+
 import pytest
 
 import gen
 import oracles
+from faircheck import relprops, synthesis
 from faircheck.automata import (
     Alphabet,
     AlphabetMismatchError,
@@ -24,6 +27,7 @@ from faircheck.automata import (
     prefix_automaton,
     product,
 )
+from faircheck.formats import parse_automaton
 from faircheck.pltl import Labeling, parse_formula
 from faircheck.relprops import (
     PropertySpec,
@@ -309,6 +313,54 @@ def test_a_mismatched_alphabet_is_rejected(check):
     sigma_star = FinAutomaton(AB, 1, {0}, {0}, {(0, c, 0) for c in AB})
     with pytest.raises(AlphabetMismatchError):
         check(sigma_star, prop("F a", gen.letters(3)))
+
+
+class TestCounterProductOnlyForWitnesses:
+    """Emptiness and live prefixes are decided on the pair product: the
+    phase-counter ``product`` is built only where a witness reads its shape."""
+
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(relprops, "product", counted)
+        monkeypatch.setattr(synthesis, "product", counted)
+        return calls
+
+    def test_decisions_build_none(self, rng, monkeypatch):
+        fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
+        cases = [(fig2, prop(f, fig2.alphabet)) for f in ("G F result", "G (request -> F result)")]
+        for _ in range(40):
+            system = gen.random_fin(rng, AB, max_states=5, all_accepting=True)
+            cases.append((system, prop(gen_formula_text(rng))))
+        # built before counting: synthesis prints the counter product
+        impls = [
+            synthesize_fair_impl(system, p) if is_relative_liveness(limit(system), p) else None
+            for system, p in cases
+        ]
+        assert sum(impl is not None for impl in impls) >= 10
+        calls = self.count_products(monkeypatch)
+        for (system, p), impl in zip(cases, impls):
+            is_machine_closed(limit(system), p.positive)
+            is_safety_property(p)
+            PropertySpec.from_automata(p.positive, p.complement)
+            if impl is not None:
+                assert verify_fair_impl(impl, system, p)
+        assert calls == []
+
+    def test_witnesses_still_read_it(self, monkeypatch):
+        fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
+        p = prop("G F result", fig2.alphabet)
+        calls = self.count_products(monkeypatch)
+        assert not satisfies(limit(fig2), p)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="not complementary"):
+            PropertySpec.from_automata(p.positive, p.positive)
+        assert len(calls) == 2
 
 
 class TestSafetyClassification:
