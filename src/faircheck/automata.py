@@ -22,8 +22,9 @@ needs when a run must visit each of a list of state sets infinitely often
 first set in a fair component, one with a cycle meeting every set), where
 witnesses are anchored, and live states (those that reach a core state).
 So the emptiness and live prefixes of an intersection are decided on the
-plain pair product (``_pair_prefixes``); ``product`` builds the
-phase-counter form only where a witness or a printed automaton reads it.
+plain pair product (``_pair_prefixes``).  ``product`` builds the
+witness-shaped form, whose phase counts only over the operands that do not
+accept in every state: with one such operand it is the pair product too.
 
 Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states whose first bad pair gives
@@ -761,8 +762,9 @@ def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
     Each operand that does not accept in every state contributes its
     accepting set to the acceptance list of the (p, q) pairs; the live
     pairs, all accepting, recognize the prefixes.  Every pair is reachable,
-    so the intersection is empty exactly when the result has no state.  Its
-    language, not its shape, is that of ``prefix_automaton(product(a, b))``.
+    so the intersection is empty exactly when the result has no state.  It
+    recognizes the language of ``prefix_automaton(product(a, b))``; when an
+    operand accepts in every state, it is that automaton, shape and all.
     """
     order, n_starts, rows = _product_pairs(a, b, lambda *_: 0)
     sets = tuple(
@@ -775,25 +777,28 @@ def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
 
 
 def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
-    """Intersection of omega-languages via the two-phase counter construction.
+    """Intersection of omega-languages via the phase-counter construction.
 
-    Phase 0 hunts an accepting state of ``a``, phase 1 one of ``b``; the
-    product accepts when phase-1 states whose second component is accepting
-    recur forever, which forces both components to accept infinitely often.
-    This is the witness-shaped form: lassos and printed automata read its
-    states.  Emptiness and live prefixes alone are decided on the smaller
+    Only an operand that does not accept in every state (an open one) adds
+    a condition, so the phase counts over the open operands in order: it
+    advances to the next one's accepting set when the current one is met,
+    and the product accepts in the last phase where that operand accepts.
+    Two open operands give the two-phase counter, which forces both to
+    accept infinitely often; one keeps phase 0; with none, every pair
+    accepts.  This is the witness-shaped form: lassos and printed automata
+    read its states.  Emptiness and live prefixes alone are decided on the
     pair product, by ``_pair_prefixes``.
     """
+    sets = [(k, g.accepting) for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
+    sets = sets or [(0, a.accepting)]  # no open operand: a accepts everywhere
 
     def next_phase(p: int, q: int, phase: int) -> int:
-        if phase == 0:
-            return 1 if p in a.accepting else 0
-        return 0 if q in b.accepting else 1
+        k, acc = sets[phase]
+        return (phase + 1) % len(sets) if (p, q)[k] in acc else phase
 
     order, n_starts, rows = _product_pairs(a, b, next_phase)
-    accepting = [
-        i for i, (p, q, phase) in enumerate(order) if phase == 1 and q in b.accepting
-    ]
+    k, acc = sets[-1]
+    accepting = [i for i, t in enumerate(order) if t[2] == len(sets) - 1 and t[k] in acc]
     return BuchiAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
 
 

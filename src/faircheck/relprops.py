@@ -99,7 +99,8 @@ class PropertySpec:
 
         Disjointness is decided exactly, by emptiness of the pair product;
         only when they share a computation is the witness-shaped ``product``
-        built, and ValueError names its smallest accepted lasso.  Coverage
+        built (with its phase counter when neither accepts in every state),
+        and ValueError names its smallest accepted lasso.  Coverage
         (every computation accepted by one of the two) is not checked: it
         would need a complement construction.
         """

@@ -2,12 +2,13 @@
 
 A system that satisfies a property within fairness can be turned into one
 that satisfies it outright.  The implementation is a reduced Buchi automaton
-for the conforming computations: its transition structure is the new
-system, and its accepting states are the fairness marks.  The runs that
-visit a mark infinitely often are the fair computations, and every one of
-them conforms.  Because the system satisfied the property within fairness
-to begin with, reading every state as accepting loses no behaviors, so the
-marked structure is a faithful implementation.
+for the conforming computations: its states are (system state, property
+state) pairs, its transition structure is the new system, and its accepting
+states, the fairness marks, are the pairs whose property state accepts.
+The runs that visit a mark infinitely often are the fair computations, and
+every one of them conforms.  Because the system satisfied the property
+within fairness to begin with, reading every state as accepting loses no
+behaviors, so the marked structure is a faithful implementation.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     must conform to p, which holds exactly when the pair product of impl
     and p's complement is empty.  The witness is the least shortest finite
     behavior that breaks one of the first two, or a violating fair lasso of
-    the witness-shaped ``product``, built only when the last one fails.
+    the witness-shaped ``product``, built only when the last one fails
+    (with its phase counter, unless impl marks every state).
     """
     # decided first, so a property over another alphabet is rejected before
     # any obligation is reported

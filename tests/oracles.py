@@ -161,12 +161,17 @@ def reference_product(a, b, buchi: bool):
     States are (p, q, phase) triples, numbered in breadth-first discovery
     order: the initial pairs sorted, then, per state, letters in sorted
     order, p2 ascending, q2 ascending.  Without ``buchi`` the phase stays 0
-    and a state accepts when both components do.  With it, phase 0 waits
-    for an accepting state of ``a`` and phase 1 for one of ``b``, and the
-    accepting states are the phase-1 ones whose ``b`` component accepts.
-    Returns (n_states, initial, accepting, transitions).
+    and a state accepts when both components do.  With it, only the open
+    operands (those that do not accept in every state) have a condition.
+    With both open, phase 0 waits for an accepting state of ``a`` and phase
+    1 for one of ``b``, and the accepting states are the phase-1 ones whose
+    ``b`` component accepts.  With one open, the phase stays 0 and a state
+    accepts when that operand's component does; with none, every state
+    accepts.  Returns (n_states, initial, accepting, transitions).
     """
     sa, sb = _raw_succ(a.transitions), _raw_succ(b.transitions)
+    open_ = [k for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
+    counter = buchi and len(open_) == 2
     starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
     index = {t: i for i, t in enumerate(starts)}
     order = list(starts)
@@ -175,9 +180,9 @@ def reference_product(a, b, buchi: bool):
     while i < len(order):
         p, q, phase = order[i]
         nphase = 0
-        if buchi and phase == 0:
+        if counter and phase == 0:
             nphase = 1 if p in a.accepting else 0
-        elif buchi:
+        elif counter:
             nphase = 0 if q in b.accepting else 1
         for s in sorted(a.alphabet):
             for p2 in sorted(sa.get((p, s), ())):
@@ -188,8 +193,13 @@ def reference_product(a, b, buchi: bool):
                         order.append(t)
                     transitions.add((i, s, index[t]))
         i += 1
-    if buchi:
+    if counter:
         accepting = {i for i, (_, q, ph) in enumerate(order) if ph == 1 and q in b.accepting}
+    elif buchi and open_:
+        k = open_[0]
+        accepting = {i for i, t in enumerate(order) if t[k] in (a, b)[k].accepting}
+    elif buchi:
+        accepting = set(range(len(order)))
     else:
         accepting = {
             i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting

@@ -390,6 +390,20 @@ def _structure(a):
     return a.n_states, a.initial, a.accepting, a.transitions
 
 
+def _closed(g):
+    """g with every state accepting: its omega-language is closed."""
+    return g._recast(BuchiAutomaton, accepting=g.states)
+
+
+def _close_in_rotation(i, a, b):
+    """Operands with, by ``i % 4``, neither, the left, the right or both closed."""
+    return (_closed(a) if i % 4 in (1, 3) else a), (_closed(b) if i % 4 in (2, 3) else b)
+
+
+def _closed_class(a, b):
+    return len(a.accepting) == a.n_states, len(b.accepting) == b.n_states
+
+
 class TestProductStructure:
     """Both products number states exactly as the per-letter reference does."""
 
@@ -403,10 +417,14 @@ class TestProductStructure:
         assert nondeterministic >= 100
 
     def test_buchi_product_matches_reference(self, rng):
-        for _ in range(150):
-            a = _nondeterministic(rng, gen.random_buchi)
-            b = _nondeterministic(rng, gen.random_buchi)
+        classes = set()
+        for i in range(160):
+            a, b = _close_in_rotation(
+                i, _nondeterministic(rng, gen.random_buchi), _nondeterministic(rng, gen.random_buchi)
+            )
+            classes.add(_closed_class(a, b))
             assert _structure(product(a, b)) == oracles.reference_product(a, b, buchi=True)
+        assert len(classes) == 4
 
     def test_step_mask_matches_raw_transitions(self, rng):
         for _ in range(60):
@@ -533,14 +551,20 @@ class TestBuchiProduct:
         assert not lasso_membership(LassoWord((), ("a", "b")), p)
 
     def test_matches_componentwise_membership(self, rng):
-        for _ in range(40):
-            b1 = gen.random_buchi(rng, gen.letters(2), max_states=4)
-            b2 = gen.random_buchi(rng, gen.letters(2), max_states=4)
+        classes = set()
+        for i in range(48):
+            b1, b2 = _close_in_rotation(
+                i,
+                gen.random_buchi(rng, gen.letters(2), max_states=4),
+                gen.random_buchi(rng, gen.letters(2), max_states=4),
+            )
+            classes.add(_closed_class(b1, b2))
             p = product(b1, b2)
             for _ in range(8):
                 x = gen.random_lasso(rng, b1.alphabet)
                 both = oracles.buchi_accepts_lasso(b1, x) and oracles.buchi_accepts_lasso(b2, x)
                 assert oracles.buchi_accepts_lasso(p, x) == both
+        assert len(classes) == 4
 
 
 class TestEmptinessAndWitness:
@@ -717,14 +741,13 @@ class TestSetListAcceptance:
             else:
                 a, b = (gen.random_buchi(rng, gen.letters(3), max_states=5) for _ in range(2))
             closed = i % 4  # 0: neither operand closed, 1: a, 2: b, 3: both
-            if closed in (1, 3):
-                a = a._recast(BuchiAutomaton, accepting=a.states)
-            if closed in (2, 3):
-                b = b._recast(BuchiAutomaton, accepting=b.states)
+            a, b = _close_in_rotation(i, a, b)
             counter = product(a, b)
             prefixes = automata._pair_prefixes(a, b)
             assert (prefixes.n_states == 0) == is_empty(counter)
             assert language_equal(prefixes, prefix_automaton(counter))[0]
+            if closed:  # at most one open operand: the product is the pair product
+                assert prefixes == prefix_automaton(counter)
             outcomes.append((closed, is_empty(counter)))
         for closed in range(4):
             assert (closed, True) in outcomes and (closed, False) in outcomes

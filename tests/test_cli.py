@@ -1106,7 +1106,7 @@ trans: s1 result s0
         """\
 alphabet: free lock no reject request result
 acceptance: buchi
-states: s0 s1 s2 s3 s4 s5 s6 s7 s8
+states: s0 s1 s2 s3 s4 s5 s6
 initial: s0
 accepting: s5
 trans: s0 lock s1
@@ -1118,13 +1118,9 @@ trans: s2 result s5
 trans: s3 lock s1
 trans: s3 request s2
 trans: s4 no s6
-trans: s5 lock s7
-trans: s5 request s8
+trans: s5 lock s1
+trans: s5 request s2
 trans: s6 reject s1
-trans: s7 free s3
-trans: s7 request s4
-trans: s8 result s3
-trans: s8 result s5
 """,
     ),
     "synthesize fig2 G (request -> F result)": (
@@ -1132,39 +1128,26 @@ trans: s8 result s5
         """\
 alphabet: free lock no reject request result
 acceptance: buchi
-states: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 s12 s13
+states: s0 s1 s2 s3 s4 s5 s6 s7
 initial: s0
-accepting: s1 s9
+accepting: s1 s4
 trans: s0 lock s1
 trans: s0 lock s2
 trans: s0 request s3
 trans: s1 free s4
 trans: s1 free s5
 trans: s1 request s6
-trans: s2 free s7
-trans: s2 request s8
-trans: s3 result s7
-trans: s3 result s9
+trans: s2 free s5
+trans: s2 request s6
+trans: s3 result s4
+trans: s3 result s5
 trans: s4 lock s1
 trans: s4 lock s2
 trans: s4 request s3
 trans: s5 lock s2
 trans: s5 request s3
-trans: s6 no s10
-trans: s7 lock s2
-trans: s7 request s3
-trans: s8 no s10
-trans: s9 lock s11
-trans: s9 lock s12
-trans: s9 request s13
-trans: s10 reject s2
-trans: s11 free s7
-trans: s11 free s9
-trans: s11 request s8
-trans: s12 free s7
-trans: s12 request s8
-trans: s13 result s7
-trans: s13 result s9
+trans: s6 no s7
+trans: s7 reject s2
 """,
     ),
     "synthesize fig3 G F result": (
@@ -1186,7 +1169,7 @@ trans: s13 result s9
     "formula": "G F result"
   },
   "inputs": {
-    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85",
+    "impl.aut": "sha256:37834779fc225ac0ee2df3c98822713350f181441a892b0e5446cba7b6c03539",
     "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
   },
   "verdict": {
@@ -1208,7 +1191,7 @@ trans: s13 result s9
     "formula": "G (request -> F result)"
   },
   "inputs": {
-    "impl.aut": "sha256:9e6a2ddc7fe862c94d089319d847492b4f25f1bc575e971821ffc1fd7187493f",
+    "impl.aut": "sha256:1a32d6bcacca5479792bff551ff5812c2566350ebb106e9117b5b724f99f203e",
     "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b"
   },
   "verdict": {
@@ -1230,7 +1213,7 @@ trans: s13 result s9
     "formula": "G F result"
   },
   "inputs": {
-    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85",
+    "impl.aut": "sha256:37834779fc225ac0ee2df3c98822713350f181441a892b0e5446cba7b6c03539",
     "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
   },
   "verdict": {
@@ -1257,7 +1240,7 @@ trans: s13 result s9
     "formula": "G (request -> F result)"
   },
   "inputs": {
-    "impl.aut": "sha256:9e6a2ddc7fe862c94d089319d847492b4f25f1bc575e971821ffc1fd7187493f",
+    "impl.aut": "sha256:1a32d6bcacca5479792bff551ff5812c2566350ebb106e9117b5b724f99f203e",
     "fixtures/fig3.aut": "sha256:c8cd2b965d5fef6b2d934d7050289fda66e4bacfdbc0f22105f90a6aabccffef"
   },
   "verdict": {
@@ -1348,7 +1331,7 @@ PATH_GOLDENS = {
   },
   "inputs": {
     "fixtures/fig2.aut": "sha256:4fdf7f65c10a9842f3049a0b01332f6900db9e2fbde8195f7e88d8e9facbbd1b",
-    "impl.aut": "sha256:22196b40eb1b91fea7406a51d08bab93a33ec3d123e5a5723667eae8dd516c85"
+    "impl.aut": "sha256:37834779fc225ac0ee2df3c98822713350f181441a892b0e5446cba7b6c03539"
   },
   "verdict": {
     "holds": true,

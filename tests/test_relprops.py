@@ -182,6 +182,18 @@ def gen_formula_text(rng) -> str:
     return format_formula(gen.random_formula(rng, ("a", "b"), 3))
 
 
+def random_system(rng, i: int) -> BuchiAutomaton:
+    """For every third ``i`` a random Buchi automaton, whose language need not
+    be closed; otherwise the limit of a random prefix-closed language."""
+    if i % 3 == 2:
+        return gen.random_buchi(rng, AB, max_states=4, density=3.0)
+    return limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
+
+
+def is_closed_system(system: BuchiAutomaton) -> bool:
+    return len(system.accepting) == system.n_states
+
+
 class TestRelativeSafety:
     def test_full_property_is_relatively_safe(self):
         assert is_relative_safety(releasing_system(), prop("true", gen.SERVER_SIGMA)).holds
@@ -198,17 +210,22 @@ class TestRelativeSafety:
         assert is_relative_safety(system, prop("G a")).holds
 
     def test_witness_lasso_is_genuine(self, rng):
-        for _ in range(40):
-            system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
+        failed = {True: 0, False: 0}
+        for i in range(900):
+            if i >= 40 and min(failed.values()) >= 5:
+                break
+            system = random_system(rng, i)
             p = prop(gen_formula_text(rng))
             v = is_relative_safety(system, p)
             if v.holds:
                 continue
+            failed[is_closed_system(system)] += 1
             x = v.witness
             assert lasso_membership(x, system)
             assert lasso_membership(x, p.complement)
             good = limit(prefix_automaton(product(system, p.positive)))
             assert lasso_membership(x, good)
+        assert min(failed.values()) >= 5
 
 
 class TestSatisfies:
@@ -229,6 +246,20 @@ class TestSatisfies:
         looping = LassoWord(("lock",), ("request", "no", "reject"))
         assert lasso_membership(looping, system)
         assert lasso_membership(looping, p.complement)
+
+    def test_witness_lies_in_system_and_complement(self, rng):
+        failed = {True: 0, False: 0}
+        for i in range(90):
+            system = random_system(rng, i)
+            p = prop(gen_formula_text(rng))
+            v = satisfies(system, p)
+            if v.holds:
+                assert is_empty(product(system, p.complement))
+                continue
+            failed[is_closed_system(system)] += 1
+            assert lasso_membership(v.witness, system)
+            assert lasso_membership(v.witness, p.complement)
+        assert min(failed.values()) >= 5
 
     def test_empty_system_satisfies_everything(self):
         empty = BuchiAutomaton(AB, 0, frozenset(), frozenset(), frozenset())
@@ -392,13 +423,20 @@ class TestSafetyClassification:
 
 class TestTheorems:
     def test_satisfaction_splits_into_liveness_and_safety(self, rng):
-        for _ in range(80):
-            system = limit(canonicalize(gen.random_fin(rng, AB, all_accepting=True)))
+        # on closed and on other systems alike, each check fails alone somewhere
+        wanted = {(closed, rl, not rl) for closed in (True, False) for rl in (True, False)}
+        outcomes = set()
+        for i in range(900):
+            if i >= 80 and wanted <= outcomes:
+                break
+            system = random_system(rng, i)
             p = prop(gen_formula_text(rng))
             whole = satisfies(system, p).holds
             rl = is_relative_liveness(system, p).holds
             rs = is_relative_safety(system, p).holds
             assert whole == (rl and rs)
+            outcomes.add((is_closed_system(system), rl, rs))
+        assert wanted <= outcomes
 
     def test_safety_collapses_fair_satisfaction(self, rng):
         hits = 0
