@@ -34,7 +34,6 @@ from .automata import (
     _quotient,
     _subsets,
     canonicalize,
-    is_prefix_closed,
     limit,
     product,
     reduce_buchi,
@@ -273,10 +272,7 @@ def abstract_behavior(L: FinAutomaton, h: Homomorphism) -> BuchiAutomaton:
     to be prefix-closed.
     """
     _check_source(h, L)
-    if not is_prefix_closed(L):
-        raise NotPrefixClosedError(
-            "the abstract behavior is defined over prefix-closed languages"
-        )
+    _prefix_closed_canonical(L, "the abstract behavior is defined over")
     return limit(image_automaton(h, L))
 
 
@@ -425,11 +421,11 @@ def within_fairness_finitary(L: FinAutomaton, labeling: Labeling, f: Formula) ->
     limit loses no information about terminating computations; the padded
     limit is then checked for relative liveness against the formula.
     """
-    return _within_fairness(compute_xtd(L), labeling, f)
+    return _within_fairness(compute_xtd(L), labeling.eps_extension(), f)
 
 
 def _within_fairness(padded: FinAutomaton, labeling: Labeling, f: Formula) -> Verdict:
-    spec = PropertySpec.from_formula(f, padded.alphabet, labeling.eps_extension())
+    spec = PropertySpec.from_formula(f, padded.alphabet, labeling)
     return is_relative_liveness(limit(padded), spec)
 
 
@@ -469,15 +465,9 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
             + format_formula(f)
         )
     wcc, image = _wcc(h, A)
-    abstract = _within_fairness(_xtd(image, None), Labeling.canonical(h.target), f)
-
-    lifted = h.lift_hash()
-    padded = _xtd(A, h)
+    abstract = _within_fairness(_xtd(image, None), Labeling.canonical(h.target).eps_extension(), f)
     retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
-    concrete = is_relative_liveness(
-        limit(padded),
-        PropertySpec.from_formula(retransformed, padded.alphabet, lifted.labeling()),
-    )
+    concrete = _within_fairness(_xtd(A, h), h.lift_hash().labeling(), retransformed)
 
     note = None
     if not wcc.closed:

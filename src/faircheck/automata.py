@@ -863,31 +863,27 @@ def _denotation_minimal_lasso(
 ) -> LassoWord:
     """Least accepted lasso by (stem length, cycle length, stem, cycle) within bounds.
 
-    Stems run up to the baseline's length, one per reachable state set (the
-    least word reaching it).  Cycles run up to the baseline's length for
-    stems as long as the baseline's, and up to max(baseline cycle length, 8)
-    for shorter stems, so a shorter stem whose accepted cycles are all
-    longer than that is missed.  Cycles are grown one letter at a time from
-    the live cycles of the previous length, so a prefix on which every run
-    from the stem dies is never extended.  Each live cycle charges its
-    length to the budget, which bounds the work however long the cycles
-    get.  Each live cycle also carries the whole-cycle pass of every state
-    of its stem's set, grown by one letter with the cycle, and
-    ``_accepts_periodic`` decides a candidate from those passes.  Candidates
-    are normal forms only.  The baseline (always a valid witness) is
-    returned when nothing in the range is smaller or the budget runs out,
-    so the result is never worse than the baseline.
+    The range is stems up to the baseline's length, one per reachable state
+    set (the least word reaching it), and cycles up to max(baseline cycle
+    length, 8).  The first accepted normal form met is the answer.  The
+    baseline is an accepted normal form in the range, and nothing accepted
+    before it is skipped: moving to the least stem of the same state set
+    keeps a lasso accepted, and normalizing then only shortens the stem and
+    rotates the cycle.  So the search stops by the baseline; running off
+    the range is an ``InvariantError``.  Cycles grow one letter at a time
+    from the previous length's live cycles (those on which some run from
+    the stem survives), each charging its length to the budget; the
+    baseline is returned once the budget runs out.  Each live cycle carries
+    the whole-cycle pass of every state of its stem's set, from which
+    ``_accepts_periodic`` decides it.
     """
-    m_cap = len(baseline.stem)
-    p_base = len(baseline.cycle)
-    stems = _stems_by_subset(b, m_cap)
-    for m in range(m_cap + 1):
-        p_cap = p_base if m == m_cap else max(p_base, 8)
+    p_cap = max(len(baseline.cycle), 8)
+    for stems in _stems_by_subset(b, len(baseline.stem)):
         # per stem: the live cycles of the current length, in lex order, each
         # with the state set it leads to and the passes of the stem's states
-        live = [[((), mask, [(1 << q, 0) for q in _bit_indices(mask)])] for _, mask in stems[m]]
+        live = [[((), mask, [(1 << q, 0) for q in _bit_indices(mask)])] for _, mask in stems]
         for p in range(1, p_cap + 1):
-            for i, (stem, mask) in enumerate(stems[m]):
+            for i, (stem, mask) in enumerate(stems):
                 longer = []
                 for word, reached, passes in live[i]:
                     for s, after in _post(b, reached).items():
@@ -899,19 +895,10 @@ def _denotation_minimal_lasso(
                             return baseline
                         if not _is_normal_form(stem, cycle):
                             continue
-                        if stem == baseline.stem and cycle == baseline.cycle:
-                            return baseline  # accepted, and nothing smaller was
                         if _accepts_periodic(b, mask, cycle, grown):
-                            if (m, p, stem, cycle) < (
-                                m_cap,
-                                p_base,
-                                baseline.stem,
-                                baseline.cycle,
-                            ):
-                                return LassoWord(stem, cycle)
-                            return baseline
+                            return LassoWord(stem, cycle)
                 live[i] = longer
-    return baseline
+    raise InvariantError(f"no accepted lasso up to the witness {baseline.as_text()}")
 
 
 def _accepting_lasso_from(b: BuchiAutomaton) -> LassoWord | None:
@@ -941,15 +928,15 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
 
     A graph-level witness is found first: a shortest stem to a core state of
     the one Tarjan pass ``_sccs`` (with none, nothing is searched), then a
-    shortest cycle through it.  A bounded refinement then searches for a
-    smaller normalized form, which a run-level search alone can miss when
-    tracking states forces a longer cycle than the word itself needs.  The
-    result is the smallest accepted lasso among those with a stem no longer
-    than the witness's and a cycle of at most max(witness cycle length, 8)
-    letters (the witness's cycle length for an equally long stem), unless the
-    refinement's budget of 24,000 letters of live cycles runs out first; then
-    it is the graph-level witness.  A smaller lasso outside that range, with a
-    shorter stem and a longer cycle, can exist and is not found.
+    shortest cycle through it.  It bounds one range: stems no longer than
+    its stem and cycles of at most max(its cycle length, 8) letters.  The
+    result is the least accepted lasso in that range, which a run-level
+    search alone can miss when tracking states forces a longer cycle than
+    the word itself needs.  The witness is in the range, so the refinement
+    always ends with an answer; if its budget of 24,000 letters of live
+    cycles runs out first, the answer is the witness.  A smaller lasso
+    outside the range, with a shorter stem and a longer cycle, can exist
+    and is not found.
     """
     baseline = _accepting_lasso_from(b)
     if baseline is None:

@@ -193,10 +193,7 @@ def parse_homomorphism(text: str, alphabet: Alphabet | None = None) -> Homomorph
     if not mapping:
         raise HomFormatError(1, "empty homomorphism")
     if alphabet is None:
-        try:
-            alphabet = Alphabet(tuple(mapping))
-        except ValueError as exc:
-            raise HomFormatError(1, str(exc)) from None
+        alphabet = Alphabet(tuple(mapping))
     else:
         missing = set(alphabet.symbols) - set(mapping)
         extra = set(mapping) - set(alphabet.symbols)

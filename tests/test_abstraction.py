@@ -81,6 +81,8 @@ class TestHomomorphism:
         assert HIDE_B.image("b") == "eps"
         with pytest.raises(ValueError):
             Homomorphism.hiding(AB, {"a", "b"})
+        with pytest.raises(ValueError, match=r"hidden letters \['c'\] are not in the alphabet"):
+            Homomorphism.hiding(AB, {"c"})
 
     def test_identity(self):
         h = Homomorphism.identity(AB)

@@ -99,6 +99,10 @@ class TestLassoWord:
         with pytest.raises(ValueError):
             LassoWord(("a",), ())
 
+    def test_letters_must_be_non_empty_strings(self):
+        with pytest.raises(ValueError, match="lasso letters must be non-empty strings"):
+            LassoWord(("a",), (1,))
+
     def test_normalize_folds_stem_into_cycle(self):
         # a.(ba)^w is (ab)^w
         assert LassoWord(("a",), ("b", "a")).normalize() == LassoWord((), ("a", "b"))
@@ -151,6 +155,12 @@ class TestValidation:
     def test_unknown_letter(self):
         with pytest.raises(ValueError):
             FinAutomaton(AB, 1, frozenset({0}), frozenset(), frozenset({(0, "c", 0)}))
+
+    def test_negative_size_and_foreign_endpoint(self):
+        with pytest.raises(ValueError, match="n_states must be >= 0"):
+            BuchiAutomaton(AB, -1, set(), set(), set())
+        with pytest.raises(ValueError, match=r"transition endpoint out of range: \(0, 'a', 1\)"):
+            FinAutomaton(AB, 1, {0}, {0}, {(0, "a", 1)})
 
     def test_both_kinds_validate_and_compare_by_kind(self):
         with pytest.raises(ValueError):
@@ -702,7 +712,14 @@ class TestWitnessSearch:
     def test_least_lasso_against_brute_force(self, rng):
         improved = 0
         for _ in range(60):
-            b = gen.random_buchi(rng, gen.letters(rng.randint(2, 3)), max_states=5)
+            letters = gen.letters(rng.randint(2, 3))
+            b = gen.random_buchi(rng, letters, max_states=5)
+            draw = rng.random()
+            if draw < 0.3:  # several initial states
+                starts = rng.sample(range(b.n_states), rng.randint(1, b.n_states))
+                b = BuchiAutomaton(letters, b.n_states, starts, b.accepting, b.transitions)
+            elif draw < 0.6:  # a product, with two open operands when both are
+                b = product(b, gen.random_buchi(rng, letters, max_states=2))
             baseline = automata._accepting_lasso_from(b)
             if baseline is None:
                 continue
@@ -713,6 +730,22 @@ class TestWitnessSearch:
                 expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
                 assert automata._denotation_minimal_lasso(b, baseline, budget) == expected
         assert improved >= 5
+
+    def test_witness_stem_not_the_least_word_of_its_set(self):
+        # both x b and x a reach {3}: the graph witness takes the first
+        # branch, the refinement the least word of the set
+        letters = Alphabet(("a", "b", "c", "x"))
+        edges = {(0, "x", 1), (0, "x", 2), (1, "b", 3), (2, "a", 3), (3, "c", 3)}
+        b = BuchiAutomaton(letters, 4, {0}, {3}, edges)
+        baseline = automata._accepting_lasso_from(b)
+        assert baseline == LassoWord(("x", "b"), ("c",))
+        assert accepting_lasso(b) == LassoWord(("x", "a"), ("c",))
+
+    def test_search_past_a_bogus_witness_is_an_invariant_error(self):
+        # nothing is accepted, so the search runs off the end of the range
+        loop = BuchiAutomaton(AB, 1, {0}, set(), {(0, "a", 0)})
+        with pytest.raises(InvariantError, match="no accepted lasso up to the witness ;a"):
+            automata._denotation_minimal_lasso(loop, LassoWord((), ("a",)))
 
 
 class TestSetListAcceptance:
@@ -947,6 +980,8 @@ class TestLassoMembership:
             y = gen.random_lasso(rng, gen.letters(2))
             same = x.normalize() == y.normalize()
             assert oracles.buchi_accepts_lasso(m, y) == same
+        with pytest.raises(AlphabetMismatchError, match="lasso letter 'c' not in alphabet"):
+            lasso_automaton(LassoWord(("a",), ("c",)), AB)
 
 
 class TestCantorDistance:

@@ -32,7 +32,13 @@ from faircheck.automata import (
 from faircheck.abstraction import Homomorphism, abstract_behavior
 from faircheck import cli, formats, relprops
 from faircheck.cli import run
-from faircheck.formats import AutFormatError, format_automaton, parse_automaton
+from faircheck.formats import (
+    AutFormatError,
+    HomFormatError,
+    format_automaton,
+    parse_automaton,
+    parse_homomorphism,
+)
 from faircheck.pltl import MAX_FORMULA_DEPTH, Labeling, evaluate_lasso, parse_formula
 from faircheck.synthesis import PreconditionFailedError
 
@@ -398,11 +404,46 @@ class TestErrors:
             ("alphabet: a\ntrans: s0 a s0\n", "line 2: states: must come before this line"),
             ("states: s0\ntrans: s0 a s0\n", "line 2: alphabet: must come before trans:"),
             ("alphabet: a\nstates: s0\ntrans: s0 a s1\n", "line 3: unknown state name 's1'"),
+            ("alphabet a\n", "line 1: expected 'directive: arguments'"),
+            ("alphabet: a\nstates: s0\ntrans: s0 a\n", "line 3: expected 'trans: src letter dst'"),
+            ("alphabet: a\nalphabet: b\n", "line 2: duplicate alphabet: line"),
+            ("acceptance: muller\n", "line 1: only 'acceptance: buchi' is known"),
+            ("states: s0 s1 s0\n", "line 1: duplicate state name"),
+            ("final: s0\n", "line 1: unknown directive 'final'"),
+            ("states: s0\ninitial: s0\n", "line 3: missing alphabet: line"),
+            ("alphabet: a\n", "line 2: missing states: line"),
+            ("alphabet: a\nstates: s0\n", "line 3: missing initial: line"),
+            (
+                "alphabet: a\nacceptance: buchi\nstates: s0\ninitial: s0\n",
+                "line 5: buchi automata need an accepting: line",
+            ),
         ],
     )
     def test_automaton_errors_name_the_first_fault(self, text, message):
         with pytest.raises(AutFormatError) as info:
             parse_automaton(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, letters, message",
+        [
+            ("a => b\n", None, "line 1: expected 'letter -> letter' or 'letter -> eps'"),
+            ("a -> b c\n", None, "line 1: letters must be single whitespace-free tokens"),
+            ("a -> a\neps -> a\n", None, "line 2: 'eps' cannot be a source letter"),
+            ("a -> a\na -> b\n", None, "line 2: letter 'a' mapped twice"),
+            ("# nothing\n", None, "line 1: empty homomorphism"),
+            ("a -> a\nc -> eps\n", ("a",), "line 1: letters ['c'] are not in the alphabet"),
+            (
+                "a -> eps\nb -> eps\n",
+                None,
+                "line 1: all letters are hidden; target alphabet would be empty",
+            ),
+        ],
+    )
+    def test_homomorphism_errors_name_the_first_fault(self, text, letters, message):
+        alphabet = None if letters is None else Alphabet(letters)
+        with pytest.raises(HomFormatError) as info:
+            parse_homomorphism(text, alphabet)
         assert str(info.value) == message
 
     def test_wcc_requires_a_finitary_system(self, tmp_path, capsys):
@@ -423,6 +464,13 @@ class TestErrors:
     def test_bad_lasso_text(self, capsys):
         assert run(["eval", "--formula", "G a", "--lasso", "a b c"]) == 2
         assert "stem;cycle" in capsys.readouterr().err
+        assert run(["eval", "--formula", "G a", "--lasso", "a;"]) == 2
+        assert "lasso cycle must not be empty" in capsys.readouterr().err
+
+    def test_verify_impl_needs_a_buchi_implementation(self, capsys):
+        argv = ["verify-impl", "--impl", FIG2, "--system", FIG2, "--formula", "G F result"]
+        assert run(argv) == 2
+        assert "an implementation file must be 'acceptance: buchi'" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -82,6 +82,14 @@ class TestParser:
             parse_formula("a $ b")
         with pytest.raises(FormulaSyntaxError):
             parse_formula("")
+        for text, message in [
+            ("a)", "unexpected token ')' (at position 1)"),
+            ("(a b", "expected ')' (at position 3)"),
+            ("a b", "unexpected token 'b' (at position 2)"),
+        ]:
+            with pytest.raises(FormulaSyntaxError) as info:
+                parse_formula(text)
+            assert str(info.value) == message
 
     def test_print_parse_round_trip(self, rng):
         for _ in range(300):
