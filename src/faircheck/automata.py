@@ -846,39 +846,60 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
     return False
 
 
-def _stems_by_subset(b: BuchiAutomaton, max_len: int):
-    """Stems in (length, lex) order, one per distinct reachable state set."""
-    out: list[list[tuple[tuple[str, ...], int]]] = [[] for _ in range(max_len + 1)]
+def _graph_witness(b: BuchiAutomaton):
+    """The walk that bounds ``accepting_lasso``'s search: (levels, witness), or None.
+
+    One breadth-first walk over the state sets reachable from the initial
+    set, each new set with the least word reaching it in (length, lex)
+    order; ``levels[k]`` lists the (word, mask) pairs of length k.  It stops
+    after the first level holding a core state of the one Tarjan pass
+    ``_sccs``.  Each core state there takes the word of the first set
+    holding it, the least word reaching that state, and a shortest cycle
+    through it; the witness is the least (cycle length, stem, cycle) of
+    these, normalized.  With no live initial state nothing is walked.
+    """
+    core, live = _sccs(b._succ, (b.accepting,))
+    if live.isdisjoint(b.initial):
+        return None
+    core_mask = _mask(core)
+    levels: list[list[tuple[tuple[str, ...], int]]] = []
     tree: dict = {}
     for mask in _bfs(lambda mask: _post(b, mask).items(), [b._initial_mask], tree):
         stem = _path_from(tree, mask)
-        if len(stem) > max_len:
-            break
-        out[len(stem)].append((stem, mask))
-    return out
+        if len(stem) == len(levels):  # a new level: stop if the last one anchors
+            if levels and any(m & core_mask for _, m in levels[-1]):
+                break
+            levels.append([])
+        levels[-1].append((stem, mask))
+    anchors: dict[int, tuple[str, ...]] = {}
+    for stem, mask in levels[-1]:
+        for f in _bit_indices(mask & core_mask):
+            anchors.setdefault(f, stem)
+    cycles = {f: _shortest_cycle(b._succ, f) for f in anchors}
+    _, stem, cycle = min((len(cycles[f]), stem, cycles[f]) for f, stem in anchors.items())
+    return levels, LassoWord(stem, cycle).normalize()
 
 
 def _denotation_minimal_lasso(
-    b: BuchiAutomaton, baseline: LassoWord, budget: int = 24_000
+    b: BuchiAutomaton, levels, baseline: LassoWord, budget: int = 24_000
 ) -> LassoWord:
     """Least accepted lasso by (stem length, cycle length, stem, cycle) within bounds.
 
-    The range is stems up to the baseline's length, one per reachable state
-    set (the least word reaching it), and cycles up to max(baseline cycle
-    length, 8).  The first accepted normal form met is the answer.  The
-    baseline is an accepted normal form in the range, and nothing accepted
-    before it is skipped: moving to the least stem of the same state set
-    keeps a lasso accepted, and normalizing then only shortens the stem and
-    rotates the cycle.  So the search stops by the baseline; running off
-    the range is an ``InvariantError``.  Cycles grow one letter at a time
-    from the previous length's live cycles (those on which some run from
-    the stem survives), each charging its length to the budget; the
-    baseline is returned once the budget runs out.  Each live cycle carries
-    the whole-cycle pass of every state of its stem's set, from which
-    ``_accepts_periodic`` decides it.
+    The range is the stems of ``_graph_witness``'s levels up to the
+    baseline's length, one per reachable state set (the least word reaching
+    it), and cycles up to max(baseline cycle length, 8).  The first accepted
+    normal form met is the answer.  The baseline is an accepted normal form
+    in the range: its stem is the least word reaching its state set, and so
+    is every prefix of such a word.  So the search stops by the baseline;
+    running off the range is an ``InvariantError``.  Cycles grow one letter
+    at a time from the previous length's live cycles (those on which some
+    run from the stem survives), each charging its length to the budget;
+    the baseline is returned once the budget runs out.  Each live cycle
+    carries the whole-cycle pass of every state of its stem's set, from
+    which ``_accepts_periodic`` decides it.
     """
     p_cap = max(len(baseline.cycle), 8)
-    for stems in _stems_by_subset(b, len(baseline.stem)):
+    for stems in levels[: len(baseline.stem) + 1]:
         # per stem: the live cycles of the current length, in lex order, each
         # with the state set it leads to and the passes of the stem's states
         live = [[((), mask, [(1 << q, 0) for q in _bit_indices(mask)])] for _, mask in stems]
@@ -901,47 +922,24 @@ def _denotation_minimal_lasso(
     raise InvariantError(f"no accepted lasso up to the witness {baseline.as_text()}")
 
 
-def _accepting_lasso_from(b: BuchiAutomaton) -> LassoWord | None:
-    core = _sccs(b._succ, (b.accepting,))[0]
-    if not core:
-        return None
-    # every anchor is on a cycle, so the key below is decided by stem length
-    # first: only the shallowest anchors need a cycle search, and the
-    # breadth-first walk stops at the first anchor with a longer stem
-    stems: dict = {}
-    best: tuple[int, int, tuple[str, ...], tuple[str, ...]] | None = None
-    for f in _bfs(b._succ.__getitem__, sorted(b.initial), stems):
-        if f not in core:
-            continue
-        stem = _path_from(stems, f)
-        if best is not None and len(stem) > best[0]:
-            break
-        cyc = _shortest_cycle(b._succ, f)
-        key = (len(stem), len(cyc), stem, cyc)
-        if best is None or key < best:
-            best = key
-    return None if best is None else LassoWord(best[2], best[3]).normalize()
-
-
 def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     """A small accepted lasso (stem length, then cycle length, then lex), or None.
 
-    A graph-level witness is found first: a shortest stem to a core state of
-    the one Tarjan pass ``_sccs`` (with none, nothing is searched), then a
-    shortest cycle through it.  It bounds one range: stems no longer than
-    its stem and cycles of at most max(its cycle length, 8) letters.  The
-    result is the least accepted lasso in that range, which a run-level
-    search alone can miss when tracking states forces a longer cycle than
-    the word itself needs.  The witness is in the range, so the refinement
-    always ends with an answer; if its budget of 24,000 letters of live
-    cycles runs out first, the answer is the witness.  A smaller lasso
-    outside the range, with a shorter stem and a longer cycle, can exist
-    and is not found.
+    A graph-level witness is found first, by ``_graph_witness``: the least
+    word reaching a shallowest core state of the one Tarjan pass ``_sccs``
+    (with no live initial state, nothing is searched), then a shortest
+    cycle through it.  It bounds one range: stems no longer than its stem
+    and cycles of at most max(its cycle length, 8) letters.  The result is
+    the least accepted lasso in that range, which a run-level search alone
+    can miss when tracking states forces a longer cycle than the word
+    itself needs.  The witness is in the range, so the refinement always
+    ends with an answer; if its budget of 24,000 letters of live cycles
+    runs out first, the answer is the witness.  A smaller lasso outside
+    the range, with a shorter stem and a longer cycle, can exist and is not
+    found.
     """
-    baseline = _accepting_lasso_from(b)
-    if baseline is None:
-        return None
-    return _denotation_minimal_lasso(b, baseline)
+    found = _graph_witness(b)
+    return None if found is None else _denotation_minimal_lasso(b, *found)
 
 
 def is_empty(b: BuchiAutomaton) -> bool:

@@ -718,6 +718,8 @@ class _Translator:
             self.nodes.append(key)
             if kind == _UNTIL:
                 self.untils.append(got)
+            # a node's operands are created before it, so their covers are ready
+            self.dnf.append(self._expand(got))
         return got
 
     def _atom(self, name: str) -> int:
@@ -783,18 +785,9 @@ class _Translator:
             return self._temporal(_RELEASE if positive else _UNTIL, *parts)
         raise TypeError(f"unknown formula node {f!r}")
 
-    def _dnf(self, g: int) -> list:
-        """Covers of one node, each expanded once: (letters allowed now,
-        obligations for the next position, untils postponed).
-
-        A node's operands are created before it, so expanding nodes in
-        creation order finds their operands' covers ready.
-        """
-        while len(self.dnf) <= g:
-            self.dnf.append(self._expand(len(self.dnf)))
-        return self.dnf[g]
-
     def _expand(self, g: int) -> list:
+        """Covers of one node: (letters allowed now, obligations for the next
+        position, untils postponed)."""
         kind, x, y = self.nodes[g]
         if kind == _LETTERS:
             return [(x, _NONE, _NONE)] if x else []
@@ -818,7 +811,7 @@ class _Translator:
         if got is None:
             got = [(self.full, _NONE, _NONE)]
             for g in sorted(obligations):
-                got = _product(got, self._dnf(g))
+                got = _product(got, self.dnf[g])
             self.cover_cache[obligations] = got
         return got
 

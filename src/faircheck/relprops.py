@@ -86,10 +86,7 @@ class PropertySpec:
         alphabet: Alphabet,
         labeling: Labeling | None = None,
     ) -> "PropertySpec":
-        if labeling is None:
-            labeling = Labeling.canonical(alphabet)
-        pos, neg = to_buchi(formula, alphabet, labeling)
-        return cls(pos, neg)
+        return cls(*to_buchi(formula, alphabet, labeling))
 
     @classmethod
     def from_automata(
@@ -134,11 +131,7 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     prefixes actually conforms.  The witness on failure is such a limit
     computation outside the property.
     """
-    good_prefixes = _pair_prefixes(system, p.positive)
-    boundary = limit(good_prefixes)
-    bad = product(product(system, boundary), p.complement)
-    x = accepting_lasso(bad)
-    return Verdict(x is None, x)
+    return satisfies(product(system, limit(_pair_prefixes(system, p.positive))), p)
 
 
 def satisfies(system: BuchiAutomaton, p: PropertySpec) -> Verdict:

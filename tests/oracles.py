@@ -116,35 +116,48 @@ def least_lasso(b, baseline, budget: int):
     of at most max(that, 8) after a shorter one.  Candidates come in (stem
     length, cycle length, stem, cycle) order.  Every cycle on which some run
     from the stem's states survives charges its length to the budget; once
-    the budget is negative the answer is the baseline.  The first candidate
-    that ``normalize()`` leaves unchanged and that is the baseline or that
-    ``buchi_accepts_lasso`` accepts decides: it is the answer when it sorts
-    below the baseline.  Returns the answer and the budget charged.
+    the budget is negative the answer is the baseline.  Each length's cycles
+    grow from the previous length's live ones, so dead cycles are never
+    listed.  The first candidate that ``normalize()`` leaves unchanged and
+    that is the baseline or that ``buchi_accepts_lasso`` accepts decides: it
+    is the answer when it sorts below the baseline.  Returns the answer and
+    the budget charged.
     """
     m_cap, p_base = len(baseline.stem), len(baseline.cycle)
     base_key = (m_cap, p_base, baseline.stem, baseline.cycle)
+    letters = sorted(b.alphabet)
     seen: set[frozenset] = set()
     spent = 0
     for m in range(m_cap + 1):
         stems = []
-        for stem in iproduct(sorted(b.alphabet), repeat=m):
+        for stem in iproduct(letters, repeat=m):
             reached = frozenset(states_reached(b, b.initial, stem))
             if reached and reached not in seen:
                 seen.add(reached)
                 stems.append((stem, reached))
+        # per stem, the live cycles of the current length in lex order, each
+        # with the states it leads to: a cycle is live only if its prefix is,
+        # and appending letters in sorted order keeps lex order
+        live = [[((), reached)] for _, reached in stems]
         for p in range(1, (p_base if m == m_cap else max(p_base, 8)) + 1):
-            for stem, reached in stems:
-                for cycle in iproduct(sorted(b.alphabet), repeat=p):
-                    if not states_reached(b, reached, cycle):
-                        continue
-                    spent += p
-                    if spent > budget:
-                        return baseline, spent
-                    x = type(baseline)(stem, cycle)
-                    if x.normalize() != x:
-                        continue
-                    if x == baseline or buchi_accepts_lasso(b, x):
-                        return (x if (m, p, stem, cycle) < base_key else baseline), spent
+            for i, (stem, _) in enumerate(stems):
+                longer = []
+                for word, ends in live[i]:
+                    for letter in letters:
+                        after = states_reached(b, ends, (letter,))
+                        if not after:
+                            continue
+                        cycle = word + (letter,)
+                        longer.append((cycle, after))
+                        spent += p
+                        if spent > budget:
+                            return baseline, spent
+                        x = type(baseline)(stem, cycle)
+                        if x.normalize() != x:
+                            continue
+                        if x == baseline or buchi_accepts_lasso(b, x):
+                            return (x if (m, p, stem, cycle) < base_key else baseline), spent
+                live[i] = longer
     return baseline, spent
 
 

@@ -651,20 +651,59 @@ class TestEmptinessAndWitness:
         assert accepting_lasso(chain) is None
         assert calls == []
 
+    def test_no_search_when_no_initial_state_reaches_the_core(self, monkeypatch):
+        calls = []
+        real = automata._bfs
+
+        def counted(moves, starts, tree):
+            calls.append(starts)
+            return real(moves, starts, tree)
+
+        monkeypatch.setattr(automata, "_bfs", counted)
+        # state 2's accepting loop is a core state no run reaches; without
+        # the live check the walk would list every reachable state set
+        loop = BuchiAutomaton(AB, 3, {0}, {2}, {(0, "a", 1), (1, "b", 0), (2, "a", 2)})
+        assert accepting_lasso(loop) is None
+        assert calls == []
+
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
-        # reference: one cycle search per reachable anchor, least key wins
+        # reference: per reachable anchor the least word reaching it and one
+        # cycle search, least (stem length, cycle length, stem, cycle) wins
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
-            stems: dict = {}
-            list(automata._bfs(b._succ.__getitem__, sorted(b.initial), stems))
+            least: dict = {}
+            for word in oracles.enumerate_words(b.alphabet, b.n_states - 1):
+                for q in oracles.states_reached(b, b.initial, word):
+                    least.setdefault(q, word)
             keys = []
-            for f in sorted(set(b.accepting) & set(stems)):
+            for f in sorted(set(b.accepting) & set(least)):
                 cyc = automata._shortest_cycle(b._succ, f)
                 if cyc is not None:
-                    stem = automata._path_from(stems, f)
-                    keys.append((len(stem), len(cyc), stem, cyc))
+                    keys.append((len(least[f]), len(cyc), least[f], cyc))
             expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
-            assert automata._accepting_lasso_from(b) == expected
+            found = automata._graph_witness(b)
+            assert (None if found is None else found[1]) == expected
+
+    def test_one_walk_plus_one_per_cycle_search(self, monkeypatch):
+        calls = []
+        real_bfs, real_cycle = automata._bfs, automata._shortest_cycle
+
+        def counted_bfs(moves, starts, tree):
+            calls.append("walk")
+            return real_bfs(moves, starts, tree)
+
+        def counted_cycle(succ, f):
+            calls.append(f)
+            return real_cycle(succ, f)
+
+        monkeypatch.setattr(automata, "_bfs", counted_bfs)
+        monkeypatch.setattr(automata, "_shortest_cycle", counted_cycle)
+        # anchors 1 and 2 both one letter deep, and 3 two letters deep
+        edges = {(0, "a", 1), (0, "b", 2), (1, "a", 1), (2, "b", 2), (1, "b", 3), (3, "a", 3)}
+        b = BuchiAutomaton(AB, 4, {0}, {1, 2, 3}, edges)
+        assert accepting_lasso(b) == LassoWord((), ("a",))
+        # each cycle search is one breadth-first walk, after the walk over state sets
+        assert calls == ["walk", 1, "walk", 2, "walk"]
 
 
 class TestWitnessSearch:
@@ -720,32 +759,58 @@ class TestWitnessSearch:
                 b = BuchiAutomaton(letters, b.n_states, starts, b.accepting, b.transitions)
             elif draw < 0.6:  # a product, with two open operands when both are
                 b = product(b, gen.random_buchi(rng, letters, max_states=2))
-            baseline = automata._accepting_lasso_from(b)
-            if baseline is None:
+            found = automata._graph_witness(b)
+            if found is None:
                 continue
+            levels, baseline = found
             best, spent = oracles.least_lasso(b, baseline, 24_000)
             improved += best != baseline
             # on each side of the charge at which the answer is decided
             for budget in sorted({0, spent // 2, spent - 1, spent, 24_000}):
                 expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
-                assert automata._denotation_minimal_lasso(b, baseline, budget) == expected
+                assert automata._denotation_minimal_lasso(b, levels, baseline, budget) == expected
         assert improved >= 5
 
-    def test_witness_stem_not_the_least_word_of_its_set(self):
-        # both x b and x a reach {3}: the graph witness takes the first
-        # branch, the refinement the least word of the set
+    def test_least_lasso_does_not_depend_on_state_numbering(self, rng):
+        # at the default budget; a spent budget falls back to the graph
+        # witness, whose shortest cycle follows state numbering on ties
+        found = 0
+        for _ in range(150):
+            letters = gen.letters(rng.randint(2, 3))
+            b = gen.random_buchi(rng, letters, max_states=6)
+            if rng.random() < 0.4:
+                b = product(b, gen.random_buchi(rng, letters, max_states=3))
+            order = list(b.states)
+            rng.shuffle(order)
+            renumbered = BuchiAutomaton(
+                letters,
+                b.n_states,
+                {order[q] for q in b.initial},
+                {order[q] for q in b.accepting},
+                {(order[p], s, order[q]) for p, s, q in b.transitions},
+            )
+            x = accepting_lasso(b)
+            assert accepting_lasso(renumbered) == x
+            found += x is not None
+        assert found >= 50
+
+    def test_witness_stem_is_the_least_word_of_its_set(self):
+        # both x b and x a reach {3}: a walk over states would reach 3 through
+        # state 1 first, the walk over state sets takes the least word of {3},
+        # which is also what the spent budget falls back to
         letters = Alphabet(("a", "b", "c", "x"))
         edges = {(0, "x", 1), (0, "x", 2), (1, "b", 3), (2, "a", 3), (3, "c", 3)}
         b = BuchiAutomaton(letters, 4, {0}, {3}, edges)
-        baseline = automata._accepting_lasso_from(b)
-        assert baseline == LassoWord(("x", "b"), ("c",))
-        assert accepting_lasso(b) == LassoWord(("x", "a"), ("c",))
+        levels, baseline = automata._graph_witness(b)
+        assert baseline == LassoWord(("x", "a"), ("c",))
+        assert automata._denotation_minimal_lasso(b, levels, baseline, 0) == baseline
+        assert accepting_lasso(b) == baseline
 
     def test_search_past_a_bogus_witness_is_an_invariant_error(self):
         # nothing is accepted, so the search runs off the end of the range
         loop = BuchiAutomaton(AB, 1, {0}, set(), {(0, "a", 0)})
         with pytest.raises(InvariantError, match="no accepted lasso up to the witness ;a"):
-            automata._denotation_minimal_lasso(loop, LassoWord((), ("a",)))
+            automata._denotation_minimal_lasso(loop, [[((), 1)]], LassoWord((), ("a",)))
 
 
 class TestSetListAcceptance:
@@ -835,10 +900,15 @@ class TestGraphSearch:
             ]
             assert sorted((p, s, q) for p in nodes for s, q in a._succ[p]) == expected
 
-    def test_stems_by_subset_are_the_least_words_per_new_subset(self, rng):
+    def test_walk_levels_are_the_least_words_per_new_subset(self, rng):
+        walks = 0
         for _ in range(80):
             b = gen.random_buchi(rng, gen.letters(2), max_states=5)
-            k = rng.randint(0, 4)
+            found = automata._graph_witness(b)
+            if found is None:
+                continue
+            walks += 1
+            k = len(found[0]) - 1
             expected = [[] for _ in range(k + 1)]
             seen = set()
             for word in oracles.enumerate_words(b.alphabet, k):
@@ -848,9 +918,20 @@ class TestGraphSearch:
                     expected[len(word)].append((word, reached))
             got = [
                 [(stem, frozenset(automata._bit_indices(mask))) for stem, mask in level]
-                for level in automata._stems_by_subset(b, k)
+                for level in found[0]
             ]
             assert got == expected
+            # the walk stops after the first level reaching an accepting cycle
+            anchored = [
+                any(
+                    q in b.accepting and oracles.shortest_cycle_length(b, q) is not None
+                    for _, states in level
+                    for q in states
+                )
+                for level in expected
+            ]
+            assert anchored == [False] * k + [True]
+        assert walks >= 20
 
     def test_shortest_cycle_against_brute_force(self, rng):
         for _ in range(120):

@@ -141,6 +141,110 @@ class TestCheckReports:
         assert report_of(capsys)["verdict"]["holds"] is True
 
 
+OPEN_FORMULAS = ("G F b", "F G a", "G (a -> F b)", "a U b", "G F a & F b", "X b")
+
+
+def _write_system(tmp_path, name: str, a: BuchiAutomaton) -> str:
+    path = tmp_path / name
+    path.write_text(format_automaton(a))
+    return str(path)
+
+
+def _random_open_buchi(rng, max_states: int) -> BuchiAutomaton:
+    """A random Buchi automaton over a b with at least one non-accepting state."""
+    b = gen.random_buchi(rng, gen.letters(2), max_states=max_states)
+    accepting = set(b.accepting)
+    if len(accepting) == b.n_states:
+        accepting.discard(rng.randrange(b.n_states))
+    return BuchiAutomaton(b.alphabet, b.n_states, b.initial, accepting, b.transitions)
+
+
+class TestOpenBuchiSystems:
+    """`acceptance: buchi` system files that do not accept in every state.
+
+    Such a system is used as given, so `check` and `machine-closed` take the
+    paths where both operands of a product have an acceptance condition.
+    """
+
+    def _verdict(self, capsys, argv) -> dict:
+        code = run(argv)
+        verdict = report_of(capsys)["verdict"]
+        assert code == (0 if verdict["holds"] else 1)
+        return verdict
+
+    def test_eventually_only_a_on_the_a_recurring_system(self, tmp_path, capsys):
+        # s0 -a-> s0, s0 -b-> s1, s1 -a-> s0, s1 -b-> s1, accepting s0: the
+        # words with infinitely many a
+        path = tmp_path / "arecur.aut"
+        path.write_text(
+            "alphabet: a b\nacceptance: buchi\nstates: s0 s1\ninitial: s0\n"
+            "accepting: s0\ntrans: s0 a s0\ntrans: s0 b s1\n"
+            "trans: s1 a s0\ntrans: s1 b s1\n"
+        )
+        argv = ["--system", str(path), "--formula", "G F b"]
+        assert self._verdict(capsys, ["check", "rl", *argv]) == {"holds": True, "witness": None}
+        for kind in ("rs", "sat"):
+            verdict = self._verdict(capsys, ["check", kind, *argv])
+            assert verdict == {"holds": False, "witness": {"lasso": ";a"}}
+        system = parse_automaton(path.read_text())
+        p = relprops.PropertySpec.from_formula(parse_formula("G F b"), system.alphabet)
+        x = LassoWord((), ("a",))
+        assert oracles.buchi_accepts_lasso(system, x)
+        assert oracles.buchi_accepts_lasso(p.complement, x)
+        assert oracles.brute_rl(system, p.positive)
+
+    def test_check_verdicts_against_the_oracles(self, tmp_path, capsys, rng):
+        outcomes = set()
+        for i in range(40):
+            system = _random_open_buchi(rng, 4)
+            path = _write_system(tmp_path, f"open{i}.aut", system)
+            formula = rng.choice(OPEN_FORMULAS)
+            p = relprops.PropertySpec.from_formula(parse_formula(formula), system.alphabet)
+            labeling = Labeling.canonical(system.alphabet)
+            holds = {}
+            for kind in ("rl", "rs", "sat"):
+                argv = ["check", kind, "--system", path, "--formula", formula]
+                verdict = self._verdict(capsys, argv)
+                holds[kind] = verdict["holds"]
+                outcomes.add((kind, verdict["holds"]))
+                if verdict["holds"]:
+                    continue
+                if kind == "rl":
+                    # a prefix of a system computation; brute_rl below referees the verdict
+                    word = tuple(verdict["witness"]["word"])
+                    reached = oracles.states_reached(system, system.initial, word)
+                    assert reached & oracles._live_states(system)
+                    continue
+                stem_text, cycle_text = verdict["witness"]["lasso"].split(";")
+                x = LassoWord(tuple(stem_text.split()), tuple(cycle_text.split()))
+                assert oracles.buchi_accepts_lasso(system, x)
+                assert oracles.buchi_accepts_lasso(p.complement, x)
+                assert not evaluate_lasso(x, labeling, parse_formula(formula))
+            assert holds["rl"] == oracles.brute_rl(system, p.positive)
+            assert holds["sat"] == (holds["rl"] and holds["rs"])
+        assert len(outcomes) == 6
+
+    def test_machine_closed_against_the_oracle(self, tmp_path, capsys, rng):
+        outcomes = set()
+        for i in range(40):
+            system, sub = _random_open_buchi(rng, 4), _random_open_buchi(rng, 3)
+            argv = [
+                "machine-closed",
+                "--system",
+                _write_system(tmp_path, f"system{i}.aut", system),
+                "--sub",
+                _write_system(tmp_path, f"sub{i}.aut", sub),
+            ]
+            verdict = self._verdict(capsys, argv)
+            outcomes.add(verdict["holds"])
+            assert verdict["holds"] == oracles.brute_rl(system, sub)
+            if not verdict["holds"]:
+                word = tuple(verdict["witness"]["word"])
+                reached = oracles.states_reached(system, system.initial, word)
+                assert reached & oracles._live_states(system)
+        assert outcomes == {True, False}
+
+
 class TestWccAndPreserve:
     def test_releasing_abstraction_is_closed(self, capsys):
         assert run(["wcc", "--system", FIG2, "--hom", HIDE]) == 0
