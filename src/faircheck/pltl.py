@@ -418,24 +418,19 @@ def _pnf_step(item: tuple[Formula, bool], parts: list[Formula]) -> Formula:
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def _pnf_shaped(f: Formula) -> bool:
-    def shaped(g: Formula, parts: list[bool]) -> bool:
-        if isinstance(g, Not):
-            return isinstance(g.operand, (Atom, TrueFormula))
-        return all(parts)
+def _shape(f: Formula) -> tuple[bool, bool]:
+    """(negations only on atoms and true, eps only as ``G eps``) for the formula."""
 
-    return _fold(f, shaped)
-
-
-def _eps_only_under_always(f: Formula) -> bool:
-    def only(g: Formula, parts: list[bool]) -> bool:
+    def step(g: Formula, parts: list[tuple[bool, bool]]) -> tuple[bool, bool]:
         if g == EPS:
-            return False
+            return True, False
         if isinstance(g, Always) and g.operand == EPS:
-            return True
-        return all(parts)
+            return True, True
+        if isinstance(g, Not):
+            return isinstance(g.operand, (Atom, TrueFormula)), parts[0][1]
+        return all(p for p, _ in parts), all(e for _, e in parts)
 
-    return _fold(f, only)
+    return _fold(f, step)
 
 
 def check_normal_form(f: Formula, alphabet: Alphabet, mode: str) -> bool:
@@ -447,57 +442,10 @@ def check_normal_form(f: Formula, alphabet: Alphabet, mode: str) -> bool:
     """
     if mode not in ("sigma", "extended_sigma"):
         raise ValueError(f"unknown normal-form mode {mode!r}")
-    if not _pnf_shaped(f):
-        return False
-    atoms = atoms_of(f)
+    positive, eps_ok = _shape(f)
     if mode == "sigma":
-        return all(a in alphabet for a in atoms)
-    if not all(a in alphabet or a == EPS_TOKEN for a in atoms):
-        return False
-    return _eps_only_under_always(f)
-
-
-def _require_transformable(f: Formula) -> None:
-    if not _pnf_shaped(f):
-        raise NotNormalFormError(
-            "transformation input must be in positive normal form: "
-            f"{format_formula(f)}"
-        )
-    if not _eps_only_under_always(f):
-        raise NotNormalFormError(
-            "the reserved atom eps may only occur as G eps: " f"{format_formula(f)}"
-        )
-
-
-def _n(f: Formula) -> Formula:
-    def step(g: Formula, parts: list[Formula]) -> Formula:
-        # negated atoms also demand a visible step
-        if isinstance(g, Not) and isinstance(g.operand, Atom) and g.operand != EPS:
-            return And(g, Not(EPS))
-        return _rebuild(g, parts)
-
-    return _fold(f, step)
-
-
-def _t(f: Formula, wrap: bool) -> Formula:
-    """T, or R with ``wrap``: then each maximal purely Boolean subformula b
-    becomes ``eps U T(b)`` (T and N agree on Boolean formulas)."""
-
-    def step(g: Formula, parts: list) -> tuple[Formula, bool]:
-        # parts are the (rewritten, purely Boolean) pairs of the operands
-        if isinstance(g, Always) and g.operand == EPS:
-            # eps is carried through unchanged, never wrapped
-            return Always(Or(EPS, EPS)), False
-        if isinstance(g, Not) and isinstance(g.operand, Atom):
-            return And(g, Not(EPS)), True
-        if isinstance(g, (TrueFormula, Atom, Not)):  # Not only on true here
-            return g, True
-        boolean = not isinstance(g, _TEMPORAL) and all(b for _, b in parts)
-        kids = [Until(EPS, r) if wrap and b and not boolean else r for r, b in parts]
-        return _retime(g, kids), boolean
-
-    out, boolean = _fold(f, step)
-    return Until(EPS, out) if wrap and boolean else out
+        return positive and all(a in alphabet for a in atoms_of(f))
+    return positive and eps_ok and all(a in alphabet or a == EPS_TOKEN for a in atoms_of(f))
 
 
 def _retime(f: Formula, parts: list[Formula]) -> Formula:
@@ -516,22 +464,48 @@ def _retime(f: Formula, parts: list[Formula]) -> Formula:
 def transform(f: Formula, mode: str) -> Formula:
     """The abstraction-boundary rewrites.
 
-    N tightens each negated atom with "and not eps" so invisible steps cannot
-    discharge it.  T re-times temporal operators so that runs may take
-    invisible steps between visible ones: ``x U y`` becomes ``(eps | T x) U
-    T y``, ``G x`` becomes ``G (eps | T x)`` and ``X x`` becomes
-    ``eps U (!eps & X (eps U T x))``; negated atoms are tightened as in N, and
+    N tightens each negated atom, and each purely Boolean ``->`` or ``<->``,
+    with "and not eps" so invisible steps cannot discharge it (``a -> b``
+    holds wherever a does not, and so at every invisible step).  T also
+    re-times temporal operators so that runs may take invisible steps between
+    visible ones: ``x U y`` becomes ``(eps | T x) U T y``, ``G x`` becomes
+    ``G (eps | T x)`` and ``X x`` becomes ``eps U (!eps & X (eps U T x))``;
     every other node keeps its operator over its rewritten operands.  R is T
     with every maximal purely Boolean subformula b replaced by ``eps U N(b)``:
-    the property is judged at the next visible position.  Both turn ``G eps``
-    into ``G (eps | eps)``.
+    the property is judged at the next visible position.  N leaves ``G eps``
+    as it is; T and R turn it into ``G (eps | eps)``.
     """
     if mode not in ("N", "T", "R"):
         raise ValueError(f"unknown transformation mode {mode!r}")
-    _require_transformable(f)
-    if mode == "N":
-        return _n(f)
-    return _t(f, wrap=mode == "R")
+    positive, eps_ok = _shape(f)
+    if not positive:
+        raise NotNormalFormError(
+            "transformation input must be in positive normal form: "
+            f"{format_formula(f)}"
+        )
+    if not eps_ok:
+        raise NotNormalFormError(
+            "the reserved atom eps may only occur as G eps: " f"{format_formula(f)}"
+        )
+    wrap = mode == "R"
+
+    def step(g: Formula, parts: list) -> tuple[Formula, bool]:
+        # parts are the (rewritten, purely Boolean) pairs of the operands
+        if isinstance(g, Always) and g.operand == EPS:
+            # eps is carried through unchanged, never wrapped
+            return (g if mode == "N" else Always(Or(EPS, EPS))), False
+        boolean = not isinstance(g, _TEMPORAL) and all(b for _, b in parts)
+        kids = [Until(EPS, r) if wrap and b and not boolean else r for r, b in parts]
+        leaf = isinstance(g, (TrueFormula, Atom, Not))  # Not only on atoms and true
+        out = _rebuild(g, kids) if leaf or mode == "N" else _retime(g, kids)
+        # each of these holds at every invisible step
+        negated_atom = isinstance(g, Not) and isinstance(g.operand, Atom)
+        if negated_atom or (boolean and isinstance(g, (Implies, Iff))):
+            out = And(out, Not(EPS))
+        return out, boolean
+
+    out, boolean = _fold(f, step)
+    return Until(EPS, out) if wrap and boolean else out
 
 
 # ---------------------------------------------------------------------------

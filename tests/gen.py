@@ -205,8 +205,9 @@ def random_monotone_boolean(
 
     Implication and equivalence over atoms are deliberately absent: they hold
     vacuously at positions where every atom is false, which is exactly the
-    situation at letters an abstraction hides, so the eps-until wrapping of
-    Boolean subformulas is only faithful on this monotone fragment.
+    situation at letters an abstraction hides, so the rewrites tighten them
+    with "and not eps", which the reference oracles' N (negated atoms only)
+    does not.
     """
     if depth <= 0 or rng.random() < 0.4:
         leaf = Atom(rng.choice(list(atom_names)))
@@ -226,10 +227,12 @@ def random_monotone_boolean(
 def random_nf_formula(
     rng: random.Random, atom_names, depth: int, allow_mixed_impl: bool = True
 ):
-    """Normal-form formula on which the abstraction rewrites are faithful.
+    """Normal-form formula on which the rewrites match the reference oracles.
 
     Pure Boolean subtrees are monotone; -> and <-> appear only with at least
-    one temporal operand (or, with allow_mixed_impl=False, not at all).
+    one temporal operand (or, with allow_mixed_impl=False, not at all).  A
+    purely Boolean -> or <-> is tightened by the rewrites but not by
+    ``oracles.reference_t``/``reference_r``, so these draws leave it out.
     """
     if depth <= 0 or rng.random() < 0.2:
         return random_monotone_boolean(rng, atom_names, 1)

@@ -286,6 +286,31 @@ class TestWccAndPreserve:
         assert not verdict["equivalence_certified"]
         assert "concrete" in verdict["note"]
 
+    def test_preserve_hidden_steps_do_not_discharge_an_implication(
+        self, tmp_path, capsys
+    ):
+        # a -> b holds wherever a does not, so at the hidden c too; the one
+        # visible behaviour is a forever, on which F (a -> b) fails
+        system, hom = tmp_path / "ca.aut", tmp_path / "hide_c.hom"
+        system.write_text(
+            "alphabet: a b c\nstates: s0 s1\ninitial: s0\n"
+            "trans: s0 c s1\ntrans: s1 a s1\n"
+        )
+        hom.write_text("a -> a\nb -> b\nc -> eps\n")
+        for formula in ("F (a -> b)", "F (!a | b)"):
+            code = run(
+                ["preserve", "--system", str(system), "--hom", str(hom),
+                 "--formula", formula]
+            )
+            assert code == 0
+            assert report_of(capsys)["verdict"] == {
+                "wcc_closed": True,
+                "abstract_holds": False,
+                "concrete_holds": False,
+                "equivalence_certified": True,
+                "note": None,
+            }
+
 
 class TestOtherVerdicts:
     def test_machine_closed_against_own_fair_part(self, tmp_path, capsys):

@@ -53,6 +53,7 @@ class TestParser:
             Atom("a"), And(Atom("b"), Not(Atom("c")))
         )
         assert parse_formula("(a) B (b)") == Before(Atom("a"), Atom("b"))
+        assert parse_formula("G F a  ") == Always(Eventually(Atom("a")))
 
     def test_precedence(self):
         assert parse_formula("!a & b") == And(Not(Atom("a")), Atom("b"))
@@ -340,22 +341,28 @@ class TestCheckNormalForm:
             parse_formula("F eps | G F result"), srr, "extended_sigma"
         )
         assert not check_normal_form(parse_formula("G !eps"), srr, "extended_sigma")
+        assert not check_normal_form(parse_formula("G F c | G eps"), AB, "extended_sigma")
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             check_normal_form(TRUE, AB, "nonsense")
 
 
-def _mixes_boolean_and_temporal(f) -> bool:
-    """Some Boolean connective has one purely Boolean and one temporal operand."""
+def _subformulas(f):
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, (And, Or, Implies, Iff)):
-            if is_pure_boolean(g.left) != is_pure_boolean(g.right):
-                return True
+        yield g
         stack.extend(children(g))
-    return False
+
+
+def _mixes_boolean_and_temporal(f) -> bool:
+    """Some Boolean connective has one purely Boolean and one temporal operand."""
+    return any(
+        isinstance(g, (And, Or, Implies, Iff))
+        and is_pure_boolean(g.left) != is_pure_boolean(g.right)
+        for g in _subformulas(f)
+    )
 
 
 class TestTransforms:
@@ -379,6 +386,9 @@ class TestTransforms:
             "a & (!b & !eps)"
         )
         assert transform(parse_formula("!true"), "N") == Not(TRUE)
+        assert transform(parse_formula("a -> b"), "N") == parse_formula(
+            "(a -> b) & !eps"
+        )
 
     def test_r_goldens(self):
         assert transform(parse_formula("a & b"), "R") == parse_formula("eps U (a & b)")
@@ -647,3 +657,22 @@ class TestAbstractionLemmas:
             assert evaluate_lasso(xp, self.LAB_PRIME, f) == evaluate_lasso(
                 x, self.LAB_MIXED, transform(f, "R")
             )
+
+    def test_retransformation_lemma_on_every_positive_formula(self, rng):
+        # unlike random_nf_formula, these draws hold purely Boolean -> and <->,
+        # which hold at every hidden step unless R tightens them
+        boolean_implications = 0
+        for _ in range(1000):
+            f = gen.random_pnf_formula(rng, ("a", "b"), 3)
+            boolean_implications += any(
+                isinstance(g, (Implies, Iff)) and is_pure_boolean(g)
+                for g in _subformulas(f)
+            )
+            x = gen.random_lasso(rng, self.SIGMA)
+            xp = _image(x, {"c"})
+            if xp is None:
+                continue
+            assert evaluate_lasso(xp, self.LAB_PRIME, f) == evaluate_lasso(
+                x, self.LAB_MIXED, transform(f, "R")
+            )
+        assert boolean_implications > 100
