@@ -50,10 +50,8 @@ from .pltl import (
 from .relprops import PropertySpec, Verdict, is_relative_liveness
 
 __all__ = [
-    "UNDEFINED",
     "Homomorphism",
     "PreserveReport",
-    "Undefined",
     "WccReport",
     "abstract_behavior",
     "apply_hom_lasso",
@@ -64,32 +62,6 @@ __all__ = [
     "preserve_check",
     "within_fairness_finitary",
 ]
-
-
-class Undefined:
-    """Marker for erased omega-word images.
-
-    When an abstraction hides every letter of a lasso's cycle, the image is a
-    finite word and therefore not an omega-word at all.  The single instance
-    of this class stands in for that outcome; it is falsy so callers can
-    branch on the result directly.
-    """
-
-    _instance: "Undefined | None" = None
-
-    def __new__(cls) -> "Undefined":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Undefined"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDEFINED = Undefined()
 
 
 @dataclass(frozen=True)
@@ -174,21 +146,20 @@ class Homomorphism:
         return Labeling(tuple((sym, frozenset({img})) for sym, img in self.entries))
 
 
-def _check_source(h: Homomorphism, a) -> None:
-    if a.alphabet != h.source:
+def _check_side(a, alphabet: Alphabet, side: str) -> None:
+    if a.alphabet != alphabet:
         raise AlphabetMismatchError(
             f"automaton alphabet {a.alphabet.symbols} differs from the "
-            f"source alphabet {h.source.symbols}"
+            f"{side} alphabet {alphabet.symbols}"
         )
 
 
-def apply_hom_lasso(h: Homomorphism, x: LassoWord) -> "LassoWord | Undefined":
+def apply_hom_lasso(h: Homomorphism, x: LassoWord) -> LassoWord | None:
     """Image of a lasso word, with hidden letters dropped.
 
-    Returns the UNDEFINED marker when the entire cycle is hidden: only
-    finitely many visible letters remain, so there is no omega-image.  That
-    outcome is a value rather than an exception because callers routinely
-    case-split on it.
+    Returns None when the entire cycle is hidden: only finitely many visible
+    letters remain, so there is no omega-image.  That outcome is a value
+    rather than an exception because callers routinely case-split on it.
     """
     bad = x.letters() - set(h.source.symbols)
     if bad:
@@ -198,7 +169,7 @@ def apply_hom_lasso(h: Homomorphism, x: LassoWord) -> "LassoWord | Undefined":
     stem = tuple(h.image(c) for c in x.stem if h.image(c) != EPS_TOKEN)
     cycle = tuple(h.image(c) for c in x.cycle if h.image(c) != EPS_TOKEN)
     if not cycle:
-        return UNDEFINED
+        return None
     return LassoWord(stem, cycle).normalize()
 
 
@@ -209,7 +180,7 @@ def image_automaton(h: Homomorphism, a: FinAutomaton) -> FinAutomaton:
     determinization.  Prefix-closedness is preserved: the image of a prefix
     is a prefix of the image.
     """
-    _check_source(h, a)
+    _check_side(a, h.source, "source")
     return canonicalize(_image_nfa(h, a))
 
 
@@ -239,11 +210,7 @@ def inverse_image_automaton(h: Homomorphism, a):
     because their omega-image is undefined: a two-state component demands
     infinitely many visible letters.
     """
-    if a.alphabet != h.target:
-        raise AlphabetMismatchError(
-            f"automaton alphabet {a.alphabet.symbols} differs from the "
-            f"target alphabet {h.target.symbols}"
-        )
+    _check_side(a, h.target, "target")
     rows = [
         [(c, q) for c in h.source
          for q in ((p,) if h.image(c) == EPS_TOKEN else a.successors(p, h.image(c)))]
@@ -271,7 +238,7 @@ def abstract_behavior(L: FinAutomaton, h: Homomorphism) -> BuchiAutomaton:
     since the commutation can fail there even when the image itself happens
     to be prefix-closed.
     """
-    _check_source(h, L)
+    _check_side(L, h.source, "source")
     _prefix_closed_canonical(L, "the abstract behavior is defined over")
     return limit(image_automaton(h, L))
 
@@ -325,7 +292,7 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
     pairs (d, seed(q)) and a backward pass from the pairs whose two states
     share a class find which (q, d) admit a reconciling continuation.
     """
-    _check_source(h, L)
+    _check_side(L, h.source, "source")
     A = _prefix_closed_canonical(L, "weak continuation-closure is checked over")
     return _wcc(h, A)[0]
 
@@ -340,7 +307,7 @@ def _wcc(h: Homomorphism, A: FinAutomaton) -> tuple[WccReport, FinAutomaton]:
     # prefix-closed language does
     ys = range(len(subsets))
     classes = _moore_classes(y_rows, ys)
-    D, d_class = _quotient(h.target, y_rows, classes, ys, 0)
+    D, d_class = _quotient(h.target, y_rows, classes, ys)
     # A, D and Y are deterministic: one move per letter
     d_move = [dict(row) for row in D._succ]
     y_move = [dict(row) for row in y_rows]
@@ -393,7 +360,7 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
     """
     A = canonicalize(L)
     if hom is not None:
-        _check_source(hom, A)
+        _check_side(A, hom.source, "source")
     return _xtd(A, hom)
 
 
@@ -457,7 +424,7 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
     within fairness on the source language padded relative to the
     abstraction, with the lifted map keeping the padding letter visible.
     """
-    _check_source(h, L)
+    _check_side(L, h.source, "source")
     A = _prefix_closed_canonical(L, "the preservation check is defined over")
     if not check_normal_form(f, h.target, "extended_sigma"):
         raise NotNormalFormError(

@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Iterable
 
@@ -419,18 +420,6 @@ def _path_from(tree: dict, node) -> tuple[str, ...]:
     return tuple(reversed(word))
 
 
-def _shortest_cycle(succ, f: int) -> tuple[str, ...] | None:
-    """Shortest non-empty word labelling a cycle through ``f``, or None."""
-    # nodes come out in the order a queue would serve them, so the first one
-    # with an edge back into f closes a shortest cycle
-    tree: dict = {}
-    for u in _bfs(succ.__getitem__, [f], tree):
-        for s, v in succ[u]:
-            if v == f:
-                return _path_from(tree, u) + (s,)
-    return None
-
-
 def _closure(edges, targets) -> set:
     """The targets and every node they lead to; ``edges[v]`` lists v's neighbours.
 
@@ -498,14 +487,14 @@ def _moore_classes(rows, acc) -> list[int]:
     n_classes = len(set(cls))
     while True:
         sig = [(cls[q], tuple((s, cls[j]) for s, j in row)) for q, row in enumerate(rows)]
-        ids = {v: i for i, v in enumerate(sorted(set(sig)))}
+        ids = {v: i for i, v in enumerate(dict.fromkeys(sig))}
         if len(ids) == n_classes:
             return [ids[v] for v in sig]
         cls, n_classes = [ids[v] for v in sig], len(ids)
 
 
-def _quotient(alphabet: Alphabet, rows, classes, acc, start: int):
-    """The automaton of the classes reachable from ``start``'s, and each state's class.
+def _quotient(alphabet: Alphabet, rows, classes, acc):
+    """The automaton of the classes reachable from state 0's, and each state's class.
 
     ``rows`` and ``acc`` are a subset construction's successor rows and
     accepting states, ``classes`` its equal-residual classes; states are
@@ -515,7 +504,7 @@ def _quotient(alphabet: Alphabet, rows, classes, acc, start: int):
     for q, c in enumerate(classes):
         if c not in class_rows:  # every member has the same (letter, class) moves
             class_rows[c] = [(s, classes[j]) for s, j in rows[q]]
-    order, qrows = _explore(class_rows.__getitem__, [classes[start]])
+    order, qrows = _explore(class_rows.__getitem__, [classes[0]])
     cacc = {classes[q] for q in acc}
     accepting = {i for i, c in enumerate(order) if c in cacc}
     return FinAutomaton._from_rows(alphabet, len(order), {0}, accepting, qrows), order
@@ -545,7 +534,7 @@ def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
         return FinAutomaton.empty(a.alphabet)
     order, rows = _subsets(a, [init], keep_mask)
     acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
-    return _quotient(a.alphabet, rows, _moore_classes(rows, acc), acc, 0)[0]
+    return _quotient(a.alphabet, rows, _moore_classes(rows, acc), acc)[0]
 
 
 def language_subset(
@@ -846,36 +835,73 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
     return False
 
 
+def _least_words(b: BuchiAutomaton, start: int):
+    """Per length k = 0, 1, ..., the least length-k words from the ``start`` mask.
+
+    Each level lists (word, state set it reaches) entries in word order.
+    Each state that length-k words reach takes the first entry holding it,
+    whose word is the least length-k word reaching the state: that word
+    extends the least word reaching a predecessor, so a level steps the
+    previous one's entries in (word, letter) order and keeps each step that
+    reaches a state no earlier step did.  A level thus lists at most
+    ``n_states`` entries.  Endless while some word is live.
+    """
+    entries = [((), start)]
+    while entries:
+        yield entries
+        claimed, steps = 0, []
+        for word, mask in entries:
+            for s, after in _post(b, mask).items():
+                if after & ~claimed:
+                    claimed |= after
+                    steps.append(((*word, s), after))
+        entries = steps
+
+
+def _least_cycle(b: BuchiAutomaton, f: int):
+    """f's entry in the first level k >= 1 of ``_least_words`` from f that
+    holds f, within ``n_states`` levels, or None off every cycle: its word
+    is the least of the shortest non-empty words leading from f back to f.
+    """
+    levels = _least_words(b, 1 << f)
+    next(levels)
+    for entries in islice(levels, b.n_states):
+        for word, mask in entries:
+            if mask >> f & 1:
+                return word, mask
+    return None
+
+
 def _graph_witness(b: BuchiAutomaton):
     """The walk that bounds ``accepting_lasso``'s search: (levels, witness), or None.
 
-    One breadth-first walk over the state sets reachable from the initial
-    set, each new set with the least word reaching it in (length, lex)
-    order; ``levels[k]`` lists the (word, mask) pairs of length k.  It stops
-    after the first level holding a core state of the one Tarjan pass
-    ``_sccs``.  Each core state there takes the word of the first set
-    holding it, the least word reaching that state, and a shortest cycle
-    through it; the witness is the least (cycle length, stem, cycle) of
-    these, normalized.  With no live initial state nothing is walked.
+    ``levels[k]`` lists, in word order, the entries of ``_least_words``'s
+    level k from the initial set whose state set no earlier level lists:
+    each is (the least length-k word reaching some state, the state set it
+    reaches).  The walk stops after the first level holding a core state of
+    the one Tarjan pass ``_sccs``.  Each core state there takes the first
+    entry holding it, whose word is the least reaching that state, and
+    ``_least_cycle``'s word through it; the witness is the least (cycle
+    length, stem, cycle) of these, normalized.  With no live initial state
+    nothing is walked.
     """
     core, live = _sccs(b._succ, (b.accepting,))
     if live.isdisjoint(b.initial):
         return None
     core_mask = _mask(core)
     levels: list[list[tuple[tuple[str, ...], int]]] = []
-    tree: dict = {}
-    for mask in _bfs(lambda mask: _post(b, mask).items(), [b._initial_mask], tree):
-        stem = _path_from(tree, mask)
-        if len(stem) == len(levels):  # a new level: stop if the last one anchors
-            if levels and any(m & core_mask for _, m in levels[-1]):
-                break
-            levels.append([])
-        levels[-1].append((stem, mask))
+    seen: set[int] = set()
+    for entries in _least_words(b, b._initial_mask):
+        level = [e for e in entries if e[1] not in seen]
+        seen.update(mask for _, mask in level)
+        levels.append(level)
+        if any(mask & core_mask for _, mask in level):
+            break
     anchors: dict[int, tuple[str, ...]] = {}
     for stem, mask in levels[-1]:
         for f in _bit_indices(mask & core_mask):
             anchors.setdefault(f, stem)
-    cycles = {f: _shortest_cycle(b._succ, f) for f in anchors}
+    cycles = {f: _least_cycle(b, f)[0] for f in anchors}
     _, stem, cycle = min((len(cycles[f]), stem, cycles[f]) for f, stem in anchors.items())
     return levels, LassoWord(stem, cycle).normalize()
 
@@ -886,15 +912,17 @@ def _denotation_minimal_lasso(
     """Least accepted lasso by (stem length, cycle length, stem, cycle) within bounds.
 
     The range is the stems of ``_graph_witness``'s levels up to the
-    baseline's length, one per reachable state set (the least word reaching
-    it), and cycles up to max(baseline cycle length, 8).  The first accepted
-    normal form met is the answer.  The baseline is an accepted normal form
-    in the range: its stem is the least word reaching its state set, and so
-    is every prefix of such a word.  So the search stops by the baseline;
-    running off the range is an ``InvariantError``.  Cycles grow one letter
-    at a time from the previous length's live cycles (those on which some
-    run from the stem survives), each charging its length to the budget;
-    the baseline is returned once the budget runs out.  Each live cycle
+    baseline's length, each the least word reaching some state with a state
+    set new at its level, and cycles up to max(baseline cycle length, 8).
+    The first accepted normal form met is the answer.  The range holds one:
+    a prefix of a state's least word is the least word reaching a state too,
+    so the baseline's stem is an entry of ``_least_words``, and an entry
+    whose set an earlier level lists leads to an accepted lasso with a
+    shorter stem.  So the search stops by the baseline; running off the
+    range is an ``InvariantError``.  Cycles grow one letter at a time from
+    the previous length's live cycles (those on which some run from the
+    stem survives), each charging its length to the budget; the baseline
+    is returned once the budget runs out.  Each live cycle
     carries the whole-cycle pass of every state of its stem's set, from
     which ``_accepts_periodic`` decides it.
     """
@@ -927,16 +955,16 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
 
     A graph-level witness is found first, by ``_graph_witness``: the least
     word reaching a shallowest core state of the one Tarjan pass ``_sccs``
-    (with no live initial state, nothing is searched), then a shortest
-    cycle through it.  It bounds one range: stems no longer than its stem
-    and cycles of at most max(its cycle length, 8) letters.  The result is
-    the least accepted lasso in that range, which a run-level search alone
-    can miss when tracking states forces a longer cycle than the word
-    itself needs.  The witness is in the range, so the refinement always
-    ends with an answer; if its budget of 24,000 letters of live cycles
-    runs out first, the answer is the witness.  A smaller lasso outside
-    the range, with a shorter stem and a longer cycle, can exist and is not
-    found.
+    (with no live initial state, nothing is searched), then the least of the
+    shortest cycle words through it.  It bounds one range: stems no longer
+    than its stem and cycles of at most max(its cycle length, 8) letters.
+    The result is the least accepted lasso in that range, which a run-level
+    search alone can miss when tracking states forces a longer cycle than
+    the word itself needs.  The witness is in the range, so the refinement
+    always ends with an answer; if its budget of 24,000 letters of live
+    cycles runs out first, the answer is the witness.  A smaller lasso
+    outside the range, with a shorter stem and a longer cycle, can exist
+    and is not found.
     """
     found = _graph_witness(b)
     return None if found is None else _denotation_minimal_lasso(b, *found)

@@ -91,8 +91,7 @@ class Formula:
 
 @dataclass(frozen=True, eq=False)
 class TrueFormula(Formula):
-    def __repr__(self) -> str:
-        return "TrueFormula()"
+    pass
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,15 +52,16 @@ def shortest_word_lengths(a, starts) -> dict[int, int]:
     return lengths
 
 
-def shortest_cycle_length(a, f: int) -> int | None:
-    """Least length of a non-empty word leading from ``f`` back to ``f``, or None.
+def least_cycle(a, f: int) -> tuple[str, ...] | None:
+    """Least non-empty word leading from ``f`` back to ``f``, or None.
 
-    Walks every word of at most ``n_states`` letters, shortest first; a
-    shortest cycle visits no state twice, so none is longer.
+    Least means shortest, then by letters.  Walks every word of at most
+    ``n_states`` letters, shortest first; a shortest cycle visits no state
+    twice, so none is longer.
     """
     for word in enumerate_words(a.alphabet, a.n_states):
         if word and f in states_reached(a, {f}, word):
-            return len(word)
+            return word
     return None
 
 

@@ -602,13 +602,13 @@ class TestEmptinessAndWitness:
 
     def test_cycle_search_only_at_the_shallowest_anchors(self, monkeypatch):
         calls = []
-        real = automata._shortest_cycle
+        real = automata._least_cycle
 
-        def counted(succ, f):
+        def counted(b, f):
             calls.append(f)
-            return real(succ, f)
+            return real(b, f)
 
-        monkeypatch.setattr(automata, "_shortest_cycle", counted)
+        monkeypatch.setattr(automata, "_least_cycle", counted)
         n = 300
         ring = BuchiAutomaton(
             AB, n, {0}, set(range(n)), {(q, "a", (q + 1) % n) for q in range(n)}
@@ -636,13 +636,13 @@ class TestEmptinessAndWitness:
 
     def test_no_search_without_a_core_state(self, monkeypatch):
         calls = []
-        real = automata._bfs
+        real = automata._least_words
 
-        def counted(moves, starts, tree):
-            calls.append(starts)
-            return real(moves, starts, tree)
+        def counted(b, start):
+            calls.append(start)
+            return real(b, start)
 
-        monkeypatch.setattr(automata, "_bfs", counted)
+        monkeypatch.setattr(automata, "_least_words", counted)
         # accepting states only off every cycle, and a non-accepting cycle
         chain = BuchiAutomaton(
             AB, 3, {0}, {0, 1}, {(0, "a", 1), (1, "b", 2), (2, "a", 2)}
@@ -653,22 +653,23 @@ class TestEmptinessAndWitness:
 
     def test_no_search_when_no_initial_state_reaches_the_core(self, monkeypatch):
         calls = []
-        real = automata._bfs
+        real = automata._least_words
 
-        def counted(moves, starts, tree):
-            calls.append(starts)
-            return real(moves, starts, tree)
+        def counted(b, start):
+            calls.append(start)
+            return real(b, start)
 
-        monkeypatch.setattr(automata, "_bfs", counted)
+        monkeypatch.setattr(automata, "_least_words", counted)
         # state 2's accepting loop is a core state no run reaches; without
-        # the live check the walk would list every reachable state set
+        # the live check the walk would go on as long as some word is live
         loop = BuchiAutomaton(AB, 3, {0}, {2}, {(0, "a", 1), (1, "b", 0), (2, "a", 2)})
         assert accepting_lasso(loop) is None
         assert calls == []
 
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
-        # reference: per reachable anchor the least word reaching it and one
-        # cycle search, least (stem length, cycle length, stem, cycle) wins
+        # reference: per reachable anchor the least word reaching it and the
+        # least cycle word through it, least (stem length, cycle length,
+        # stem, cycle) wins
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
             least: dict = {}
@@ -677,7 +678,7 @@ class TestEmptinessAndWitness:
                     least.setdefault(q, word)
             keys = []
             for f in sorted(set(b.accepting) & set(least)):
-                cyc = automata._shortest_cycle(b._succ, f)
+                cyc = oracles.least_cycle(b, f)
                 if cyc is not None:
                     keys.append((len(least[f]), len(cyc), least[f], cyc))
             expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
@@ -686,24 +687,54 @@ class TestEmptinessAndWitness:
 
     def test_one_walk_plus_one_per_cycle_search(self, monkeypatch):
         calls = []
-        real_bfs, real_cycle = automata._bfs, automata._shortest_cycle
+        real_walk, real_cycle = automata._least_words, automata._least_cycle
 
-        def counted_bfs(moves, starts, tree):
+        def counted_walk(b, start):
             calls.append("walk")
-            return real_bfs(moves, starts, tree)
+            return real_walk(b, start)
 
-        def counted_cycle(succ, f):
+        def counted_cycle(b, f):
             calls.append(f)
-            return real_cycle(succ, f)
+            return real_cycle(b, f)
 
-        monkeypatch.setattr(automata, "_bfs", counted_bfs)
-        monkeypatch.setattr(automata, "_shortest_cycle", counted_cycle)
+        monkeypatch.setattr(automata, "_least_words", counted_walk)
+        monkeypatch.setattr(automata, "_least_cycle", counted_cycle)
         # anchors 1 and 2 both one letter deep, and 3 two letters deep
         edges = {(0, "a", 1), (0, "b", 2), (1, "a", 1), (2, "b", 2), (1, "b", 3), (3, "a", 3)}
         b = BuchiAutomaton(AB, 4, {0}, {1, 2, 3}, edges)
         assert accepting_lasso(b) == LassoWord((), ("a",))
-        # each cycle search is one breadth-first walk, after the walk over state sets
+        # each cycle search is one walk from its anchor, after the walk from
+        # the initial set
         assert calls == ["walk", 1, "walk", 2, "walk"]
+
+    def test_walk_levels_list_at_most_one_stem_per_state(self):
+        # a chain 0 -a-> ... -a-> 30 with an accepting a-loop at its end, and
+        # a b-edge from every chain state into the automaton of
+        # (a|b)* a (a|b)^12, whose reachable state sets number 2^12: a walk
+        # over state sets would list each of them before the chain's end
+        k, n = 12, 30
+        j = [n + 1 + i for i in range(k + 1)]
+        edges = {(q, "a", q + 1) for q in range(n)} | {(n, "a", n)}
+        edges |= {(q, "b", j[0]) for q in range(n + 1)}
+        edges |= {(j[0], "a", j[0]), (j[0], "b", j[0]), (j[0], "a", j[1])}
+        edges |= {(j[i], s, j[i + 1]) for i in range(1, k) for s in "ab"}
+        b = BuchiAutomaton(AB, n + k + 2, {0}, {n}, edges)
+        levels, baseline = automata._graph_witness(b)
+        assert len(levels) == n + 1
+        assert max(len(level) for level in levels) <= b.n_states
+        assert baseline == LassoWord((), ("a",))
+        assert accepting_lasso(b) == baseline
+
+    def test_graph_witness_does_not_depend_on_state_numbering(self):
+        # two cycles of two letters through the accepting state 0, a b and
+        # a a, under both numberings of their middle states: the witness is
+        # the least cycle word, a a, normalized, also once the budget is spent
+        for one, two in ((1, 2), (2, 1)):
+            edges = {(0, "a", one), (one, "b", 0), (0, "a", two), (two, "a", 0)}
+            b = BuchiAutomaton(AB, 3, {0}, {0}, edges)
+            levels, baseline = automata._graph_witness(b)
+            assert baseline == LassoWord((), ("a",))
+            assert automata._denotation_minimal_lasso(b, levels, baseline, 0) == baseline
 
 
 class TestWitnessSearch:
@@ -773,7 +804,8 @@ class TestWitnessSearch:
 
     def test_least_lasso_does_not_depend_on_state_numbering(self, rng):
         # at the default budget; a spent budget falls back to the graph
-        # witness, whose shortest cycle follows state numbering on ties
+        # witness, which test_graph_witness_does_not_depend_on_state_numbering
+        # covers
         found = 0
         for _ in range(150):
             letters = gen.letters(rng.randint(2, 3))
@@ -909,13 +941,18 @@ class TestGraphSearch:
                 continue
             walks += 1
             k = len(found[0]) - 1
-            expected = [[] for _ in range(k + 1)]
-            seen = set()
+            # per length, the least word reaching each state, listed once
+            # with its state set unless an earlier length lists that set
+            least: dict = {}
             for word in oracles.enumerate_words(b.alphabet, k):
-                reached = frozenset(oracles.states_reached(b, b.initial, word))
-                if reached and reached not in seen:
-                    seen.add(reached)
-                    expected[len(word)].append((word, reached))
+                for q in oracles.states_reached(b, b.initial, word):
+                    least.setdefault((len(word), q), word)
+            expected, seen = [], set()
+            for m in range(k + 1):
+                words = sorted({w for (n, _), w in least.items() if n == m})
+                level = [(w, frozenset(oracles.states_reached(b, b.initial, w))) for w in words]
+                expected.append([(w, r) for w, r in level if r not in seen])
+                seen.update(r for _, r in level)
             got = [
                 [(stem, frozenset(automata._bit_indices(mask))) for stem, mask in level]
                 for level in found[0]
@@ -924,7 +961,7 @@ class TestGraphSearch:
             # the walk stops after the first level reaching an accepting cycle
             anchored = [
                 any(
-                    q in b.accepting and oracles.shortest_cycle_length(b, q) is not None
+                    q in b.accepting and oracles.least_cycle(b, q) is not None
                     for _, states in level
                     for q in states
                 )
@@ -933,17 +970,17 @@ class TestGraphSearch:
             assert anchored == [False] * k + [True]
         assert walks >= 20
 
-    def test_shortest_cycle_against_brute_force(self, rng):
+    def test_least_cycle_against_brute_force(self, rng):
         for _ in range(120):
             a = _random_graph(rng)
             for f in a.states:
-                cyc = automata._shortest_cycle(a._succ, f)
-                expected = oracles.shortest_cycle_length(a, f)
+                expected = oracles.least_cycle(a, f)
+                found = automata._least_cycle(a, f)
                 if expected is None:
-                    assert cyc is None
+                    assert found is None
                 else:
-                    assert cyc is not None and len(cyc) == expected
-                    assert f in oracles.states_reached(a, {f}, cyc)
+                    reached = oracles.states_reached(a, {f}, expected)
+                    assert found == (expected, automata._mask(reached))
 
 
 def _brute_nonempty(b) -> bool:
