@@ -28,6 +28,7 @@ from .automata import (
     _bfs,
     _closure,
     _explore,
+    _marked,
     _moore_classes,
     _path_from,
     _predecessors,
@@ -356,7 +357,10 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
     (without ``hom`` every edge is visible) is reachable from it, which is
     exact because canonical automata are trimmed, so every reachable edge
     lies on an accepted continuation.  The alphabet is extended by ``#`` in
-    both variants, whether or not any loop was added.
+    both variants, whether or not any loop was added.  The result is
+    canonical; when ``#`` is not a letter of ``L`` the padded canonical
+    automaton already is, with the same states and numbering, and only
+    input alphabets holding ``#`` are canonicalized again.
     """
     A = canonicalize(L)
     if hom is not None:
@@ -365,7 +369,7 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
 
 
 def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
-    # A is canonical
+    # A is canonical, so the result is too; it is marked
     sees_visible = _closure(
         _predecessors(A._succ),
         {p for p, row in enumerate(A._succ) for c, _ in row
@@ -376,9 +380,13 @@ def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
         sorted({*row, (HASH_TOKEN, q)}) if q in padded else row
         for q, row in enumerate(A._succ)
     ]
-    return canonicalize(
-        FinAutomaton._from_rows(A.alphabet.with_hash(), A.n_states, A.initial, A.accepting, rows)
-    )
+    xt = FinAutomaton._from_rows(A.alphabet.with_hash(), A.n_states, A.initial, A.accepting, rows)
+    if HASH_TOKEN in A.alphabet:
+        # padding can make two residuals equal or give a state a second # edge
+        return canonicalize(xt)
+    # new self-loops discover no state, leave one move per letter, and
+    # restricted to #-free words give back A's distinct residuals
+    return _marked(xt)
 
 
 def within_fairness_finitary(L: FinAutomaton, labeling: Labeling, f: Formula) -> Verdict:

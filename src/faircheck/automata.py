@@ -33,8 +33,10 @@ the least shortest word of the difference; equality runs it both ways.
 order; ``accepting_lasso`` finds one small witness.
 
 ``canonicalize`` marks its result as canonical and returns a marked input as
-is.  The mark takes no part in ``==`` or ``hash``; only ``canonicalize`` sets
-it, and automata are immutable, so a marked automaton stays canonical.
+is.  The mark takes no part in ``==`` or ``hash``.  Only ``_marked`` sets it:
+``canonicalize`` on its result, and ``abstraction._xtd`` on padding that keeps
+a canonical input canonical.  Automata are immutable, so a marked automaton
+stays canonical.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ class _Graph:
     accepting: frozenset[int]
     _succ: tuple[tuple[tuple[str, int], ...], ...]  # the stored rows
 
-    _canonical = False  # set by canonicalize on its result only
+    _canonical = False  # set by _marked only
 
     def __init__(self, alphabet, n_states, initial, accepting, transitions):
         if n_states < 0:
@@ -481,16 +483,23 @@ def _moore_classes(rows, acc) -> list[int]:
     """Equal-residual classes of deterministic states by Moore refinement.
 
     ``rows`` are the states' successor rows, one move per letter; a missing
-    move goes to an implicit dead sink.
+    move goes to an implicit dead sink.  Every state must reach acceptance,
+    so a state moves on exactly the letters its residual continues with:
+    the first split, by (accepting, letters moved on), is exact, and each
+    later round compares only the tuple of target classes, which members of
+    one class list letter for letter.
     """
-    cls = [1 if q in acc else 0 for q in range(len(rows))]
-    n_classes = len(set(cls))
+    # a class is numbered when its first member is met
+    ids: dict = {}
+    cls = [
+        ids.setdefault((q in acc, *[s for s, _ in row]), len(ids)) for q, row in enumerate(rows)
+    ]
+    targets = [[j for _, j in row] for row in rows]
     while True:
-        sig = [(cls[q], tuple((s, cls[j]) for s, j in row)) for q, row in enumerate(rows)]
-        ids = {v: i for i, v in enumerate(dict.fromkeys(sig))}
+        n_classes, ids = len(ids), {}
+        cls = [ids.setdefault((c, *[cls[j] for j in t]), len(ids)) for c, t in zip(cls, targets)]
         if len(ids) == n_classes:
-            return [ids[v] for v in sig]
-        cls, n_classes = [ids[v] for v in sig], len(ids)
+            return cls
 
 
 def _quotient(alphabet: Alphabet, rows, classes, acc):
@@ -522,9 +531,13 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     """
     if a._canonical:
         return a
-    c = _minimal_dfa(a)
-    object.__setattr__(c, "_canonical", True)
-    return c
+    return _marked(_minimal_dfa(a))
+
+
+def _marked(a: FinAutomaton) -> FinAutomaton:
+    """``a`` itself, marked as canonical: callers pass only canonical automata."""
+    object.__setattr__(a, "_canonical", True)
+    return a
 
 
 def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
@@ -844,9 +857,11 @@ def _least_words(b: BuchiAutomaton, start: int):
     extends the least word reaching a predecessor, so a level steps the
     previous one's entries in (word, letter) order and keeps each step that
     reaches a state no earlier step did.  A level thus lists at most
-    ``n_states`` entries.  Endless while some word is live.
+    ``n_states`` entries.  Endless while some word is live.  A word is a
+    link, (previous word, letter) or None for the empty word, so a step
+    copies no letters; ``_spelled`` spells one out.
     """
-    entries = [((), start)]
+    entries = [(None, start)]
     while entries:
         yield entries
         claimed, steps = 0, []
@@ -854,21 +869,31 @@ def _least_words(b: BuchiAutomaton, start: int):
             for s, after in _post(b, mask).items():
                 if after & ~claimed:
                     claimed |= after
-                    steps.append(((*word, s), after))
+                    steps.append(((word, s), after))
         entries = steps
+
+
+def _spelled(word) -> tuple[str, ...]:
+    """The letters of a ``_least_words`` link."""
+    letters = []
+    while word is not None:
+        word, s = word
+        letters.append(s)
+    return tuple(reversed(letters))
 
 
 def _least_cycle(b: BuchiAutomaton, f: int):
     """f's entry in the first level k >= 1 of ``_least_words`` from f that
-    holds f, within ``n_states`` levels, or None off every cycle: its word
-    is the least of the shortest non-empty words leading from f back to f.
+    holds f, within ``n_states`` levels, spelled out, or None off every
+    cycle: its word is the least of the shortest non-empty words leading
+    from f back to f.
     """
     levels = _least_words(b, 1 << f)
     next(levels)
     for entries in islice(levels, b.n_states):
         for word, mask in entries:
             if mask >> f & 1:
-                return word, mask
+                return _spelled(word), mask
     return None
 
 
@@ -876,14 +901,14 @@ def _graph_witness(b: BuchiAutomaton):
     """The walk that bounds ``accepting_lasso``'s search: (levels, witness), or None.
 
     ``levels[k]`` lists, in word order, the entries of ``_least_words``'s
-    level k from the initial set whose state set no earlier level lists:
-    each is (the least length-k word reaching some state, the state set it
-    reaches).  The walk stops after the first level holding a core state of
-    the one Tarjan pass ``_sccs``.  Each core state there takes the first
-    entry holding it, whose word is the least reaching that state, and
-    ``_least_cycle``'s word through it; the witness is the least (cycle
-    length, stem, cycle) of these, normalized.  With no live initial state
-    nothing is walked.
+    level k from the initial set whose state set no earlier level lists,
+    spelled out: each is (the least length-k word reaching some state, the
+    state set it reaches).  The walk stops after the first level holding a
+    core state of the one Tarjan pass ``_sccs``.  Each core state there
+    takes the first entry holding it, whose word is the least reaching that
+    state, and ``_least_cycle``'s word through it; the witness is the least
+    (cycle length, stem, cycle) of these, normalized.  With no live initial
+    state nothing is walked.
     """
     core, live = _sccs(b._succ, (b.accepting,))
     if live.isdisjoint(b.initial):
@@ -892,7 +917,7 @@ def _graph_witness(b: BuchiAutomaton):
     levels: list[list[tuple[tuple[str, ...], int]]] = []
     seen: set[int] = set()
     for entries in _least_words(b, b._initial_mask):
-        level = [e for e in entries if e[1] not in seen]
+        level = [(_spelled(word), mask) for word, mask in entries if mask not in seen]
         seen.update(mask for _, mask in level)
         levels.append(level)
         if any(mask & core_mask for _, mask in level):

@@ -316,7 +316,9 @@ class TestWcc:
 
     def test_one_subset_construction_per_check(self, rng, subset_runs):
         # the canonical image is read off the construction seeded at every
-        # system state, so the image NFA is determinized once
+        # system state, so the image NFA is determinized once; padding a
+        # canonical automaton over a #-free alphabet keeps it canonical, so
+        # neither padded side is determinized again
         for _ in range(30):
             alphabet = gen.letters(rng.randint(2, 3))
             c = canonicalize(random_system(rng, alphabet, max_states=6))
@@ -327,10 +329,11 @@ class TestWcc:
             assert subset_runs == [seeded]
             subset_runs.clear()
             preserve_check(c, h, gen.random_extended_formula(rng, h.target.symbols, 2))
-            assert subset_runs[0] == seeded
-            # the only other runs canonicalize the padded image and system
-            padded = [a.alphabet for a, _ in subset_runs[1:]]
-            assert padded == [h.target.with_hash(), alphabet.with_hash()]
+            assert subset_runs == [seeded]
+            subset_runs.clear()
+            compute_xtd(c)
+            compute_xtd(c, hom=h)
+            assert subset_runs == []
 
     def test_canonical_image_comes_from_the_seeded_construction(self, rng):
         _, d = abstraction._wcc(HIDE_B, canonicalize(FinAutomaton.empty(AB)))
@@ -407,6 +410,37 @@ class TestXtd:
             relative = compute_xtd(a, hom=Homomorphism.identity(AB))
             ok, witness = language_equal(plain, relative)
             assert ok, witness
+
+    def test_padding_keeps_the_canonical_form(self, rng):
+        # the padded canonical automaton is returned without canonicalizing
+        # it again; canonicalizing an unmarked copy gives it back
+        padded_hits = 0
+        for i in range(120):
+            alphabet = gen.letters(rng.randint(2, 3))
+            a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=i % 2 == 0)
+            h = gen.random_hom(rng, alphabet, p_hide=0.5) if i % 3 else None
+            xt = compute_xtd(a, hom=h)
+            again = canonicalize(xt._recast(FinAutomaton))
+            assert xt == again, (a, h)
+            assert format_automaton(xt) == format_automaton(again)
+            padded_hits += any(s == "#" for _, s, _ in xt.transitions)
+        assert padded_hits >= 20
+
+    def test_padding_over_a_hash_alphabet_is_canonicalized(self, subset_runs):
+        # s0 -a-> s1, s0 -#-> s2 -#-> s2: padding the dead end s1 gives it
+        # s2's residual #*, so the two merge
+        a = FinAutomaton(
+            Alphabet(("#", "a")), 3, {0}, {0, 1, 2}, {(0, "a", 1), (0, "#", 2), (2, "#", 2)}
+        )
+        c = canonicalize(a)
+        subset_runs.clear()
+        xt = compute_xtd(c)
+        assert len(subset_runs) == 1
+        assert xt.n_states == 2
+        assert xt.transitions == {(0, "#", 1), (0, "a", 1), (1, "#", 1)}
+        again = canonicalize(xt._recast(FinAutomaton))
+        assert xt == again
+        assert format_automaton(xt) == format_automaton(again)
 
     def test_padding_loses_no_information(self, rng):
         # restricting the padded limit's prefixes back to the bare alphabet

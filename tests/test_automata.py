@@ -286,6 +286,44 @@ class TestCanonicalize:
             }
             assert c.n_states == len(residuals - {frozenset()})
 
+    def test_moore_classes_are_the_residual_partition(self, rng):
+        # on DFAs whose every state reaches acceptance, two states share a
+        # class exactly when the same tails of up to n letters lead each to
+        # acceptance; the partition itself is compared, not only its size,
+        # because _wcc compares the classes of paired states.  In the fixed
+        # draw, states 0 and 1 accept a* and b*: they differ only in the
+        # letters they move on
+        fixed = FinAutomaton(
+            AB, 4, {2}, {0, 1, 2, 3}, {(0, "a", 0), (1, "b", 1), (2, "a", 0), (2, "b", 1)}
+        )
+        split_by_letters = 0
+        for a in [fixed] + [_random_trimmed_dfa(rng) for _ in range(150)]:
+            classes = automata._moore_classes(a._succ, a.accepting)
+            step = {(p, s): q for p, s, q in a.transitions}
+            residuals = []
+            for q in a.states:
+                accepted = set()
+                for tail in oracles.enumerate_words(a.alphabet, a.n_states):
+                    r = q
+                    for s in tail:
+                        r = step.get((r, s))
+                        if r is None:
+                            break
+                    else:
+                        if r in a.accepting:
+                            accepted.add(tail)
+                residuals.append(frozenset(accepted))
+            for p in a.states:
+                for q in a.states:
+                    assert (classes[p] == classes[q]) == (residuals[p] == residuals[q]), a
+            split_by_letters += any(
+                (p in a.accepting) == (q in a.accepting)
+                and [s for s, _ in a._succ[p]] != [s for s, _ in a._succ[q]]
+                for p in a.states
+                for q in a.states
+            )
+        assert split_by_letters >= 40
+
     def test_canonical_input_is_returned_as_is(self, rng):
         for _ in range(40):
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
@@ -896,6 +934,31 @@ def _random_unreachable_buchi(rng) -> BuchiAutomaton:
     return BuchiAutomaton(AB, n, initial, accepting, edges)
 
 
+def _random_trimmed_dfa(rng) -> FinAutomaton:
+    """A random partial DFA cut to the states that can reach acceptance.
+
+    About a third of the draws accept in every state, so that only the
+    letters states move on tell their residuals apart at first.
+    """
+    alphabet = gen.letters(rng.randint(1, 3))
+    n = rng.randint(1, 5)
+    if rng.random() < 0.35:
+        acc = set(range(n))
+    else:
+        acc = {q for q in range(n) if rng.random() < 0.3} | {rng.randrange(n)}
+    edges = {(p, s, rng.randrange(n)) for p in range(n) for s in alphabet if rng.random() < 0.6}
+    raw = FinAutomaton(alphabet, n, set(), acc, edges)
+    keep = [q for q in range(n) if oracles.shortest_word_lengths(raw, {q}).keys() & acc]
+    index = {q: i for i, q in enumerate(keep)}
+    return FinAutomaton(
+        alphabet,
+        len(keep),
+        {0},
+        {index[q] for q in acc},
+        {(index[p], s, index[q]) for p, s, q in edges if p in index and q in index},
+    )
+
+
 def _random_graph(rng):
     make = gen.random_fin if rng.random() < 0.5 else gen.random_buchi
     return make(rng, gen.letters(2), max_states=6)
@@ -969,6 +1032,17 @@ class TestGraphSearch:
             ]
             assert anchored == [False] * k + [True]
         assert walks >= 20
+
+    def test_least_cycle_on_a_long_ring(self):
+        # ring q -a-> q+1 closed by n-1 -b-> 0: the one cycle through each
+        # state spells the whole ring, from that state on
+        n, m = 10_000, 5_000
+        edges = {(q, "a", q + 1) for q in range(n - 1)} | {(n - 1, "b", 0)}
+        ring = BuchiAutomaton(AB, n, {0}, {0}, edges)
+        word = ("a",) * (n - 1) + ("b",)
+        assert automata._least_cycle(ring, 0) == (word, 1)
+        assert automata._least_cycle(ring, m) == (word[m:] + word[:m], 1 << m)
+        assert accepting_lasso(ring) == LassoWord((), word)
 
     def test_least_cycle_against_brute_force(self, rng):
         for _ in range(120):
