@@ -14,7 +14,10 @@ into rows (bad input raises ``ValueError``), and ``transitions``, the set of
 triples, is a view derived from the rows on first use.  So is ``_out``, the
 one move lookup: per state, each letter it moves on mapped to its target
 mask.  Every subset walk reads it through ``_post``, which lists only the
-letters a state set moves on.
+letters a state set moves on.  A deterministic automaton's reachable subsets
+each hold one state, so canonical forms walk it by state index over its rows,
+building no state sets, and inclusion searches hold its side of a pair as a
+state index.
 
 One Tarjan pass, ``_sccs``, gives the two state sets every liveness question
 needs when a run must visit each of a list of state sets infinitely often
@@ -27,8 +30,9 @@ witness-shaped form, whose phase counts only over the operands that do not
 accept in every state: with one such operand it is the pair product too.
 
 Every finitary language compare is one inclusion search, ``_pair_search``,
-a breadth-first walk over pairs of subset states whose first bad pair gives
-the least shortest word of the difference; equality runs it both ways.
+a breadth-first walk over pairs of subset states (a deterministic left side
+is a state index) whose first bad pair gives the least shortest word of the
+difference; equality runs it both ways.
 ``accepted_lassos`` lists every accepted lasso up to a length, in one fixed
 order; ``accepting_lasso`` finds one small witness.
 
@@ -522,10 +526,12 @@ def _quotient(alphabet: Alphabet, rows, classes, acc):
 def canonicalize(a: FinAutomaton) -> FinAutomaton:
     """Minimal trimmed deterministic automaton for the same finitary language.
 
-    The input is cut to the states that can reach acceptance, so subset
-    construction from its initial states yields only reachable subsets that
-    can all reach acceptance too; Moore refinement with an implicit dead sink
-    and a breadth-first quotient over sorted letters follow.  Idempotent; the
+    The input is cut to the states that can reach acceptance.  A
+    deterministic input is then walked by state index from its initial
+    state, any other by subset construction from its initial states; either
+    walk yields only reachable states or subsets that can all reach
+    acceptance too.  Moore refinement with an implicit dead sink and a
+    breadth-first quotient over sorted letters follow.  Idempotent; the
     empty language collapses to the 0-state automaton.  The result is marked,
     and a marked input is returned as is.
     """
@@ -541,12 +547,21 @@ def _marked(a: FinAutomaton) -> FinAutomaton:
 
 
 def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
-    keep_mask = _mask(_closure(_predecessors(a._succ), a.accepting))
-    init = a._initial_mask & keep_mask
+    keep = _closure(_predecessors(a._succ), a.accepting)
+    init = a.initial & keep
     if not init:
         return FinAutomaton.empty(a.alphabet)
-    order, rows = _subsets(a, [init], keep_mask)
-    acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
+    if a.deterministic:
+        # every reachable subset holds one state: the kept rows, walked by
+        # index, discover states in the order the subset walk would
+        succ = a._succ
+        if len(keep) < a.n_states:
+            succ = [[(s, q) for s, q in row if q in keep] for row in succ]
+        order, rows = _explore(succ.__getitem__, init)
+        acc = {i for i, q in enumerate(order) if q in a.accepting}
+    else:
+        order, rows = _subsets(a, [_mask(init)], _mask(keep))
+        acc = {i for i, mask in enumerate(order) if mask & a._accepting_mask}
     return _quotient(a.alphabet, rows, _moore_classes(rows, acc), acc)[0]
 
 
@@ -556,7 +571,8 @@ def language_subset(
     """Is L(a) a subset of L(b)?  On failure also return the least shortest witness.
 
     Breadth-first search over pairs of on-the-fly subset states, following
-    a's letters in sorted order: pairs are discovered in shortlex order of
+    a's letters in sorted order; a deterministic a is walked by state index,
+    its side of a pair one state.  Pairs are discovered in shortlex order of
     their least words, so the first pair that a accepts and b does not gives
     the least shortest word of L(a) - L(b).
     """
@@ -583,15 +599,23 @@ def _pair_search(a, b):
     if a == b:  # equal automata (fields and kind): equal languages, nothing to search
         return True, None
 
+    if a.deterministic:  # a's side of a pair is a state index, its moves its row
+        starts, a_moves, a_accepts = a.initial, a._succ.__getitem__, a.accepting.__contains__
+    else:
+        starts, a_accepts = (a._initial_mask,), a._accepting_mask.__and__
+
+        def a_moves(mask):
+            return _post(a, mask).items()
+
     def moves(pair):
         # only a's letters matter: a pair without an a-state is never bad
         post_b = _post(b, pair[1])
-        for s, after in _post(a, pair[0]).items():
+        for s, after in a_moves(pair[0]):
             yield s, (after, post_b.get(s, 0))
 
     tree: dict = {}
-    for pair in _bfs(moves, [(a._initial_mask, b._initial_mask)], tree):
-        if pair[0] & a._accepting_mask and not pair[1] & b._accepting_mask:
+    for pair in _bfs(moves, [(p, b._initial_mask) for p in starts], tree):
+        if a_accepts(pair[0]) and not pair[1] & b._accepting_mask:
             return False, _path_from(tree, pair)
     return True, None
 
@@ -806,10 +830,11 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
     """One whole-cycle step of the (state, seen-accepting) pair relation."""
-    acc = b._accepting_mask
+    out, acc = b._out, b._accepting_mask
     for s in cycle:
-        n0 = b.step_mask(m0, s)
-        n1 = b.step_mask(m1, s)
+        # an empty or one-state mask, the usual case, steps by one lookup
+        n0 = m0 and out[m0.bit_length() - 1].get(s, 0) if not m0 & (m0 - 1) else b.step_mask(m0, s)
+        n1 = m1 and out[m1.bit_length() - 1].get(s, 0) if not m1 & (m1 - 1) else b.step_mask(m1, s)
         m0 = n0 & ~acc
         m1 = n1 | (n0 & acc)
     return m0, m1
@@ -822,18 +847,23 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
     (unmarked, marked) masks that ``_cycle_pass`` gives from each state alone;
     it may be empty.  The mask is closed under whole-cycle passes, computing
     those not given; the word is accepted exactly when some marked pass
-    u -> v leads back to u in zero or more passes.
+    u -> v leads back to u in zero or more passes, so a closure with no
+    marked pass rejects at once.
     """
     known = dict(zip(_bit_indices(start), passes))
-    reach, frontier = 0, start
+    reach, frontier, marks = 0, start, 0
     while frontier:
         reach |= frontier
         nxt = 0
         for q in _bit_indices(frontier):
             if q not in known:
                 known[q] = _cycle_pass(b, 1 << q, 0, cycle)
-            nxt |= known[q][0] | known[q][1]
+            unmarked, marked = known[q]
+            nxt |= unmarked | marked
+            marks |= marked
         frontier = nxt & ~reach
+    if not marks:
+        return False
     onward = {q: unmarked | marked for q, (unmarked, marked) in known.items()}
     for u, (_, marked) in known.items():
         seen = frontier = marked

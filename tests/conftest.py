@@ -30,3 +30,17 @@ def subset_runs(monkeypatch):
     monkeypatch.setattr(automata, "_subsets", counted)
     monkeypatch.setattr(abstraction, "_subsets", counted)
     return runs
+
+
+@pytest.fixture
+def minimal_dfa_runs(monkeypatch):
+    """The input of each ``_minimal_dfa`` call, in call order: one per canonicalization."""
+    runs = []
+    real = automata._minimal_dfa
+
+    def counted(a):
+        runs.append(a)
+        return real(a)
+
+    monkeypatch.setattr(automata, "_minimal_dfa", counted)
+    return runs

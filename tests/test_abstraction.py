@@ -426,16 +426,16 @@ class TestXtd:
             padded_hits += any(s == "#" for _, s, _ in xt.transitions)
         assert padded_hits >= 20
 
-    def test_padding_over_a_hash_alphabet_is_canonicalized(self, subset_runs):
+    def test_padding_over_a_hash_alphabet_is_canonicalized(self, minimal_dfa_runs):
         # s0 -a-> s1, s0 -#-> s2 -#-> s2: padding the dead end s1 gives it
         # s2's residual #*, so the two merge
         a = FinAutomaton(
             Alphabet(("#", "a")), 3, {0}, {0, 1, 2}, {(0, "a", 1), (0, "#", 2), (2, "#", 2)}
         )
         c = canonicalize(a)
-        subset_runs.clear()
+        minimal_dfa_runs.clear()
         xt = compute_xtd(c)
-        assert len(subset_runs) == 1
+        assert len(minimal_dfa_runs) == 1
         assert xt.n_states == 2
         assert xt.transitions == {(0, "#", 1), (0, "a", 1), (1, "#", 1)}
         again = canonicalize(xt._recast(FinAutomaton))

@@ -1,5 +1,6 @@
 """Automata algebra: canonical forms, products, emptiness, quotients, metric."""
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import gen
 import oracles
 from faircheck import automata
 from faircheck.abstraction import compute_xtd, image_automaton
-from faircheck.formats import parse_automaton
+from faircheck.formats import format_automaton, parse_automaton
 from faircheck.pltl import parse_formula, to_buchi
 from faircheck.automata import (
     Alphabet,
@@ -329,23 +330,61 @@ class TestCanonicalize:
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             assert canonicalize(c) is c
 
-    def test_unmarked_copy_is_still_canonicalized(self, rng, subset_runs):
+    def test_unmarked_copy_is_still_canonicalized(self, rng, minimal_dfa_runs):
         for _ in range(40):
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             copy = FinAutomaton(c.alphabet, c.n_states, c.initial, c.accepting, c.transitions)
             # the mark takes no part in equality or hashing
             assert copy == c and hash(copy) == hash(c)
-            subset_runs.clear()
+            minimal_dfa_runs.clear()
             again = canonicalize(copy)
             assert again == c and again is not copy
-            assert [a for a, _ in subset_runs] == ([copy] if c.n_states else [])
+            assert len(minimal_dfa_runs) == 1 and minimal_dfa_runs[0] is copy
 
-    def test_limit_of_a_canonical_form_determinizes_once(self, rng, subset_runs):
+    def test_limit_of_a_canonical_form_determinizes_once(self, rng, minimal_dfa_runs):
         for _ in range(30):
             x = gen.random_fin(rng, gen.letters(3), max_states=6, all_accepting=True)
-            subset_runs.clear()
+            minimal_dfa_runs.clear()
             limit(canonicalize(x))
-            assert [a for a, _ in subset_runs] == [x]
+            assert len(minimal_dfa_runs) == 1 and minimal_dfa_runs[0] is x
+
+    def test_deterministic_input_runs_no_subset_construction(self, rng, subset_runs):
+        # a deterministic input is walked by state index; an NFA is
+        # determinized once, unless no initial state reaches acceptance
+        determinized = 0
+        for _ in range(60):
+            subset_runs.clear()
+            canonicalize(_random_dfa(rng))
+            assert subset_runs == []
+            nfa = _nondeterministic(rng, gen.random_fin)
+            c = canonicalize(nfa)
+            ran = [a for a, _ in subset_runs]
+            assert ran == ([] if nfa.deterministic or not c.n_states else [nfa])
+            determinized += len(ran)
+        assert determinized >= 30
+
+    def test_deterministic_walk_agrees_with_the_subset_walk(self, rng):
+        # one more initial state, isolated, makes a copy nondeterministic
+        # without changing its language, so the copy takes the mask paths;
+        # the least shortest witness depends only on the languages
+        dead_ends = differences = 0
+        for _ in range(150):
+            a = _random_dfa(rng)
+            n = a.n_states
+            masked = FinAutomaton(a.alphabet, n + 1, {0, n}, a.accepting, a.transitions)
+            assert a.deterministic and not masked.deterministic
+            c, m = canonicalize(a), canonicalize(masked)
+            assert c == m
+            assert format_automaton(c) == format_automaton(m)
+            b = gen.random_fin(rng, a.alphabet, max_states=4, density=2.5)
+            verdict = language_subset(a, b)
+            assert verdict == language_subset(masked, b)
+            differences += not verdict[0]
+            reached = oracles.shortest_word_lengths(a, a.initial)
+            dead_ends += any(
+                not oracles.shortest_word_lengths(a, {q}).keys() & a.accepting for q in reached
+            )
+        assert dead_ends >= 30 and differences >= 30
 
 
 class TestLanguageComparisons:
@@ -804,7 +843,9 @@ class TestWitnessSearch:
         assert automata._sccs(chain, (everything,)) == ({n - 1}, everything)
 
     def test_periodic_acceptance_against_the_oracle(self, rng):
-        outcomes = []
+        # a rejection is decided either without a cycle search, when no pass
+        # from the closure of the starts is marked, or by one
+        outcomes = Counter()
         for _ in range(300):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
             n = b.n_states
@@ -814,8 +855,16 @@ class TestWitnessSearch:
             got = automata._accepts_periodic(b, automata._mask(starts), cycle, passes)
             from_starts = BuchiAutomaton(AB, n, starts, b.accepting, b.transitions)
             assert got == oracles.buchi_accepts_lasso(from_starts, LassoWord((), cycle))
-            outcomes.append(got)
-        assert 50 < sum(outcomes) < 250
+            closure, todo, marked = set(), list(starts), False
+            while todo:
+                if (q := todo.pop()) not in closure:
+                    closure.add(q)
+                    unmarked, to_marked = automata._cycle_pass(b, 1 << q, 0, cycle)
+                    marked |= bool(to_marked)
+                    todo.extend(automata._bit_indices(unmarked | to_marked))
+            outcomes["accepted" if got else "marked" if marked else "unmarked"] += 1
+        assert 50 < outcomes["accepted"] < 250
+        assert outcomes["marked"] >= 10 and outcomes["unmarked"] >= 10
 
     def test_least_lasso_against_brute_force(self, rng):
         improved = 0
@@ -957,6 +1006,15 @@ def _random_trimmed_dfa(rng) -> FinAutomaton:
         {index[q] for q in acc},
         {(index[p], s, index[q]) for p, s, q in edges if p in index and q in index},
     )
+
+
+def _random_dfa(rng) -> FinAutomaton:
+    """A random partial DFA from state 0, dead and unreachable states left in."""
+    alphabet = gen.letters(rng.randint(1, 3))
+    n = rng.randint(1, 6)
+    edges = {(p, s, rng.randrange(n)) for p in range(n) for s in alphabet if rng.random() < 0.6}
+    accepting = {q for q in range(n) if rng.random() < 0.35}
+    return FinAutomaton(alphabet, n, {0}, accepting, edges)
 
 
 def _random_graph(rng):
