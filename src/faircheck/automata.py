@@ -36,6 +36,14 @@ difference; equality runs it both ways.
 ``accepted_lassos`` lists every accepted lasso up to a length, in one fixed
 order; ``accepting_lasso`` finds one small witness.
 
+With one acceptance set, a core state is an accepting state that lies on a
+cycle, which a search from that state decides locally (``_on_cycle``).  So
+``_product_lasso``, the witness of ``product(a, b)`` that ``satisfies``
+(and through it ``is_relative_safety``), ``verify_fair_impl`` and
+``PropertySpec.from_automata`` take, computes each product row when its
+search first reads it: the product is built in full only when the verdict
+holds or an accepting state lies on no cycle, and then each row once.
+
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``.  Only ``_marked`` sets it:
 ``canonicalize`` on its result, and ``abstraction._xtd`` on padding that keeps
@@ -744,14 +752,13 @@ def is_prefix_closed(a: FinAutomaton) -> bool:
     return len(c.accepting) == c.n_states
 
 
-def _product_pairs(a, b, next_phase):
-    """Reachable (p, q, phase) triples of a synchronous product, in discovery order.
+def _product_moves(a, b, next_phase):
+    """The sorted initial (p, q, phase) triples of a synchronous product, and its moves.
 
-    Walks the out-edges of ``a`` (sorted by letter, then target) and looks up
-    ``b``'s targets for each letter, so states are discovered in the order of
-    letter, then p2, then q2.  ``next_phase(p, q, phase)`` is the phase
-    of every successor.  Returns the triples, the number of initial ones and
-    their successor rows.
+    ``moves(triple)`` walks the out-edges of ``a`` (sorted by letter, then
+    target) and looks up ``b``'s targets for each letter, so it lists
+    (letter, triple) edges in the order of letter, then p2, then q2.
+    ``next_phase(p, q, phase)`` is the phase of every successor.
     """
     _check_same_alphabet(a, b)
     a_succ, b_out = a._succ, b._out
@@ -766,7 +773,13 @@ def _product_pairs(a, b, next_phase):
                 m ^= low
                 yield s, (p2, low.bit_length() - 1, nphase)
 
-    starts = sorted((p, q, 0) for p in a.initial for q in b.initial)
+    return sorted((p, q, 0) for p in a.initial for q in b.initial), moves
+
+
+def _product_pairs(a, b, next_phase):
+    """Reachable triples of a synchronous product, in discovery order, the
+    number of initial ones and their successor rows (see ``_product_moves``)."""
+    starts, moves = _product_moves(a, b, next_phase)
     order, rows = _explore(moves, starts)
     for row in rows:  # targets of one letter come in (p2, q2) order, not index order
         row.sort()
@@ -815,26 +828,105 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     read its states.  Emptiness and live prefixes alone are decided on the
     pair product, by ``_pair_prefixes``.
     """
+    next_phase, accepts = _phase_rule(a, b)
+    order, n_starts, rows = _product_pairs(a, b, next_phase)
+    accepting = [i for i, t in enumerate(order) if accepts(t)]
+    return BuchiAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
+
+
+def _phase_rule(a, b):
+    """``product``'s phase rule: (the phase of a triple's successors, whether it accepts)."""
     sets = [(k, g.accepting) for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
     sets = sets or [(0, a.accepting)]  # no open operand: a accepts everywhere
+    last = len(sets) - 1
 
     def next_phase(p: int, q: int, phase: int) -> int:
         k, acc = sets[phase]
         return (phase + 1) % len(sets) if (p, q)[k] in acc else phase
 
-    order, n_starts, rows = _product_pairs(a, b, next_phase)
-    k, acc = sets[-1]
-    accepting = [i for i, t in enumerate(order) if t[2] == len(sets) - 1 and t[k] in acc]
-    return BuchiAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
+    def accepts(triple) -> bool:
+        k, acc = sets[last]
+        return triple[2] == last and triple[k] in acc
+
+    return next_phase, accepts
+
+
+class _OnDemandProduct(dict):
+    """``product(a, b)`` as far as a search reads it.
+
+    It is its own ``_out``: a state's row is computed on its first read,
+    numbering the targets met for the first time, so ``n_states`` and
+    ``_accepting_mask`` cover the states numbered so far and grow as the
+    search reads on.  With ``step_mask`` and ``_initial_mask`` (the initial
+    states come first, sorted), that is all the witness search reads.
+    """
+
+    step_mask = _Graph.step_mask
+
+    def __init__(self, a: BuchiAutomaton, b: BuchiAutomaton):
+        super().__init__()
+        next_phase, self._accepts = _phase_rule(a, b)
+        self._order, self._moves = _product_moves(a, b, next_phase)
+        self._index = {t: i for i, t in enumerate(self._order)}
+        self._initial_mask = (1 << len(self._order)) - 1
+        self._accepting_mask = _mask(i for i, t in enumerate(self._order) if self._accepts(t))
+        self.alphabet = a.alphabet
+
+    @property
+    def n_states(self) -> int:
+        return len(self._order)
+
+    @property
+    def _out(self) -> _OnDemandProduct:  # a property: a self-reference would be a cycle
+        return self
+
+    def _row(self, q: int) -> list[tuple[str, int]]:
+        """q's (letter, target) edges as ``_explore`` lists them, numbering
+        the targets met for the first time."""
+        order, index, row = self._order, self._index, []
+        for s, t in self._moves(order[q]):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
+                order.append(t)
+            row.append((s, i))
+        return row
+
+    def __missing__(self, q: int) -> dict[str, int]:
+        order, known = self._order, len(self._order)
+        moves = self[q] = {}
+        for s, i in self._row(q):
+            moves[s] = moves.get(s, 0) | 1 << i
+        for i in range(known, len(order)):  # the states this row numbered
+            if self._accepts(order[i]):
+                self._accepting_mask |= 1 << i
+        return moves
+
+    def completed(self) -> tuple[list[list[tuple[str, int]]], set[int]]:
+        """The whole product's (letter, target) rows and accepting states:
+        the rows read so far, and the others computed once (not sorted)."""
+        order, rows = self._order, []
+        for q, _ in enumerate(order):  # order grows meanwhile
+            row = self.get(q)
+            if row is None:
+                rows.append(self._row(q))
+            else:
+                rows.append([(s, t) for s, m in row.items() for t in _bit_indices(m)])
+        return rows, {i for i, t in enumerate(order) if self._accepts(t)}
 
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
-    """One whole-cycle step of the (state, seen-accepting) pair relation."""
-    out, acc = b._out, b._accepting_mask
+    """One whole-cycle step of the (state, seen-accepting) pair relation.
+
+    The accepting mask is read after each letter: an on-demand product
+    numbers the states a step discovers, and marks the accepting ones, then.
+    """
+    out = b._out
     for s in cycle:
         # an empty or one-state mask, the usual case, steps by one lookup
         n0 = m0 and out[m0.bit_length() - 1].get(s, 0) if not m0 & (m0 - 1) else b.step_mask(m0, s)
         n1 = m1 and out[m1.bit_length() - 1].get(s, 0) if not m1 & (m1 - 1) else b.step_mask(m1, s)
+        acc = b._accepting_mask
         m0 = n0 & ~acc
         m1 = n1 | (n0 & acc)
     return m0, m1
@@ -943,22 +1035,100 @@ def _graph_witness(b: BuchiAutomaton):
     core, live = _sccs(b._succ, (b.accepting,))
     if live.isdisjoint(b.initial):
         return None
-    core_mask = _mask(core)
+    return _walk_to_core(b, _mask(core))
+
+
+def _walk_to_core(b, core: int):
+    """``_graph_witness``'s walk and witness, given the ``core`` mask."""
     levels: list[list[tuple[tuple[str, ...], int]]] = []
+    for level in _new_levels(b):
+        levels.append(level)
+        if any(mask & core for _, mask in level):
+            break
+    return levels, _anchored_witness(b, levels[-1], core)
+
+
+def _new_levels(b):
+    """Per length k, the entries of ``_least_words``'s level k from the
+    initial set whose state set no earlier level lists, spelled out."""
     seen: set[int] = set()
     for entries in _least_words(b, b._initial_mask):
         level = [(_spelled(word), mask) for word, mask in entries if mask not in seen]
         seen.update(mask for _, mask in level)
-        levels.append(level)
-        if any(mask & core_mask for _, mask in level):
-            break
+        yield level
+
+
+def _anchored_witness(b, level, core: int) -> LassoWord:
+    """The least (cycle length, stem, cycle), normalized, over the ``core``
+    states that ``level``'s entries hold: each takes the first entry holding
+    it as its stem and ``_least_cycle``'s word through it as its cycle."""
     anchors: dict[int, tuple[str, ...]] = {}
-    for stem, mask in levels[-1]:
-        for f in _bit_indices(mask & core_mask):
+    for stem, mask in level:
+        for f in _bit_indices(mask & core):
             anchors.setdefault(f, stem)
     cycles = {f: _least_cycle(b, f)[0] for f in anchors}
     _, stem, cycle = min((len(cycles[f]), stem, cycles[f]) for f, stem in anchors.items())
-    return levels, LassoWord(stem, cycle).normalize()
+    return LassoWord(stem, cycle).normalize()
+
+
+def _on_cycle(b, f: int) -> bool:
+    """Does state f lie on a cycle?  A breadth-first search from f's
+    successors that stops when it returns to f."""
+    out, seen, queue = b._out, 0, deque([f])
+    while queue:
+        for after in out[queue.popleft()].values():
+            if after >> f & 1:
+                return True
+            if after := after & ~seen:
+                seen |= after
+                queue.extend(_bit_indices(after))
+    return False
+
+
+def _product_lasso(a: BuchiAutomaton, b: BuchiAutomaton) -> LassoWord | None:
+    """``accepting_lasso(product(a, b))``, computing each product row on its first read.
+
+    The walk is ``_graph_witness``'s, but it decides each accepting state a
+    level first reaches by ``_on_cycle`` (with one acceptance set, the core
+    states are the accepting states on a cycle) and stops at the first
+    level with a core state.  A walk that closes, reaching no new state, met
+    no accepting state: the answer is None.  At the first accepting state
+    on no cycle, ``_whole_product_lasso`` decides on the completed product.
+    """
+    g = _OnDemandProduct(a, b)
+    levels, reached = [], 0
+    for level in _new_levels(g):
+        levels.append(level)
+        new = 0
+        for _, mask in level:
+            new |= mask
+        new &= ~reached
+        if not new:  # every later level reaches only these states too
+            return None
+        reached |= new
+        core = 0
+        for f in _bit_indices(new & g._accepting_mask):
+            if not _on_cycle(g, f):
+                return _whole_product_lasso(g)
+            core |= 1 << f
+        if core:
+            return _denotation_minimal_lasso(g, levels, _anchored_witness(g, level, core))
+    return None
+
+
+def _whole_product_lasso(g: _OnDemandProduct) -> LassoWord | None:
+    """``accepting_lasso`` of the completed product: its core and live
+    states from ``_sccs``, and only when an initial state is live the
+    automaton, the walk and the refinement."""
+    rows, accepting = g.completed()
+    core, live = _sccs(rows, (accepting,))
+    initial = range(g._initial_mask.bit_length())
+    if live.isdisjoint(initial):
+        return None
+    for row in rows:
+        row.sort()
+    whole = BuchiAutomaton._from_rows(g.alphabet, len(rows), initial, accepting, rows)
+    return _denotation_minimal_lasso(whole, *_walk_to_core(whole, _mask(core)))
 
 
 def _denotation_minimal_lasso(
@@ -1019,7 +1189,10 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     always ends with an answer; if its budget of 24,000 letters of live
     cycles runs out first, the answer is the witness.  A smaller lasso
     outside the range, with a shorter stem and a longer cycle, can exist
-    and is not found.
+    and is not found.  A core state, under the one acceptance set, is an
+    accepting state on a cycle; ``_product_lasso`` gives the same answer
+    for a product, deciding each such state locally and reading only the
+    rows its search needs.
     """
     found = _graph_witness(b)
     return None if found is None else _denotation_minimal_lasso(b, *found)
@@ -1054,23 +1227,21 @@ def accepted_lassos(b: BuchiAutomaton, max_len: int) -> list[LassoWord]:
 
     Only normal forms are listed (each ultimately periodic word once),
     ordered by total length, then stem length, then letters.  The walk
-    extends only words on which some run from an initial state survives.
+    extends only words on which some run from an initial state survives,
+    from an explicit stack, so no length is too deep for it.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     found: list[LassoWord] = []
-
-    def extend(word: tuple[str, ...], mask: int) -> None:
+    stack = [((), b._initial_mask)]
+    while stack:
+        word, mask = stack.pop()
         for split in range(len(word)):
             stem, cycle = word[:split], word[split:]
             if _is_normal_form(stem, cycle) and lasso_membership(x := LassoWord(stem, cycle), b):
                 found.append(x)
-        if len(word) == max_len:
-            return
-        for sym, nxt in _post(b, mask).items():
-            extend(word + (sym,), nxt)
-
-    extend((), b._initial_mask)
+        if len(word) < max_len:
+            stack.extend((word + (s,), after) for s, after in _post(b, mask).items())
     found.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
     return found
 

@@ -18,7 +18,7 @@ from .automata import (
     InvariantError,
     LassoWord,
     _pair_prefixes,
-    accepting_lasso,
+    _product_lasso,
     language_subset,
     limit,
     prefix_automaton,
@@ -96,14 +96,15 @@ class PropertySpec:
 
         Disjointness is decided exactly, by emptiness of the pair product;
         only when they share a computation is the witness-shaped ``product``
-        built (with its phase counter when neither accepts in every state),
-        and ValueError names its smallest accepted lasso.  Coverage
+        read (with its phase counter when neither accepts in every state),
+        as far as its witness search needs, and ValueError names its
+        smallest accepted lasso.  Coverage
         (every computation accepted by one of the two) is not checked: it
         would need a complement construction.
         """
         spec = cls(positive, complement)
         if _pair_prefixes(positive, complement).n_states:
-            shared = accepting_lasso(product(positive, complement))
+            shared = _product_lasso(positive, complement)
             raise ValueError(
                 f"automata are not complementary: both accept {shared.as_text()}"
             )
@@ -135,8 +136,13 @@ def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
 
 
 def satisfies(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
-    """Plain satisfaction: every system computation conforms."""
-    x = accepting_lasso(product(system, p.complement))
+    """Plain satisfaction: every system computation conforms.
+
+    The witness is the least accepted lasso of ``product(system,
+    p.complement)``, whose rows are computed as the search reads them; a
+    holding verdict reads them all.
+    """
+    x = _product_lasso(system, p.complement)
     return Verdict(x is None, x)
 
 

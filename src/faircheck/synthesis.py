@@ -19,7 +19,7 @@ from .automata import (
     BuchiAutomaton,
     FinAutomaton,
     _pair_prefixes,
-    accepting_lasso,
+    _product_lasso,
     language_equal,
     language_subset,
     limit,
@@ -82,8 +82,9 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     must conform to p, which holds exactly when the pair product of impl
     and p's complement is empty.  The witness is the least shortest finite
     behavior that breaks one of the first two, or a violating fair lasso of
-    the witness-shaped ``product``, built only when the last one fails
-    (with its phase counter, unless impl marks every state).
+    the witness-shaped ``product``, read only when the last one fails (with
+    its phase counter, unless impl marks every state) and only as far as the
+    witness search needs.
     """
     # decided first, so a property over another alphabet is rejected before
     # any obligation is reported
@@ -101,4 +102,4 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
         return closed
     if conforms:
         return Verdict(True)
-    return Verdict(False, accepting_lasso(product(impl, p.complement)))
+    return Verdict(False, _product_lasso(impl, p.complement))

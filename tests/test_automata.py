@@ -1,5 +1,6 @@
 """Automata algebra: canonical forms, products, emptiness, quotients, metric."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -970,6 +971,104 @@ class TestSetListAcceptance:
             assert (closed, True) in outcomes and (closed, False) in outcomes
 
 
+class TestProductOnDemand:
+    """``_product_lasso`` answers ``accepting_lasso(product(a, b))`` and
+    computes only the product rows its search reads."""
+
+    def test_agrees_with_the_whole_product(self, rng, monkeypatch):
+        real_refine = automata._denotation_minimal_lasso
+        real_completed = automata._OnDemandProduct.completed
+        budget, ran_out, fell_back = [0], [], []
+
+        def refine(b, levels, baseline):
+            x = real_refine(b, levels, baseline, budget[0])
+            ran_out.append(x is baseline)  # an accepted candidate is a new lasso
+            return x
+
+        def completed(g):
+            fell_back.append(g)
+            return real_completed(g)
+
+        monkeypatch.setattr(automata, "_denotation_minimal_lasso", refine)
+        monkeypatch.setattr(automata._OnDemandProduct, "completed", completed)
+        outcomes = Counter()
+        for i in range(600):
+            letters = gen.letters(rng.randint(2, 3))
+            a, b = (
+                gen.random_buchi(rng, letters, max_states=n, density=rng.choice((0.8, 1.6, 2.4)))
+                for n in (6, 4)
+            )
+            a, b = _close_in_rotation(i, a, b)  # neither, the left, the right or both closed
+            budget[0] = rng.randint(0, 12) if i % 2 else 24_000
+            expected = accepting_lasso(product(a, b))
+            ran_out.clear()
+            fell_back.clear()
+            assert automata._product_lasso(a, b) == expected
+            if fell_back:
+                outcomes["fallback"] += 1
+            else:
+                outcomes["on demand" if expected else "empty walk"] += 1
+            outcomes["empty"] += expected is None
+            outcomes["budget ran out"] += any(ran_out)
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_a_pass_marks_the_states_it_discovers(self):
+        # the walk stops at the graph witness b;c before state 1's row is
+        # read; the refinement's first candidate, ;a, is accepted only
+        # through state 2, which the whole-cycle pass from state 1 discovers
+        letters = Alphabet(("a", "b", "c"))
+        edges = {(0, "a", 1), (1, "a", 2), (2, "a", 1), (0, "b", 3), (3, "c", 3)}
+        a = BuchiAutomaton(letters, 4, {0}, {2, 3}, edges)
+        everything = BuchiAutomaton(letters, 1, {0}, {0}, {(0, s, 0) for s in letters})
+        assert automata._graph_witness(product(a, everything))[1] == LassoWord(("b",), ("c",))
+        assert automata._product_lasso(a, everything) == LassoWord((), ("a",))
+        assert accepting_lasso(product(a, everything)) == LassoWord((), ("a",))
+
+    @staticmethod
+    def count_rows(monkeypatch) -> Counter:
+        """Per product state, how many times its row is computed from here on."""
+        rows = Counter()
+        real = automata._product_moves
+
+        def product_moves(a, b, next_phase):
+            starts, moves = real(a, b, next_phase)
+
+            def counted(triple):
+                rows[triple] += 1
+                return moves(triple)
+
+            return starts, counted
+
+        monkeypatch.setattr(automata, "_product_moves", product_moves)
+        return rows
+
+    def test_a_short_witness_reads_few_rows(self, monkeypatch):
+        # ROADMAP item 16's exit case: an accepting a-loop at the initial
+        # state, and behind the letter b a ring of 1,000 states that the
+        # witness ;a never reads
+        n = 1000
+        edges = {(0, "a", 0), (0, "b", 1)} | {(q, "a", q % n + 1) for q in range(1, n + 1)}
+        a = BuchiAutomaton(AB, n + 1, {0}, {0}, edges)
+        b = infinitely_many_a()
+        whole = product(a, b).n_states
+        rows = self.count_rows(monkeypatch)
+        assert automata._product_lasso(a, b) == LassoWord((), ("a",))
+        assert whole > n and sum(rows.values()) < 0.05 * whole
+
+    def test_a_holding_product_computes_each_row_once(self, monkeypatch):
+        # a visits its accepting state 0 once, on no cycle, so the search
+        # falls back to the whole product, which accepts nothing
+        n = 600
+        edges = {(0, "a", 1), (0, "b", 1)} | {(q, "a", q % n + 1) for q in range(1, n + 1)}
+        edges |= {(q, "b", q) for q in range(1, n + 1, 5)}
+        a = BuchiAutomaton(AB, n + 1, {0}, {0}, edges)
+        b = infinitely_many_a()
+        whole = product(a, b).n_states
+        rows = self.count_rows(monkeypatch)
+        assert automata._product_lasso(a, b) is None
+        assert len(rows) == whole >= n and set(rows.values()) == {1}
+
+
 def _random_unreachable_buchi(rng) -> BuchiAutomaton:
     """A random automaton over a b, with up to three initial states and often
     with states no initial state reaches."""
@@ -1221,6 +1320,19 @@ class TestLassoMembership:
             # total length, then stem length, then letters
             expected.sort(key=lambda x: (len(x.stem) + len(x.cycle), len(x.stem), x.stem, x.cycle))
             assert accepted_lassos(b, 4) == expected
+
+    def test_accepted_lassos_walks_deeper_than_the_recursion_limit(self):
+        # one level per letter: a walk that recursed per letter would need
+        # more frames than the lowered limit allows
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        was = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert accepted_lassos(a_omega(), depth + 200) == [LassoWord((), ("a",))]
+        finally:
+            sys.setrecursionlimit(was)
 
     def test_single_lasso_automaton(self, rng):
         for _ in range(20):

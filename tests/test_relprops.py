@@ -349,18 +349,26 @@ def test_a_mismatched_alphabet_is_rejected(check):
 
 class TestCounterProductOnlyForWitnesses:
     """Emptiness and live prefixes are decided on the pair product: the
-    phase-counter ``product`` is built only where a witness reads its shape."""
+    phase-counter product is read only where a witness reads its shape, and
+    then on demand, built whole only when the witness search falls back."""
 
     @staticmethod
     def count_products(monkeypatch) -> list:
+        """Each ``product`` and ``_product_lasso`` call of the two modules, by name."""
         calls = []
 
-        def counted(a, b):
-            calls.append((a, b))
-            return product(a, b)
+        def counted(name, real):
+            def call(a, b):
+                calls.append(name)
+                return real(a, b)
 
-        monkeypatch.setattr(relprops, "product", counted)
-        monkeypatch.setattr(synthesis, "product", counted)
+            return call
+
+        for module in (relprops, synthesis):
+            monkeypatch.setattr(module, "product", counted("product", product))
+            monkeypatch.setattr(
+                module, "_product_lasso", counted("_product_lasso", automata._product_lasso)
+            )
         return calls
 
     def test_decisions_build_none(self, rng, monkeypatch):
@@ -388,11 +396,19 @@ class TestCounterProductOnlyForWitnesses:
         fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
         p = prop("G F result", fig2.alphabet)
         calls = self.count_products(monkeypatch)
+        completed = []
+        real = automata._OnDemandProduct.completed
+        monkeypatch.setattr(
+            automata._OnDemandProduct, "completed", lambda g: completed.append(g) or real(g)
+        )
+        # the accepting state the search meets first lies on no cycle, so
+        # the search falls back to the whole product
         assert not satisfies(limit(fig2), p)
-        assert len(calls) == 1
+        assert calls == ["_product_lasso"] and len(completed) == 1
+        # here the first accepting state lies on a cycle: rows on demand only
         with pytest.raises(ValueError, match="not complementary"):
             PropertySpec.from_automata(p.positive, p.positive)
-        assert len(calls) == 2
+        assert calls == ["_product_lasso"] * 2 and len(completed) == 1
 
 
 class TestSafetyClassification:
