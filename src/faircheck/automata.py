@@ -37,12 +37,16 @@ difference; equality runs it both ways.
 order; ``accepting_lasso`` finds one small witness.
 
 With one acceptance set, a core state is an accepting state that lies on a
-cycle, which a search from that state decides locally (``_on_cycle``).  So
-``_product_lasso``, the witness of ``product(a, b)`` that ``satisfies``
-(and through it ``is_relative_safety``), ``verify_fair_impl`` and
-``PropertySpec.from_automata`` take, computes each product row when its
-search first reads it: the product is built in full only when the verdict
-holds or an accepting state lies on no cycle, and then each row once.
+cycle, so ``accepting_lasso`` decides core states on the fly, depth by depth
+from the initial states (``_graph_witness``): a search from an accepting
+state either returns to it or reads a region closed under successors, whose
+cyclic states one ``_sccs`` pass marks and which no later search enters
+(Couvreur, FM 1999).  The walk reads only rows, so it runs unchanged over
+an ``_OnDemandProduct``: ``_product_lasso``, the witness of
+``product(a, b)`` that ``satisfies`` (and through it
+``is_relative_safety``), ``verify_fair_impl`` and
+``PropertySpec.from_automata`` take, computes each product row when the
+search first reads it, and never one twice.
 
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``.  Only ``_marked`` sets it:
@@ -858,7 +862,8 @@ class _OnDemandProduct(dict):
     numbering the targets met for the first time, so ``n_states`` and
     ``_accepting_mask`` cover the states numbered so far and grow as the
     search reads on.  With ``step_mask`` and ``_initial_mask`` (the initial
-    states come first, sorted), that is all the witness search reads.
+    states come first, sorted), that is all ``accepting_lasso`` reads, so
+    it searches this as it searches an eager automaton.
     """
 
     step_mask = _Graph.step_mask
@@ -880,39 +885,20 @@ class _OnDemandProduct(dict):
     def _out(self) -> _OnDemandProduct:  # a property: a self-reference would be a cycle
         return self
 
-    def _row(self, q: int) -> list[tuple[str, int]]:
-        """q's (letter, target) edges as ``_explore`` lists them, numbering
-        the targets met for the first time."""
-        order, index, row = self._order, self._index, []
+    def __missing__(self, q: int) -> dict[str, int]:
+        """q's moves, numbering the targets met for the first time and
+        marking the accepting ones."""
+        order, index, moves = self._order, self._index, {}
         for s, t in self._moves(order[q]):
             i = index.get(t)
             if i is None:
                 i = index[t] = len(order)
                 order.append(t)
-            row.append((s, i))
-        return row
-
-    def __missing__(self, q: int) -> dict[str, int]:
-        order, known = self._order, len(self._order)
-        moves = self[q] = {}
-        for s, i in self._row(q):
+                if self._accepts(t):
+                    self._accepting_mask |= 1 << i
             moves[s] = moves.get(s, 0) | 1 << i
-        for i in range(known, len(order)):  # the states this row numbered
-            if self._accepts(order[i]):
-                self._accepting_mask |= 1 << i
+        self[q] = moves
         return moves
-
-    def completed(self) -> tuple[list[list[tuple[str, int]]], set[int]]:
-        """The whole product's (letter, target) rows and accepting states:
-        the rows read so far, and the others computed once (not sorted)."""
-        order, rows = self._order, []
-        for q, _ in enumerate(order):  # order grows meanwhile
-            row = self.get(q)
-            if row is None:
-                rows.append(self._row(q))
-            else:
-                rows.append([(s, t) for s, m in row.items() for t in _bit_indices(m)])
-        return rows, {i for i, t in enumerate(order) if self._accepts(t)}
 
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
@@ -1022,30 +1008,74 @@ def _least_cycle(b: BuchiAutomaton, f: int):
 def _graph_witness(b: BuchiAutomaton):
     """The walk that bounds ``accepting_lasso``'s search: (levels, witness), or None.
 
-    ``levels[k]`` lists, in word order, the entries of ``_least_words``'s
-    level k from the initial set whose state set no earlier level lists,
-    spelled out: each is (the least length-k word reaching some state, the
-    state set it reaches).  The walk stops after the first level holding a
-    core state of the one Tarjan pass ``_sccs``.  Each core state there
-    takes the first entry holding it, whose word is the least reaching that
-    state, and ``_least_cycle``'s word through it; the witness is the least
-    (cycle length, stem, cycle) of these, normalized.  With no live initial
-    state nothing is walked.
+    A breadth-first pass from the initial set, one depth at a time, finds
+    the first depth d that holds a core state: with one acceptance set, an
+    accepting state on a cycle.  ``_acyclic_region`` decides each accepting
+    state the pass reaches, unless an earlier search has decided it; with
+    no core state at any depth the answer is None, and nothing is walked.
+    ``levels[k]`` lists, for k up to d, in word order, the entries of
+    ``_least_words``'s level k from the initial set whose state set no
+    earlier level lists, spelled out: each is (the least length-k word
+    reaching some state, the state set it reaches).  A state's depth is the
+    first level holding it, so level d is the first to hold a core state.
+    Each core state there takes the first entry holding it, whose word is
+    the least reaching that state, and ``_least_cycle``'s word through it;
+    the witness is the least (cycle length, stem, cycle) of these,
+    normalized.  Every row the pass and the searches read is read through
+    ``_out``, so over an ``_OnDemandProduct`` only those rows are computed.
     """
-    core, live = _sccs(b._succ, (b.accepting,))
-    if live.isdisjoint(b.initial):
-        return None
-    return _walk_to_core(b, _mask(core))
+    out = b._out
+    reached = frontier = b._initial_mask
+    decided = cyclic = core = depth = 0
+    while frontier:
+        for f in _bit_indices(frontier & b._accepting_mask):
+            if decided >> f & 1:
+                core |= cyclic & 1 << f
+            elif not (region := _acyclic_region(b, f, decided)):
+                core |= 1 << f
+            else:
+                # every cycle through the region lies inside it: mark its
+                # cyclic states, and let no later search enter it
+                states = list(_bit_indices(region))
+                index = {q: i for i, q in enumerate(states)}
+                rows = [
+                    [(s, index[t]) for s, m in out[q].items() for t in _bit_indices(m & region)]
+                    for q in states
+                ]
+                cyclic |= _mask(states[i] for i in _sccs(rows, ())[0])
+                decided |= region
+        if core:
+            levels = list(islice(_new_levels(b), depth + 1))
+            return levels, _anchored_witness(b, levels[-1], core)
+        after = 0
+        for q in _bit_indices(frontier):
+            for m in out[q].values():
+                after |= m
+        frontier = after & ~reached
+        reached |= frontier
+        depth += 1
+    return None
 
 
-def _walk_to_core(b, core: int):
-    """``_graph_witness``'s walk and witness, given the ``core`` mask."""
-    levels: list[list[tuple[tuple[str, ...], int]]] = []
-    for level in _new_levels(b):
-        levels.append(level)
-        if any(mask & core for _, mask in level):
-            break
-    return levels, _anchored_witness(b, levels[-1], core)
+def _acyclic_region(b, f: int, decided: int) -> int:
+    """The mask of f and the states it reaches outside ``decided`` when f
+    lies on no cycle, or 0 when it does.
+
+    ``decided`` must be closed under successors and miss f, so no path
+    through it leads back to f and the search does not enter it.  A
+    breadth-first search from f's successors that stops when it returns to
+    f; without that return, the states it read together with ``decided``
+    are closed under successors.
+    """
+    out, seen, queue = b._out, decided | 1 << f, deque([f])
+    while queue:
+        for after in out[queue.popleft()].values():
+            if after >> f & 1:
+                return 0
+            if after := after & ~seen:
+                seen |= after
+                queue.extend(_bit_indices(after))
+    return seen & ~decided
 
 
 def _new_levels(b):
@@ -1071,64 +1101,9 @@ def _anchored_witness(b, level, core: int) -> LassoWord:
     return LassoWord(stem, cycle).normalize()
 
 
-def _on_cycle(b, f: int) -> bool:
-    """Does state f lie on a cycle?  A breadth-first search from f's
-    successors that stops when it returns to f."""
-    out, seen, queue = b._out, 0, deque([f])
-    while queue:
-        for after in out[queue.popleft()].values():
-            if after >> f & 1:
-                return True
-            if after := after & ~seen:
-                seen |= after
-                queue.extend(_bit_indices(after))
-    return False
-
-
 def _product_lasso(a: BuchiAutomaton, b: BuchiAutomaton) -> LassoWord | None:
-    """``accepting_lasso(product(a, b))``, computing each product row on its first read.
-
-    The walk is ``_graph_witness``'s, but it decides each accepting state a
-    level first reaches by ``_on_cycle`` (with one acceptance set, the core
-    states are the accepting states on a cycle) and stops at the first
-    level with a core state.  A walk that closes, reaching no new state, met
-    no accepting state: the answer is None.  At the first accepting state
-    on no cycle, ``_whole_product_lasso`` decides on the completed product.
-    """
-    g = _OnDemandProduct(a, b)
-    levels, reached = [], 0
-    for level in _new_levels(g):
-        levels.append(level)
-        new = 0
-        for _, mask in level:
-            new |= mask
-        new &= ~reached
-        if not new:  # every later level reaches only these states too
-            return None
-        reached |= new
-        core = 0
-        for f in _bit_indices(new & g._accepting_mask):
-            if not _on_cycle(g, f):
-                return _whole_product_lasso(g)
-            core |= 1 << f
-        if core:
-            return _denotation_minimal_lasso(g, levels, _anchored_witness(g, level, core))
-    return None
-
-
-def _whole_product_lasso(g: _OnDemandProduct) -> LassoWord | None:
-    """``accepting_lasso`` of the completed product: its core and live
-    states from ``_sccs``, and only when an initial state is live the
-    automaton, the walk and the refinement."""
-    rows, accepting = g.completed()
-    core, live = _sccs(rows, (accepting,))
-    initial = range(g._initial_mask.bit_length())
-    if live.isdisjoint(initial):
-        return None
-    for row in rows:
-        row.sort()
-    whole = BuchiAutomaton._from_rows(g.alphabet, len(rows), initial, accepting, rows)
-    return _denotation_minimal_lasso(whole, *_walk_to_core(whole, _mask(core)))
+    """``accepting_lasso(product(a, b))``, computing each product row on its first read."""
+    return accepting_lasso(_OnDemandProduct(a, b))
 
 
 def _denotation_minimal_lasso(
@@ -1179,9 +1154,9 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     """A small accepted lasso (stem length, then cycle length, then lex), or None.
 
     A graph-level witness is found first, by ``_graph_witness``: the least
-    word reaching a shallowest core state of the one Tarjan pass ``_sccs``
-    (with no live initial state, nothing is searched), then the least of the
-    shortest cycle words through it.  It bounds one range: stems no longer
+    word reaching a shallowest core state, an accepting state on a cycle
+    (with no core state reachable, nothing is searched), then the least of
+    the shortest cycle words through it.  It bounds one range: stems no longer
     than its stem and cycles of at most max(its cycle length, 8) letters.
     The result is the least accepted lasso in that range, which a run-level
     search alone can miss when tracking states forces a longer cycle than
@@ -1189,10 +1164,9 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     always ends with an answer; if its budget of 24,000 letters of live
     cycles runs out first, the answer is the witness.  A smaller lasso
     outside the range, with a shorter stem and a longer cycle, can exist
-    and is not found.  A core state, under the one acceptance set, is an
-    accepting state on a cycle; ``_product_lasso`` gives the same answer
-    for a product, deciding each such state locally and reading only the
-    rows its search needs.
+    and is not found.  Only rows are read, through ``_out``, so ``b`` may
+    be an ``_OnDemandProduct``, which computes only the rows the search
+    reads.
     """
     found = _graph_witness(b)
     return None if found is None else _denotation_minimal_lasso(b, *found)

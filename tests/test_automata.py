@@ -972,25 +972,26 @@ class TestSetListAcceptance:
 
 
 class TestProductOnDemand:
-    """``_product_lasso`` answers ``accepting_lasso(product(a, b))`` and
-    computes only the product rows its search reads."""
+    """``_product_lasso`` is ``accepting_lasso`` over an ``_OnDemandProduct``:
+    it answers ``accepting_lasso(product(a, b))`` and computes only the
+    product rows its search reads, each once."""
 
     def test_agrees_with_the_whole_product(self, rng, monkeypatch):
         real_refine = automata._denotation_minimal_lasso
-        real_completed = automata._OnDemandProduct.completed
-        budget, ran_out, fell_back = [0], [], []
+        real_sccs = automata._sccs
+        budget, ran_out, acyclic = [0], [], []
 
         def refine(b, levels, baseline):
             x = real_refine(b, levels, baseline, budget[0])
             ran_out.append(x is baseline)  # an accepted candidate is a new lasso
             return x
 
-        def completed(g):
-            fell_back.append(g)
-            return real_completed(g)
+        def sccs(succ, sets):  # run once per accepting state found on no cycle
+            acyclic.append(succ)
+            return real_sccs(succ, sets)
 
         monkeypatch.setattr(automata, "_denotation_minimal_lasso", refine)
-        monkeypatch.setattr(automata._OnDemandProduct, "completed", completed)
+        monkeypatch.setattr(automata, "_sccs", sccs)
         outcomes = Counter()
         for i in range(600):
             letters = gen.letters(rng.randint(2, 3))
@@ -1002,10 +1003,10 @@ class TestProductOnDemand:
             budget[0] = rng.randint(0, 12) if i % 2 else 24_000
             expected = accepting_lasso(product(a, b))
             ran_out.clear()
-            fell_back.clear()
+            acyclic.clear()
             assert automata._product_lasso(a, b) == expected
-            if fell_back:
-                outcomes["fallback"] += 1
+            if acyclic:
+                outcomes["accepting state on no cycle"] += 1
             else:
                 outcomes["on demand" if expected else "empty walk"] += 1
             outcomes["empty"] += expected is None
@@ -1056,8 +1057,9 @@ class TestProductOnDemand:
         assert whole > n and sum(rows.values()) < 0.05 * whole
 
     def test_a_holding_product_computes_each_row_once(self, monkeypatch):
-        # a visits its accepting state 0 once, on no cycle, so the search
-        # falls back to the whole product, which accepts nothing
+        # a visits its accepting state 0 once, on no cycle: the search from
+        # it reads the whole product, finds no cycle back, and no later
+        # search enters what it read; no accepting state lies on a cycle
         n = 600
         edges = {(0, "a", 1), (0, "b", 1)} | {(q, "a", q % n + 1) for q in range(1, n + 1)}
         edges |= {(q, "b", q) for q in range(1, n + 1, 5)}
@@ -1067,6 +1069,54 @@ class TestProductOnDemand:
         rows = self.count_rows(monkeypatch)
         assert automata._product_lasso(a, b) is None
         assert len(rows) == whole >= n and set(rows.values()) == {1}
+
+    def test_no_accepting_state_reached_costs_one_read_per_row(self, monkeypatch):
+        # a ring q -a-> q+1 with a b-loop at every state never reads c, so
+        # its product with "infinitely many c" reaches no accepting state:
+        # the depth pass reads each row once, and no level is walked
+        n = 2000
+        letters = Alphabet(("a", "b", "c"))
+        edges = {(q, "a", (q + 1) % n) for q in range(n)} | {(q, "b", q) for q in range(n)}
+        a = BuchiAutomaton(letters, n, {0}, range(n), edges)
+        many_c = BuchiAutomaton(
+            letters, 2, {0}, {1}, {(p, s, int(s == "c")) for p in (0, 1) for s in letters}
+        )
+        walks, searched = [], []
+
+        def on_demand(a, b):
+            searched.append(_CountedReads(a, b))
+            return searched[-1]
+
+        monkeypatch.setattr(automata, "_least_words", lambda *args: walks.append(args))
+        monkeypatch.setattr(automata, "_OnDemandProduct", on_demand)
+        assert automata._product_lasso(a, many_c) is None
+        # a row is computed on its first read: each was read exactly once
+        [g] = searched
+        assert len(g) == g.reads == product(a, many_c).n_states == n and walks == []
+
+    def test_a_chain_of_acyclic_accepting_states_costs_linear_reads(self):
+        # ROADMAP item 16's exit case: accepting states 0 -a-> ... -a-> n,
+        # and a b-loop at n; a search from each chain state alone would
+        # read about n^2/2 rows.  Each read of the product's _out is counted,
+        # search steps included
+        n = 1000
+        edges = {(q, "a", q + 1) for q in range(n)} | {(n, "b", n)}
+        chain = BuchiAutomaton(AB, n + 1, {0}, range(n + 1), edges)
+        everything = BuchiAutomaton(AB, 1, {0}, {0}, {(0, s, 0) for s in AB})
+        g = _CountedReads(chain, everything)
+        levels, baseline = automata._graph_witness(g)
+        assert baseline == LassoWord(("a",) * n, ("b",)) and len(levels) == n + 1
+        assert len(g) == n + 1 and g.reads <= 5 * (n + 1)
+
+
+class _CountedReads(automata._OnDemandProduct):
+    """An on-demand product that counts the reads of its rows."""
+
+    reads = 0
+
+    def __getitem__(self, q):
+        self.reads += 1
+        return super().__getitem__(q)
 
 
 def _random_unreachable_buchi(rng) -> BuchiAutomaton:

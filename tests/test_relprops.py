@@ -350,7 +350,7 @@ def test_a_mismatched_alphabet_is_rejected(check):
 class TestCounterProductOnlyForWitnesses:
     """Emptiness and live prefixes are decided on the pair product: the
     phase-counter product is read only where a witness reads its shape, and
-    then on demand, built whole only when the witness search falls back."""
+    then on demand: only the rows its witness search reads are computed."""
 
     @staticmethod
     def count_products(monkeypatch) -> list:
@@ -395,20 +395,25 @@ class TestCounterProductOnlyForWitnesses:
     def test_witnesses_still_read_it(self, monkeypatch):
         fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
         p = prop("G F result", fig2.alphabet)
+        whole = product(limit(fig2), p.complement).n_states
         calls = self.count_products(monkeypatch)
-        completed = []
-        real = automata._OnDemandProduct.completed
-        monkeypatch.setattr(
-            automata._OnDemandProduct, "completed", lambda g: completed.append(g) or real(g)
-        )
-        # the accepting state the search meets first lies on no cycle, so
-        # the search falls back to the whole product
+        rows = []
+        real = automata._product_moves
+
+        def product_moves(a, b, next_phase):
+            starts, moves = real(a, b, next_phase)
+            return starts, lambda triple: rows.append(triple) or moves(triple)
+
+        monkeypatch.setattr(automata, "_product_moves", product_moves)
+        # the accepting states the search meets first lie on no cycle: it
+        # decides them from the rows it has read and walks on, so it stops
+        # short of the whole product, computing each row once
         assert not satisfies(limit(fig2), p)
-        assert calls == ["_product_lasso"] and len(completed) == 1
-        # here the first accepting state lies on a cycle: rows on demand only
+        assert calls == ["_product_lasso"] and len(set(rows)) == len(rows) < whole
+        # here the first accepting state lies on a cycle
         with pytest.raises(ValueError, match="not complementary"):
             PropertySpec.from_automata(p.positive, p.positive)
-        assert calls == ["_product_lasso"] * 2 and len(completed) == 1
+        assert calls == ["_product_lasso"] * 2
 
 
 class TestSafetyClassification:
