@@ -28,6 +28,11 @@ So the emptiness and live prefixes of an intersection are decided on the
 plain pair product (``_pair_prefixes``).  ``product`` builds the
 witness-shaped form, whose phase counts only over the operands that do not
 accept in every state: with one such operand it is the pair product too.
+Every product is one ``_Product``, whose (p, q, phase) triples are numbered
+as their rows are computed, the sorted initial triples first.  ``product``,
+``product_fin`` and ``_pair_prefixes`` compute every row in index order,
+which numbers the states breadth-first; a search reads the product as its
+own ``_out`` and computes each row when it first reads it.
 
 Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states (a deterministic left side
@@ -41,12 +46,11 @@ cycle, so ``accepting_lasso`` decides core states on the fly, depth by depth
 from the initial states (``_graph_witness``): a search from an accepting
 state either returns to it or reads a region closed under successors, whose
 cyclic states one ``_sccs`` pass marks and which no later search enters
-(Couvreur, FM 1999).  The walk reads only rows, so it runs unchanged over
-an ``_OnDemandProduct``: ``_product_lasso``, the witness of
-``product(a, b)`` that ``satisfies`` (and through it
+(Couvreur, FM 1999).  The walk reads only rows, so ``_product_lasso``, the
+witness of ``product(a, b)`` that ``satisfies`` (and through it
 ``is_relative_safety``), ``verify_fair_impl`` and
-``PropertySpec.from_automata`` take, computes each product row when the
-search first reads it, and never one twice.
+``PropertySpec.from_automata`` take, runs it over the ``_Product`` itself:
+only the rows the search reads are computed, and none twice.
 
 ``canonicalize`` marks its result as canonical and returns a marked input as
 is.  The mark takes no part in ``==`` or ``hash``.  Only ``_marked`` sets it:
@@ -756,47 +760,91 @@ def is_prefix_closed(a: FinAutomaton) -> bool:
     return len(c.accepting) == c.n_states
 
 
-def _product_moves(a, b, next_phase):
-    """The sorted initial (p, q, phase) triples of a synchronous product, and its moves.
+class _Product(dict):
+    """The synchronous product of ``a`` and ``b``, numbered as it is read.
 
-    ``moves(triple)`` walks the out-edges of ``a`` (sorted by letter, then
-    target) and looks up ``b``'s targets for each letter, so it lists
-    (letter, triple) edges in the order of letter, then p2, then q2.
-    ``next_phase(p, q, phase)`` is the phase of every successor.
+    ``order`` lists the (p, q, phase) triples numbered so far, the sorted
+    initial ones first, and ``accepting`` those for which ``accepts`` holds.
+    ``row(i)`` walks the out-edges of ``a`` (by letter, then target) and
+    looks up ``b``'s targets for each letter, numbering new targets in the
+    order of letter, then p2, then q2; each takes the phase
+    ``next_phase(p, q, phase)``.  As its own ``_out``, the product turns a
+    row into moves on its first read, so ``n_states`` and
+    ``_accepting_mask`` cover the states numbered so far.  With
+    ``step_mask`` and ``_initial_mask``, that is all ``accepting_lasso``
+    reads.
     """
-    _check_same_alphabet(a, b)
-    a_succ, b_out = a._succ, b._out
 
-    def moves(triple):
-        p, q, phase = triple
-        nphase = next_phase(p, q, phase)
-        for s, p2 in a_succ[p]:
-            m = b_out[q].get(s, 0)
+    step_mask = _Graph.step_mask
+
+    def __init__(self, a, b, next_phase, accepts):
+        _check_same_alphabet(a, b)
+        super().__init__()
+        self.alphabet, self._a_succ, self._b_out = a.alphabet, a._succ, b._out
+        self._next_phase, self._accepts = next_phase, accepts
+        self.order = sorted((p, q, 0) for p in a.initial for q in b.initial)
+        self.n_initial = len(self.order)
+        self._index = {t: i for i, t in enumerate(self.order)}
+        self.accepting = [i for i, t in enumerate(self.order) if accepts(t)]
+        self._initial_mask = (1 << self.n_initial) - 1
+        self._accepting_mask = _mask(self.accepting)
+
+    def row(self, i: int) -> list[tuple[str, int]]:
+        """Triple i's sorted (letter, target) row, numbering new targets."""
+        order, index, accepting = self.order, self._index, self.accepting
+        p, q, phase = order[i]
+        nphase, b_out = self._next_phase(p, q, phase), self._b_out[q]
+        row = []
+        for s, p2 in self._a_succ[p]:
+            m = b_out.get(s, 0)
             while m:
                 low = m & -m
                 m ^= low
-                yield s, (p2, low.bit_length() - 1, nphase)
+                t = (p2, low.bit_length() - 1, nphase)
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(order)
+                    order.append(t)
+                    if self._accepts(t):
+                        accepting.append(j)
+                row.append((s, j))
+        row.sort()  # targets of one letter come in (p2, q2) order, not index order
+        return row
 
-    return sorted((p, q, 0) for p in a.initial for q in b.initial), moves
+    @property
+    def n_states(self) -> int:
+        return len(self.order)
+
+    @property
+    def _out(self) -> _Product:  # a property: a self-reference would be a cycle
+        return self
+
+    def __missing__(self, i: int) -> dict[str, int]:
+        """i's moves, from its row; the accepting states it numbers join the mask."""
+        marked, moves = len(self.accepting), {}
+        for s, j in self.row(i):
+            moves[s] = moves.get(s, 0) | 1 << j
+        for j in self.accepting[marked:]:
+            self._accepting_mask |= 1 << j
+        self[i] = moves
+        return moves
 
 
-def _product_pairs(a, b, next_phase):
-    """Reachable triples of a synchronous product, in discovery order, the
-    number of initial ones and their successor rows (see ``_product_moves``)."""
-    starts, moves = _product_moves(a, b, next_phase)
-    order, rows = _explore(moves, starts)
-    for row in rows:  # targets of one letter come in (p2, q2) order, not index order
-        row.sort()
-    return order, len(starts), rows
+def _every_row(g: _Product):
+    """``g``'s triples, initial and accepting states and rows, computed in index
+    order, which numbers the states breadth-first; not ``g``, so its index is freed."""
+    rows = []
+    while len(rows) < len(g.order):  # order grows while we walk it
+        rows.append(g.row(len(rows)))
+    return g.order, range(g.n_initial), g.accepting, rows
 
 
 def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
     """Synchronous product for finite words: accepts the intersection."""
-    order, n_starts, rows = _product_pairs(a, b, lambda p, q, phase: 0)
-    accepting = [
-        i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting
-    ]
-    return FinAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
+    order, initial, accepting, rows = _every_row(
+        _Product(a, b, lambda *_: 0, lambda t: t[0] in a.accepting and t[1] in b.accepting)
+    )
+    return FinAutomaton._from_rows(a.alphabet, len(order), initial, accepting, rows)
 
 
 def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
@@ -809,14 +857,14 @@ def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
     recognizes the language of ``prefix_automaton(product(a, b))``; when an
     operand accepts in every state, it is that automaton, shape and all.
     """
-    order, n_starts, rows = _product_pairs(a, b, lambda *_: 0)
+    order, initial, _, rows = _every_row(_Product(a, b, lambda *_: 0, lambda t: False))
     sets = tuple(
         {i for i, pair in enumerate(order) if pair[k] in g.accepting}
         for k, g in enumerate((a, b))
         if len(g.accepting) < g.n_states
     )
     live = _sccs(rows, sets)[1]
-    return _live_part(FinAutomaton, a.alphabet, rows, range(n_starts), live, live)
+    return _live_part(FinAutomaton, a.alphabet, rows, initial, live, live)
 
 
 def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
@@ -832,14 +880,12 @@ def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     read its states.  Emptiness and live prefixes alone are decided on the
     pair product, by ``_pair_prefixes``.
     """
-    next_phase, accepts = _phase_rule(a, b)
-    order, n_starts, rows = _product_pairs(a, b, next_phase)
-    accepting = [i for i, t in enumerate(order) if accepts(t)]
-    return BuchiAutomaton._from_rows(a.alphabet, len(order), range(n_starts), accepting, rows)
+    order, initial, accepting, rows = _every_row(_counter_product(a, b))
+    return BuchiAutomaton._from_rows(a.alphabet, len(order), initial, accepting, rows)
 
 
-def _phase_rule(a, b):
-    """``product``'s phase rule: (the phase of a triple's successors, whether it accepts)."""
+def _counter_product(a, b) -> _Product:
+    """``product(a, b)`` before any row is computed, with its phase rule."""
     sets = [(k, g.accepting) for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
     sets = sets or [(0, a.accepting)]  # no open operand: a accepts everywhere
     last = len(sets) - 1
@@ -852,53 +898,7 @@ def _phase_rule(a, b):
         k, acc = sets[last]
         return triple[2] == last and triple[k] in acc
 
-    return next_phase, accepts
-
-
-class _OnDemandProduct(dict):
-    """``product(a, b)`` as far as a search reads it.
-
-    It is its own ``_out``: a state's row is computed on its first read,
-    numbering the targets met for the first time, so ``n_states`` and
-    ``_accepting_mask`` cover the states numbered so far and grow as the
-    search reads on.  With ``step_mask`` and ``_initial_mask`` (the initial
-    states come first, sorted), that is all ``accepting_lasso`` reads, so
-    it searches this as it searches an eager automaton.
-    """
-
-    step_mask = _Graph.step_mask
-
-    def __init__(self, a: BuchiAutomaton, b: BuchiAutomaton):
-        super().__init__()
-        next_phase, self._accepts = _phase_rule(a, b)
-        self._order, self._moves = _product_moves(a, b, next_phase)
-        self._index = {t: i for i, t in enumerate(self._order)}
-        self._initial_mask = (1 << len(self._order)) - 1
-        self._accepting_mask = _mask(i for i, t in enumerate(self._order) if self._accepts(t))
-        self.alphabet = a.alphabet
-
-    @property
-    def n_states(self) -> int:
-        return len(self._order)
-
-    @property
-    def _out(self) -> _OnDemandProduct:  # a property: a self-reference would be a cycle
-        return self
-
-    def __missing__(self, q: int) -> dict[str, int]:
-        """q's moves, numbering the targets met for the first time and
-        marking the accepting ones."""
-        order, index, moves = self._order, self._index, {}
-        for s, t in self._moves(order[q]):
-            i = index.get(t)
-            if i is None:
-                i = index[t] = len(order)
-                order.append(t)
-                if self._accepts(t):
-                    self._accepting_mask |= 1 << i
-            moves[s] = moves.get(s, 0) | 1 << i
-        self[q] = moves
-        return moves
+    return _Product(a, b, next_phase, accepts)
 
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
@@ -1022,7 +1022,7 @@ def _graph_witness(b: BuchiAutomaton):
     the least reaching that state, and ``_least_cycle``'s word through it;
     the witness is the least (cycle length, stem, cycle) of these,
     normalized.  Every row the pass and the searches read is read through
-    ``_out``, so over an ``_OnDemandProduct`` only those rows are computed.
+    ``_out``, so over a ``_Product`` only those rows are computed.
     """
     out = b._out
     reached = frontier = b._initial_mask
@@ -1103,7 +1103,7 @@ def _anchored_witness(b, level, core: int) -> LassoWord:
 
 def _product_lasso(a: BuchiAutomaton, b: BuchiAutomaton) -> LassoWord | None:
     """``accepting_lasso(product(a, b))``, computing each product row on its first read."""
-    return accepting_lasso(_OnDemandProduct(a, b))
+    return accepting_lasso(_counter_product(a, b))
 
 
 def _denotation_minimal_lasso(
@@ -1165,8 +1165,7 @@ def accepting_lasso(b: BuchiAutomaton) -> LassoWord | None:
     cycles runs out first, the answer is the witness.  A smaller lasso
     outside the range, with a shorter stem and a longer cycle, can exist
     and is not found.  Only rows are read, through ``_out``, so ``b`` may
-    be an ``_OnDemandProduct``, which computes only the rows the search
-    reads.
+    be a ``_Product``, which computes only the rows the search reads.
     """
     found = _graph_witness(b)
     return None if found is None else _denotation_minimal_lasso(b, *found)

@@ -37,20 +37,20 @@ __all__ = [
 ]
 
 
-class AutFormatError(ValueError):
+class _LineError(ValueError):
+    """Malformed text; carries the offending 1-based line number."""
+
+    def __init__(self, line_no: int, message: str) -> None:
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+class AutFormatError(_LineError):
     """Malformed automaton text; carries the offending 1-based line number."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
-
-class HomFormatError(ValueError):
+class HomFormatError(_LineError):
     """Malformed homomorphism text; carries the offending 1-based line number."""
-
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def _content_lines(text: str):
@@ -106,29 +106,25 @@ def parse_automaton(text: str) -> FinAutomaton | BuchiAutomaton:
             continue
         if key in seen:
             raise AutFormatError(line_no, f"duplicate {key}: line")
+        seen.add(key)
         if key == "alphabet":
-            seen.add(key)
             try:
                 alphabet = Alphabet(tuple(fields))
             except ValueError as exc:
                 raise AutFormatError(line_no, str(exc)) from None
         elif key == "acceptance":
-            seen.add(key)
             if fields != ["buchi"]:
                 raise AutFormatError(line_no, "only 'acceptance: buchi' is known")
             acceptance_buchi = True
         elif key == "states":
-            seen.add(key)
             if len(set(fields)) != len(fields):
                 raise AutFormatError(line_no, "duplicate state name")
             names = fields
             index = {name: i for i, name in enumerate(names)}
             rows = [set() for _ in names]
         elif key == "initial":
-            seen.add(key)
             initial = {resolve(tok, line_no) for tok in fields}
         elif key == "accepting":
-            seen.add(key)
             accepting = {resolve(tok, line_no) for tok in fields}
         else:
             raise AutFormatError(line_no, f"unknown directive {key!r}")

@@ -18,6 +18,7 @@ import json
 from .automata import (
     BuchiAutomaton,
     FinAutomaton,
+    _check_same_alphabet,
     _pair_prefixes,
     _product_lasso,
     language_equal,
@@ -86,9 +87,8 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     its phase counter, unless impl marks every state) and only as far as the
     witness search needs.
     """
-    # decided first, so a property over another alphabet is rejected before
-    # any obligation is reported
-    conforms = not _pair_prefixes(impl, p.complement).n_states
+    # a property over another alphabet is rejected before any obligation is reported
+    _check_same_alphabet(impl, p.complement)
     # with every state accepting, the Buchi reading recognizes the limit of
     # the transition system's language (Konig's lemma)
     impl_prefixes = prefix_automaton(impl._recast(BuchiAutomaton, accepting=impl.states))
@@ -100,6 +100,7 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     closed = Verdict(*language_subset(impl_prefixes, prefix_automaton(impl)))
     if not closed:
         return closed
-    if conforms:
+    del impl_prefixes, system_prefixes  # freed before the product is built
+    if not _pair_prefixes(impl, p.complement).n_states:
         return Verdict(True)
     return Verdict(False, _product_lasso(impl, p.complement))

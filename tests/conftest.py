@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,3 +45,17 @@ def minimal_dfa_runs(monkeypatch):
 
     monkeypatch.setattr(automata, "_minimal_dfa", counted)
     return runs
+
+
+@pytest.fixture
+def product_rows(monkeypatch):
+    """Per (p, q, phase) triple, how many times a product computed its row."""
+    rows = Counter()
+    real = automata._Product.row
+
+    def counted(g, i):
+        rows[g.order[i]] += 1
+        return real(g, i)
+
+    monkeypatch.setattr(automata._Product, "row", counted)
+    return rows

@@ -745,23 +745,10 @@ class TestEmptinessAndWitness:
         assert calls == []
 
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
-        # reference: per reachable anchor the least word reaching it and the
-        # least cycle word through it, least (stem length, cycle length,
-        # stem, cycle) wins
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
-            least: dict = {}
-            for word in oracles.enumerate_words(b.alphabet, b.n_states - 1):
-                for q in oracles.states_reached(b, b.initial, word):
-                    least.setdefault(q, word)
-            keys = []
-            for f in sorted(set(b.accepting) & set(least)):
-                cyc = oracles.least_cycle(b, f)
-                if cyc is not None:
-                    keys.append((len(least[f]), len(cyc), least[f], cyc))
-            expected = LassoWord(*min(keys)[2:]).normalize() if keys else None
             found = automata._graph_witness(b)
-            assert (None if found is None else found[1]) == expected
+            assert (None if found is None else found[1]) == _least_over_all_anchors(b)
 
     def test_one_walk_plus_one_per_cycle_search(self, monkeypatch):
         calls = []
@@ -972,19 +959,20 @@ class TestSetListAcceptance:
 
 
 class TestProductOnDemand:
-    """``_product_lasso`` is ``accepting_lasso`` over an ``_OnDemandProduct``:
-    it answers ``accepting_lasso(product(a, b))`` and computes only the
-    product rows its search reads, each once."""
+    """``_product_lasso`` is ``accepting_lasso`` over the phase-counter
+    ``_Product``: it answers ``accepting_lasso(product(a, b))`` and computes
+    only the product rows its search reads, each once."""
 
-    def test_agrees_with_the_whole_product(self, rng, monkeypatch):
+    def test_against_the_oracles(self, rng, monkeypatch):
+        # the reference product is built one letter at a time, its graph
+        # witness by the brute-force anchor rule, and the least lasso in the
+        # witness's range by listing candidates: no package walk on that side
         real_refine = automata._denotation_minimal_lasso
         real_sccs = automata._sccs
-        budget, ran_out, acyclic = [0], [], []
+        budget, acyclic = [0], []
 
         def refine(b, levels, baseline):
-            x = real_refine(b, levels, baseline, budget[0])
-            ran_out.append(x is baseline)  # an accepted candidate is a new lasso
-            return x
+            return real_refine(b, levels, baseline, budget[0])
 
         def sccs(succ, sets):  # run once per accepting state found on no cycle
             acyclic.append(succ)
@@ -997,12 +985,15 @@ class TestProductOnDemand:
             letters = gen.letters(rng.randint(2, 3))
             a, b = (
                 gen.random_buchi(rng, letters, max_states=n, density=rng.choice((0.8, 1.6, 2.4)))
-                for n in (6, 4)
+                for n in (5, 3)
             )
             a, b = _close_in_rotation(i, a, b)  # neither, the left, the right or both closed
             budget[0] = rng.randint(0, 12) if i % 2 else 24_000
-            expected = accepting_lasso(product(a, b))
-            ran_out.clear()
+            reference = BuchiAutomaton(letters, *oracles.reference_product(a, b, buchi=True))
+            expected = baseline = _least_over_all_anchors(reference)
+            if baseline is not None:
+                expected, spent = oracles.least_lasso(reference, baseline, budget[0])
+                outcomes["budget ran out"] += spent > budget[0]
             acyclic.clear()
             assert automata._product_lasso(a, b) == expected
             if acyclic:
@@ -1010,7 +1001,6 @@ class TestProductOnDemand:
             else:
                 outcomes["on demand" if expected else "empty walk"] += 1
             outcomes["empty"] += expected is None
-            outcomes["budget ran out"] += any(ran_out)
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_a_pass_marks_the_states_it_discovers(self):
@@ -1025,25 +1015,7 @@ class TestProductOnDemand:
         assert automata._product_lasso(a, everything) == LassoWord((), ("a",))
         assert accepting_lasso(product(a, everything)) == LassoWord((), ("a",))
 
-    @staticmethod
-    def count_rows(monkeypatch) -> Counter:
-        """Per product state, how many times its row is computed from here on."""
-        rows = Counter()
-        real = automata._product_moves
-
-        def product_moves(a, b, next_phase):
-            starts, moves = real(a, b, next_phase)
-
-            def counted(triple):
-                rows[triple] += 1
-                return moves(triple)
-
-            return starts, counted
-
-        monkeypatch.setattr(automata, "_product_moves", product_moves)
-        return rows
-
-    def test_a_short_witness_reads_few_rows(self, monkeypatch):
+    def test_a_short_witness_reads_few_rows(self, product_rows):
         # ROADMAP item 16's exit case: an accepting a-loop at the initial
         # state, and behind the letter b a ring of 1,000 states that the
         # witness ;a never reads
@@ -1052,11 +1024,11 @@ class TestProductOnDemand:
         a = BuchiAutomaton(AB, n + 1, {0}, {0}, edges)
         b = infinitely_many_a()
         whole = product(a, b).n_states
-        rows = self.count_rows(monkeypatch)
+        product_rows.clear()
         assert automata._product_lasso(a, b) == LassoWord((), ("a",))
-        assert whole > n and sum(rows.values()) < 0.05 * whole
+        assert whole > n and sum(product_rows.values()) < 0.05 * whole
 
-    def test_a_holding_product_computes_each_row_once(self, monkeypatch):
+    def test_a_holding_product_computes_each_row_once(self, product_rows):
         # a visits its accepting state 0 once, on no cycle: the search from
         # it reads the whole product, finds no cycle back, and no later
         # search enters what it read; no accepting state lies on a cycle
@@ -1066,14 +1038,14 @@ class TestProductOnDemand:
         a = BuchiAutomaton(AB, n + 1, {0}, {0}, edges)
         b = infinitely_many_a()
         whole = product(a, b).n_states
-        rows = self.count_rows(monkeypatch)
+        product_rows.clear()
         assert automata._product_lasso(a, b) is None
-        assert len(rows) == whole >= n and set(rows.values()) == {1}
+        assert len(product_rows) == whole >= n and set(product_rows.values()) == {1}
 
-    def test_no_accepting_state_reached_costs_one_read_per_row(self, monkeypatch):
+    def test_no_accepting_state_reached_costs_one_read_per_row(self, monkeypatch, product_rows):
         # a ring q -a-> q+1 with a b-loop at every state never reads c, so
         # its product with "infinitely many c" reaches no accepting state:
-        # the depth pass reads each row once, and no level is walked
+        # the depth pass computes each row once, and no level is walked
         n = 2000
         letters = Alphabet(("a", "b", "c"))
         edges = {(q, "a", (q + 1) % n) for q in range(n)} | {(q, "b", q) for q in range(n)}
@@ -1081,20 +1053,14 @@ class TestProductOnDemand:
         many_c = BuchiAutomaton(
             letters, 2, {0}, {1}, {(p, s, int(s == "c")) for p in (0, 1) for s in letters}
         )
-        walks, searched = [], []
-
-        def on_demand(a, b):
-            searched.append(_CountedReads(a, b))
-            return searched[-1]
-
+        whole = product(a, many_c).n_states
+        product_rows.clear()
+        walks = []
         monkeypatch.setattr(automata, "_least_words", lambda *args: walks.append(args))
-        monkeypatch.setattr(automata, "_OnDemandProduct", on_demand)
         assert automata._product_lasso(a, many_c) is None
-        # a row is computed on its first read: each was read exactly once
-        [g] = searched
-        assert len(g) == g.reads == product(a, many_c).n_states == n and walks == []
+        assert len(product_rows) == sum(product_rows.values()) == whole == n and walks == []
 
-    def test_a_chain_of_acyclic_accepting_states_costs_linear_reads(self):
+    def test_a_chain_of_acyclic_accepting_states_costs_linear_reads(self, monkeypatch):
         # ROADMAP item 16's exit case: accepting states 0 -a-> ... -a-> n,
         # and a b-loop at n; a search from each chain state alone would
         # read about n^2/2 rows.  Each read of the product's _out is counted,
@@ -1103,20 +1069,44 @@ class TestProductOnDemand:
         edges = {(q, "a", q + 1) for q in range(n)} | {(n, "b", n)}
         chain = BuchiAutomaton(AB, n + 1, {0}, range(n + 1), edges)
         everything = BuchiAutomaton(AB, 1, {0}, {0}, {(0, s, 0) for s in AB})
-        g = _CountedReads(chain, everything)
+        reads = []
+
+        def read(g, q):  # a read of a row computed earlier or on this read
+            reads.append(q)
+            return dict.__getitem__(g, q)
+
+        monkeypatch.setattr(automata._Product, "__getitem__", read)
+        g = automata._counter_product(chain, everything)
         levels, baseline = automata._graph_witness(g)
         assert baseline == LassoWord(("a",) * n, ("b",)) and len(levels) == n + 1
-        assert len(g) == n + 1 and g.reads <= 5 * (n + 1)
+        assert len(g) == n + 1 and len(reads) <= 5 * (n + 1)
 
 
-class _CountedReads(automata._OnDemandProduct):
-    """An on-demand product that counts the reads of its rows."""
-
-    reads = 0
-
-    def __getitem__(self, q):
-        self.reads += 1
-        return super().__getitem__(q)
+def _least_over_all_anchors(b) -> LassoWord | None:
+    """The graph witness by brute force, or None: per reachable accepting
+    state on a cycle, the least word reaching it and the least cycle word
+    through it; the least (stem length, cycle length, stem, cycle) wins,
+    normalized."""
+    least: dict = {}
+    level = [((), frozenset(b.initial))]  # one length's words in lex order
+    while any(q not in least for _, reached in level for q in reached):
+        for word, reached in level:
+            for q in reached:
+                least.setdefault(q, word)
+        # a length that reaches no new state has no longer word that does
+        level = [
+            (word + (s,), after)
+            for word, reached in level
+            for s in b.alphabet
+            if (after := frozenset(oracles.states_reached(b, reached, (s,))))
+        ]
+    edges = {p: {q for pp, _, q in b.transitions if pp == p} for p in b.states}
+    core = oracles.core_and_live_states(b.states, edges, (b.accepting,))[0]
+    keys = []
+    for f in sorted(core & set(least)):
+        cycle = oracles.least_cycle(b, f)
+        keys.append((len(least[f]), len(cycle), least[f], cycle))
+    return LassoWord(*min(keys)[2:]).normalize() if keys else None
 
 
 def _random_unreachable_buchi(rng) -> BuchiAutomaton:

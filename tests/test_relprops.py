@@ -392,24 +392,18 @@ class TestCounterProductOnlyForWitnesses:
                 assert verify_fair_impl(impl, system, p)
         assert calls == []
 
-    def test_witnesses_still_read_it(self, monkeypatch):
+    def test_witnesses_still_read_it(self, monkeypatch, product_rows):
         fig2 = parse_automaton((Path(__file__).parent.parent / "fixtures/fig2.aut").read_text())
         p = prop("G F result", fig2.alphabet)
         whole = product(limit(fig2), p.complement).n_states
         calls = self.count_products(monkeypatch)
-        rows = []
-        real = automata._product_moves
-
-        def product_moves(a, b, next_phase):
-            starts, moves = real(a, b, next_phase)
-            return starts, lambda triple: rows.append(triple) or moves(triple)
-
-        monkeypatch.setattr(automata, "_product_moves", product_moves)
+        product_rows.clear()
         # the accepting states the search meets first lie on no cycle: it
         # decides them from the rows it has read and walks on, so it stops
         # short of the whole product, computing each row once
         assert not satisfies(limit(fig2), p)
-        assert calls == ["_product_lasso"] and len(set(rows)) == len(rows) < whole
+        assert calls == ["_product_lasso"] and set(product_rows.values()) == {1}
+        assert len(product_rows) < whole
         # here the first accepting state lies on a cycle
         with pytest.raises(ValueError, match="not complementary"):
             PropertySpec.from_automata(p.positive, p.positive)
