@@ -46,8 +46,9 @@ def shortest_word_lengths(a, starts) -> dict[int, int]:
     state needs a longer word.
     """
     lengths: dict[int, int] = {}
+    succ = _raw_succ(a.transitions)
     for word in enumerate_words(a.alphabet, max(a.n_states - 1, 0)):
-        for q in states_reached(a, starts, word):
+        for q in _reached(succ, starts, word):
             lengths.setdefault(q, len(word))
     return lengths
 
@@ -59,22 +60,28 @@ def least_cycle(a, f: int) -> tuple[str, ...] | None:
     ``n_states`` letters, shortest first; a shortest cycle visits no state
     twice, so none is longer.
     """
+    succ = _raw_succ(a.transitions)
     for word in enumerate_words(a.alphabet, a.n_states):
-        if word and f in states_reached(a, {f}, word):
+        if word and f in _reached(succ, {f}, word):
             return word
     return None
 
 
-def _cycle_relation_step(b, pairs, cycle):
+def _reached(succ, starts, word) -> set[int]:
+    """``states_reached`` through a (state, letter) -> targets table."""
+    cur = set(starts)
+    for letter in word:
+        cur = {q for u in cur for q in succ.get((u, letter), ())}
+    return cur
+
+
+def _cycle_relation_step(succ, accepting, pairs, cycle):
     """Advance (state, seen-accepting) pairs through one full pass of the cycle."""
     frontier = set(pairs)
     for letter in cycle:
-        nxt = set()
-        for u, f in frontier:
-            for p, s, q in b.transitions:
-                if p == u and s == letter:
-                    nxt.add((q, f or (q in b.accepting)))
-        frontier = nxt
+        frontier = {
+            (q, f or q in accepting) for u, f in frontier for q in succ.get((u, letter), ())
+        }
     return frontier
 
 
@@ -85,24 +92,25 @@ def buchi_accepts_lasso(b, x) -> bool:
     accepted exactly when some cycle-boundary state loops back to itself
     through an accepting state in one or more passes.
     """
-    cur = set(b.initial)
-    for letter in x.stem:
-        cur = {
-            q for u in cur for (p, s, q) in b.transitions if p == u and s == letter
-        }
-    reach = set(cur)
-    frontier = set(cur)
+    return _accepts_lasso(b, _raw_succ(b.transitions), x)
+
+
+def _accepts_lasso(b, succ, x) -> bool:
+    """``buchi_accepts_lasso`` with b's transitions tabled once as ``succ``."""
+    accepting = set(b.accepting)
+    reach = _reached(succ, b.initial, x.stem)
+    frontier = set(reach)
     while frontier:
-        stepped = _cycle_relation_step(b, {(u, False) for u in frontier}, x.cycle)
+        stepped = _cycle_relation_step(succ, accepting, {(u, False) for u in frontier}, x.cycle)
         nxt = {q for q, _ in stepped}
         frontier = nxt - reach
         reach |= nxt
     for anchor in sorted(reach):
         seen: set[tuple[int, bool]] = set()
-        frontier2 = _cycle_relation_step(b, {(anchor, False)}, x.cycle)
+        frontier2 = _cycle_relation_step(succ, accepting, {(anchor, False)}, x.cycle)
         while frontier2 - seen:
             seen |= frontier2
-            frontier2 = _cycle_relation_step(b, frontier2, x.cycle)
+            frontier2 = _cycle_relation_step(succ, accepting, frontier2, x.cycle)
         if (anchor, True) in seen:
             return True
     return False
@@ -127,12 +135,13 @@ def least_lasso(b, baseline, budget: int):
     m_cap, p_base = len(baseline.stem), len(baseline.cycle)
     base_key = (m_cap, p_base, baseline.stem, baseline.cycle)
     letters = sorted(b.alphabet)
+    succ = _raw_succ(b.transitions)  # tabled once: the candidates are many
     seen: set[frozenset] = set()
     spent = 0
     for m in range(m_cap + 1):
         stems = []
         for stem in iproduct(letters, repeat=m):
-            reached = frozenset(states_reached(b, b.initial, stem))
+            reached = frozenset(_reached(succ, b.initial, stem))
             if reached and reached not in seen:
                 seen.add(reached)
                 stems.append((stem, reached))
@@ -145,7 +154,7 @@ def least_lasso(b, baseline, budget: int):
                 longer = []
                 for word, ends in live[i]:
                     for letter in letters:
-                        after = states_reached(b, ends, (letter,))
+                        after = _reached(succ, ends, (letter,))
                         if not after:
                             continue
                         cycle = word + (letter,)
@@ -156,7 +165,7 @@ def least_lasso(b, baseline, budget: int):
                         x = type(baseline)(stem, cycle)
                         if x.normalize() != x:
                             continue
-                        if x == baseline or buchi_accepts_lasso(b, x):
+                        if x == baseline or _accepts_lasso(b, succ, x):
                             return (x if (m, p, stem, cycle) < base_key else baseline), spent
                 live[i] = longer
     return baseline, spent

@@ -985,7 +985,7 @@ class TestProductOnDemand:
             letters = gen.letters(rng.randint(2, 3))
             a, b = (
                 gen.random_buchi(rng, letters, max_states=n, density=rng.choice((0.8, 1.6, 2.4)))
-                for n in (5, 3)
+                for n in (6, 4)
             )
             a, b = _close_in_rotation(i, a, b)  # neither, the left, the right or both closed
             budget[0] = rng.randint(0, 12) if i % 2 else 24_000
@@ -1045,7 +1045,7 @@ class TestProductOnDemand:
     def test_no_accepting_state_reached_costs_one_read_per_row(self, monkeypatch, product_rows):
         # a ring q -a-> q+1 with a b-loop at every state never reads c, so
         # its product with "infinitely many c" reaches no accepting state:
-        # the depth pass computes each row once, and no level is walked
+        # the depth pass reads each row once, and no level is walked
         n = 2000
         letters = Alphabet(("a", "b", "c"))
         edges = {(q, "a", (q + 1) % n) for q in range(n)} | {(q, "b", q) for q in range(n)}
@@ -1055,10 +1055,18 @@ class TestProductOnDemand:
         )
         whole = product(a, many_c).n_states
         product_rows.clear()
-        walks = []
+        walks, reads = [], []
+
+        def read(g, q):  # a read of a row computed earlier or on this read
+            reads.append(q)
+            return dict.__getitem__(g, q)
+
         monkeypatch.setattr(automata, "_least_words", lambda *args: walks.append(args))
+        monkeypatch.setattr(automata._Product, "__getitem__", read)
         assert automata._product_lasso(a, many_c) is None
-        assert len(product_rows) == sum(product_rows.values()) == whole == n and walks == []
+        # a row is computed on its first read: each was read exactly once
+        assert len(product_rows) == sum(product_rows.values()) == whole == n
+        assert len(reads) == n and walks == []
 
     def test_a_chain_of_acyclic_accepting_states_costs_linear_reads(self, monkeypatch):
         # ROADMAP item 16's exit case: accepting states 0 -a-> ... -a-> n,
