@@ -52,11 +52,12 @@ witness of ``product(a, b)`` that ``satisfies`` (and through it
 ``PropertySpec.from_automata`` take, runs it over the ``_Product`` itself:
 only the rows the search reads are computed, and none twice.
 
-``canonicalize`` marks its result as canonical and returns a marked input as
-is.  The mark takes no part in ``==`` or ``hash``.  Only ``_marked`` sets it:
-``canonicalize`` on its result, and ``abstraction._xtd`` on padding that keeps
-a canonical input canonical.  Automata are immutable, so a marked automaton
-stays canonical.
+``canonicalize`` computes an automaton's canonical form once, as the
+``_canonical_form`` view of that object, and a canonical automaton is its own
+canonical form.  The memo takes no part in ``==`` or ``hash``.  ``_marked``
+records a canonical automaton as its own form: ``canonicalize`` on its
+result, and ``abstraction._xtd`` on padding that keeps a canonical input
+canonical.  Automata are immutable, so the memo never goes stale.
 """
 
 from __future__ import annotations
@@ -251,8 +252,6 @@ class _Graph:
     accepting: frozenset[int]
     _succ: tuple[tuple[tuple[str, int], ...], ...]  # the stored rows
 
-    _canonical = False  # set by _marked only
-
     def __init__(self, alphabet, n_states, initial, accepting, transitions):
         if n_states < 0:
             raise ValueError("n_states must be >= 0")
@@ -359,6 +358,10 @@ class FinAutomaton(_Graph):
             len(self.initial) == 1
             and all(len({s for s, _ in row}) == len(row) for row in self._succ)
         )
+
+    @cached_property
+    def _canonical_form(self) -> "FinAutomaton":
+        return _marked(_minimal_dfa(self))
 
 
 class BuchiAutomaton(_Graph):
@@ -548,17 +551,16 @@ def canonicalize(a: FinAutomaton) -> FinAutomaton:
     walk yields only reachable states or subsets that can all reach
     acceptance too.  Moore refinement with an implicit dead sink and a
     breadth-first quotient over sorted letters follow.  Idempotent; the
-    empty language collapses to the 0-state automaton.  The result is marked,
-    and a marked input is returned as is.
+    empty language collapses to the 0-state automaton.  Computed once per
+    automaton object, and a canonical result is its own canonical form.
     """
-    if a._canonical:
-        return a
-    return _marked(_minimal_dfa(a))
+    return a._canonical_form
 
 
 def _marked(a: FinAutomaton) -> FinAutomaton:
-    """``a`` itself, marked as canonical: callers pass only canonical automata."""
-    object.__setattr__(a, "_canonical", True)
+    """``a`` itself, recorded as its own canonical form: callers pass only
+    canonical automata."""
+    a.__dict__["_canonical_form"] = a
     return a
 
 

@@ -56,6 +56,8 @@ from .abstraction import (
 )
 from .synthesis import PreconditionFailedError, synthesize_fair_impl, verify_fair_impl
 from .formats import (
+    AutFormatError,
+    HomFormatError,
     format_automaton,
     parse_automaton,
     parse_homomorphism,
@@ -65,21 +67,45 @@ __all__ = ["main", "run"]
 
 # every input error the package raises is a ValueError; InvariantError is not one
 INPUT_ERRORS = (ValueError, OSError)
+# malformed file contents, reported with the file's path
+_CONTENT_ERRORS = (AutFormatError, HomFormatError, UnicodeDecodeError)
+
+# Automata parsed in this process, by the digest of their file's bytes, least
+# recently used first.  Automata are immutable, so a repeated check against
+# one system reuses the parse and every view derived from it, such as its
+# canonical form.  Sixteen entries hold every system a stream of checks on a
+# few systems returns to; only successful parses are stored.
+_AUTOMATA: dict[str, FinAutomaton | BuchiAutomaton] = {}
+_AUTOMATA_KEPT = 16
+
+
+def _parse(path: str, data: bytes, parse, *args):
+    try:
+        return parse(data.decode("utf-8"), *args)
+    except _CONTENT_ERRORS as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 class _Inputs:
-    """Loads input files once and remembers their digests for the report."""
+    """Loads input files and remembers their digests for the report."""
 
     def __init__(self) -> None:
         self.digests: dict[str, str] = {}
 
-    def read(self, path: str) -> str:
+    def read(self, path: str) -> tuple[str, bytes]:
         data = Path(path).read_bytes()
-        self.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
-        return data.decode("utf-8")
+        digest = self.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return digest, data
 
     def automaton(self, path: str) -> FinAutomaton | BuchiAutomaton:
-        return parse_automaton(self.read(path))
+        digest, data = self.read(path)
+        a = _AUTOMATA.pop(digest, None)
+        if a is None:
+            a = _parse(path, data, parse_automaton)
+            if len(_AUTOMATA) == _AUTOMATA_KEPT:
+                del _AUTOMATA[next(iter(_AUTOMATA))]
+        _AUTOMATA[digest] = a  # now the most recently used
+        return a
 
     def finitary(self, path: str) -> FinAutomaton:
         a = self.automaton(path)
@@ -88,7 +114,7 @@ class _Inputs:
         return a
 
     def homomorphism(self, path: str, alphabet: Alphabet) -> Homomorphism:
-        return parse_homomorphism(self.read(path), alphabet)
+        return _parse(path, self.read(path)[1], parse_homomorphism, alphabet)
 
 
 def _behavior(a: FinAutomaton | BuchiAutomaton) -> BuchiAutomaton:

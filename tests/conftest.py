@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from faircheck import abstraction, automata
+from faircheck import abstraction, automata, cli
 
 DEFAULT_SEED = 20260816
 
@@ -16,6 +16,13 @@ def seed() -> int:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(seed())
+
+
+@pytest.fixture(autouse=True)
+def cold_input_cache():
+    """Each test starts with no parsed automaton cached by ``cli``, so no
+    earlier test can decide what a later one parses."""
+    cli._AUTOMATA.clear()
 
 
 @pytest.fixture

@@ -8,8 +8,10 @@ through ``faircheck.cli.run``, as the benchmark runs it: out-of-reach cases
 are skipped, and so is a ``verify-impl`` whose ``synthesize`` did not exit 0.
 Each case gives one line of ``output_digests.txt``: workload, case index
 and the first 16 hex digits of the sha256 of (exit code, stdout, stderr),
-with ``elapsed_ms`` set to 0.  ``--check`` recomputes the digests and names
-every case whose digest moved, with its command line; it exits 1 if any did.
+with ``elapsed_ms`` set to 0.  ``--check`` recomputes the digests twice in
+one process, the second pass with every cache the first one filled, and
+names every case whose digest moved in either pass, with its command line;
+it exits 1 if any did.
 
 A change that moves outputs on purpose rewrites the file, so that its diff
 names every moved case.  Standard library only; pytest does not collect it.
@@ -101,15 +103,19 @@ def main(argv=None) -> int:
         print(f"wrote {len(now)} digests to {DIGESTS}")
         return 0
     was = dict(line.rsplit(" ", 1) for line in DIGESTS.read_text().splitlines())
-    moved = [key for key in {**was, **now} if now.get(key, (None,))[0] != was.get(key)]
-    for key in moved:
-        d, argv = now.get(key, ("(not run)", "(not run)"))
-        print(f"moved: {key}: {argv}: {was.get(key, '(not run)')} -> {d}")
-    if moved:
-        print(f"{len(moved)} of {len(was)} cases moved")
-        return 1
-    print(f"all {len(now)} digests match")
-    return 0
+    failed = False
+    for name, digests in (("cold", now), ("warm", compute())):
+        moved = [key for key in {**was, **digests}
+                 if digests.get(key, (None,))[0] != was.get(key)]
+        for key in moved:
+            d, argv = digests.get(key, ("(not run)", "(not run)"))
+            print(f"moved ({name} pass): {key}: {argv}: {was.get(key, '(not run)')} -> {d}")
+        if moved:
+            print(f"{len(moved)} of {len(was)} cases moved in the {name} pass")
+            failed = True
+        else:
+            print(f"all {len(digests)} digests match in the {name} pass")
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -335,12 +335,42 @@ class TestCanonicalize:
         for _ in range(40):
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             copy = FinAutomaton(c.alphabet, c.n_states, c.initial, c.accepting, c.transitions)
-            # the mark takes no part in equality or hashing
+            # the memo takes no part in equality or hashing
             assert copy == c and hash(copy) == hash(c)
             minimal_dfa_runs.clear()
             again = canonicalize(copy)
             assert again == c and again is not copy
             assert len(minimal_dfa_runs) == 1 and minimal_dfa_runs[0] is copy
+
+    def test_canonical_form_is_computed_once_per_automaton(self, rng, minimal_dfa_runs):
+        for _ in range(40):
+            a = gen.random_fin(rng, gen.letters(2), max_states=5)
+            minimal_dfa_runs.clear()
+            c = canonicalize(a)
+            assert canonicalize(a) is c and canonicalize(c) is c
+            assert minimal_dfa_runs == [a]
+
+    def test_recast_with_other_accepting_states_is_canonicalized_afresh(
+        self, rng, minimal_dfa_runs
+    ):
+        # a recast is a new object, so it carries no memo of the canonical
+        # automaton it was made from, even where they share every row
+        changed = 0
+        for _ in range(60):
+            c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
+            if not c.accepting:
+                continue
+            recast = c._recast(FinAutomaton, accepting=c.accepting - {min(c.accepting)})
+            minimal_dfa_runs.clear()
+            again = canonicalize(recast)
+            assert minimal_dfa_runs == [recast]
+            copy = FinAutomaton(
+                recast.alphabet, recast.n_states, recast.initial, recast.accepting,
+                recast.transitions,
+            )
+            assert again == canonicalize(copy)
+            changed += again != recast
+        assert changed >= 20
 
     def test_limit_of_a_canonical_form_determinizes_once(self, rng, minimal_dfa_runs):
         for _ in range(30):

@@ -601,6 +601,31 @@ class TestErrors:
         assert run(argv) == 2
         assert "an implementation file must be 'acceptance: buchi'" in capsys.readouterr().err
 
+    def test_malformed_file_of_a_two_file_command_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.aut"
+        bad.write_text("alphabet: a\nstates: s0\ninitial: s0\ntrans: s0 b s0\n")
+        binary = tmp_path / "binary.hom"
+        binary.write_bytes(b"lock -> eps\n\xff\n")
+        for argv, path, message in [
+            (
+                ["verify-impl", "--impl", str(bad), "--system", FIG2, "--formula", "G F result"],
+                bad,
+                "line 4: letter 'b' not in the alphabet",
+            ),
+            (
+                ["machine-closed", "--system", FIG2, "--sub", str(bad)],
+                bad,
+                "line 4: letter 'b' not in the alphabet",
+            ),
+            (
+                ["wcc", "--system", FIG2, "--hom", str(binary)],
+                binary,
+                "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+            ),
+        ]:
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -654,6 +679,74 @@ class TestErrors:
         formula = "X " * 400 + "a"
         assert run(["safety-class", "--formula", formula, "--alphabet", "a b"]) == 0
         assert report_of(capsys)["verdict"] == {"is_safety": True}
+
+
+class TestInputCache:
+    """A process reuses an automaton parsed from identical bytes."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        texts = []
+        real = cli.parse_automaton
+
+        def counted(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(cli, "parse_automaton", counted)
+        return texts
+
+    def test_repeated_checks_parse_once(self, capsys, parsed):
+        argv = ["check", "rl", "--system", FIG2, "--formula", "G F result"]
+        assert run(argv) == 0
+        first = report_of(capsys)
+        assert run(argv) == 0
+        assert report_of(capsys) == first
+        assert len(parsed) == 1
+
+    def test_the_key_is_the_content_not_the_path(self, tmp_path, capsys, parsed):
+        path = tmp_path / "system.aut"
+        argv = ["check", "rl", "--system", str(path), "--formula", "G F result"]
+        verdicts = []
+        for source in (FIG2, FIG3, FIG2):
+            shutil.copyfile(source, path)
+            verdicts.append(run(argv))
+            assert report_of(capsys)["inputs"] == {str(path): digest(source)}
+        assert verdicts == [0, 1, 0]
+        assert len(parsed) == 2
+
+    def test_a_malformed_file_fails_the_same_way_twice(self, tmp_path, capsys, parsed):
+        path = tmp_path / "bad.aut"
+        path.write_text("alphabet: a\nstates: s0\ninitial: s1\n")
+        argv = ["check", "rl", "--system", str(path), "--formula", "G a"]
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((run(argv), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and "line 3" in outcomes[0][1].err
+        assert len(parsed) == 2
+
+    def test_the_seventeenth_input_evicts_the_least_recently_used(
+        self, tmp_path, capsys, parsed
+    ):
+        paths = []
+        for i in range(17):  # seventeen distinct files over one alphabet
+            paths.append(tmp_path / f"s{i}.aut")
+            paths[-1].write_text(f"# copy {i}\n" + Path(FIG2).read_text())
+
+        def check(i):
+            assert run(["safety-class", "--formula", "G result", "--system", str(paths[i])]) == 0
+            capsys.readouterr()
+
+        for i in range(16):
+            check(i)
+        check(0)  # a hit: now s1 is the least recently used
+        assert len(parsed) == 16
+        check(16)  # parsed, evicting s1
+        check(0)
+        assert len(parsed) == 17
+        check(1)
+        assert len(parsed) == 18 and parsed[-1] == paths[1].read_text()
 
 
 def test_every_package_error_but_the_precondition_one_is_an_input_error():
