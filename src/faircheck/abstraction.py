@@ -30,9 +30,9 @@ from .automata import (
     _explore,
     _marked,
     _moore_classes,
-    _path_from,
     _predecessors,
     _quotient,
+    _spelled,
     _subsets,
     canonicalize,
     limit,
@@ -338,7 +338,7 @@ def _wcc(h: Homomorphism, A: FinAutomaton) -> tuple[WccReport, FinAutomaton]:
         {i for i, (d, y) in enumerate(pairs) if d_class[d] == classes[y]},
     )
     violations = [
-        (q, d, _path_from(tree, (q, d)))
+        (q, d, _spelled(tree[q, d]))
         for i, (q, d) in enumerate(order)
         if i not in closed
     ]

@@ -37,7 +37,9 @@ own ``_out`` and computes each row when it first reads it.
 Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states (a deterministic left side
 is a state index) whose first bad pair gives the least shortest word of the
-difference; equality runs it both ways.
+difference; equality runs it both ways.  Every search tree, ``_bfs``'s as
+well as ``_least_words``'s levels, holds a word as a link, (previous word,
+letter) or None for the empty word, and ``_spelled`` alone spells one out.
 ``accepted_lassos`` lists every accepted lasso up to a length, in one fixed
 order; ``accepting_lasso`` finds one small witness.
 
@@ -394,10 +396,11 @@ def _bfs(moves, starts, tree: dict):
     """Breadth-first search, yielding each node when it is discovered.
 
     ``moves(u)`` lists the (letter, node) edges of ``u`` in the order to
-    explore them.  ``tree`` maps each discovered node to its (parent, letter),
-    or to None for a start; nodes already in it are not discovered again.
-    Nodes come out in breadth-first order, so a caller may stop at the first
-    one it wants and read its shortest word from ``tree`` with ``_path_from``.
+    explore them.  ``tree`` maps each discovered node to its word, a
+    ``_least_words`` link: (its parent's word, letter), or None for a start;
+    nodes already in it are not discovered again.  Nodes come out in
+    breadth-first order, so a caller may stop at the first one it wants and
+    spell its shortest word, ``_spelled(tree[node])``.
     """
     queue = deque()
     for u in starts:
@@ -407,9 +410,10 @@ def _bfs(moves, starts, tree: dict):
             yield u
     while queue:
         u = queue.popleft()
+        word = tree[u]
         for letter, v in moves(u):
             if v not in tree:
-                tree[v] = (u, letter)
+                tree[v] = (word, letter)
                 queue.append(v)
                 yield v
 
@@ -434,15 +438,6 @@ def _explore(moves, starts):
             row.append((letter, j))
         rows.append(row)
     return order, rows
-
-
-def _path_from(tree: dict, node) -> tuple[str, ...]:
-    """The letters on the tree path from its start to ``node``."""
-    word: list[str] = []
-    while tree[node] is not None:
-        node, letter = tree[node]
-        word.append(letter)
-    return tuple(reversed(word))
 
 
 def _closure(edges, targets) -> set:
@@ -634,7 +629,7 @@ def _pair_search(a, b):
     tree: dict = {}
     for pair in _bfs(moves, [(p, b._initial_mask) for p in starts], tree):
         if a_accepts(pair[0]) and not pair[1] & b._accepting_mask:
-            return False, _path_from(tree, pair)
+            return False, _spelled(tree[pair])
     return True, None
 
 
@@ -1038,12 +1033,10 @@ def _graph_witness(b: BuchiAutomaton):
             else:
                 # every cycle through the region lies inside it: mark its
                 # cyclic states, and let no later search enter it
-                states = list(_bit_indices(region))
-                index = {q: i for i, q in enumerate(states)}
-                rows = [
-                    [(s, index[t]) for s, m in out[q].items() for t in _bit_indices(m & region)]
-                    for q in states
-                ]
+                states, rows = _explore(
+                    lambda q: [(s, t) for s, m in out[q].items() for t in _bit_indices(m & region)],
+                    list(_bit_indices(region)),
+                )
                 cyclic |= _mask(states[i] for i in _sccs(rows, ())[0])
                 decided |= region
         if core:

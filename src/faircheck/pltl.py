@@ -220,11 +220,6 @@ def substitute_atom(f: Formula, old: str, new: str) -> Formula:
 _TEMPORAL = (Next, Until, Before, Eventually, Always)
 
 
-def is_pure_boolean(f: Formula) -> bool:
-    """No temporal operator anywhere; true and negations count as Boolean."""
-    return _fold(f, lambda g, parts: not isinstance(g, _TEMPORAL) and all(parts))
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import oracles
 from faircheck.automata import (
     EPS_TOKEN,
     Alphabet,
@@ -29,7 +30,6 @@ from faircheck.pltl import (
     Not,
     Or,
     Until,
-    is_pure_boolean,
 )
 
 ABC = "abcdef"
@@ -258,7 +258,7 @@ def random_nf_formula(
     if kind == "alw":
         return Always(sub())
     temporal = sub()
-    if is_pure_boolean(temporal):
+    if oracles.is_boolean(temporal):
         wrap = rng.choice([Next, Eventually, Always])
         temporal = wrap(temporal)
     other = sub()

@@ -574,10 +574,11 @@ def _operands(f) -> list:
     return [f.left, f.right]
 
 
-def _is_boolean(f) -> bool:
+def is_boolean(f) -> bool:
+    """No temporal operator anywhere; true and negations count as Boolean."""
     pltl = _pltl()
     temporal = (pltl.Next, pltl.Until, pltl.Before, pltl.Eventually, pltl.Always)
-    return not isinstance(f, temporal) and all(_is_boolean(c) for c in _operands(f))
+    return not isinstance(f, temporal) and all(is_boolean(c) for c in _operands(f))
 
 
 def _reference_n(f):
@@ -623,7 +624,7 @@ def reference_t(f):
 def reference_r(f):
     """R: T with each maximal purely Boolean subformula b as ``eps U N(b)``."""
     pltl = _pltl()
-    if _is_boolean(f):
+    if is_boolean(f):
         return pltl.Until(pltl.EPS, _reference_n(f))
     if _is_g_eps(f):
         return pltl.Always(pltl.Or(pltl.EPS, pltl.EPS))

@@ -380,8 +380,14 @@ class TestCanonicalize:
             assert len(minimal_dfa_runs) == 1 and minimal_dfa_runs[0] is x
 
     def test_deterministic_input_runs_no_subset_construction(self, rng, subset_runs):
-        # a deterministic input is walked by state index; an NFA is
-        # determinized once, unless no initial state reaches acceptance
+        """A deterministic input is walked by state index; an NFA is
+        determinized once, unless no initial state reaches acceptance.
+
+        The benchmark's case lists hold no large deterministic system, so
+        their timings cannot show this walk; ``perfbench/gen.py``'s
+        ``server(6)`` is one, and on it the subset construction costs
+        several times the time and memory of the walk by index.
+        """
         determinized = 0
         for _ in range(60):
             subset_runs.clear()
@@ -416,6 +422,28 @@ class TestCanonicalize:
                 not oracles.shortest_word_lengths(a, {q}).keys() & a.accepting for q in reached
             )
         assert dead_ends >= 30 and differences >= 30
+
+    def test_deterministic_left_side_builds_no_move_lookup(self, rng):
+        """An inclusion search holds a deterministic left side of a pair as
+        a state index and moves it along its rows, so it never derives that
+        side's ``_out``; the nondeterministic copy is held as a state set,
+        and stepping it derives ``_out`` unless the start pair is bad.
+
+        The benchmark's case lists hold no large deterministic system, so
+        their timings cannot show this walk; ``perfbench/gen.py``'s
+        ``server(6)`` is one, and on it the search by state set costs
+        several times the time and memory of the search by index.
+        """
+        stepped = 0
+        for _ in range(150):
+            a = _random_dfa(rng)
+            n = a.n_states
+            masked = FinAutomaton(a.alphabet, n + 1, {0, n}, a.accepting, a.transitions)
+            b = gen.random_fin(rng, a.alphabet, max_states=4, density=2.5)
+            assert language_subset(a, b) == language_subset(masked, b)
+            assert "_out" not in vars(a)
+            stepped += "_out" in vars(masked)
+        assert stepped >= 90
 
 
 class TestLanguageComparisons:
@@ -1210,7 +1238,7 @@ class TestGraphSearch:
             lengths = oracles.shortest_word_lengths(a, starts)
             assert tree.keys() == lengths.keys()
             for q in tree:
-                word = automata._path_from(tree, q)
+                word = automata._spelled(tree[q])
                 assert q in oracles.states_reached(a, starts, word)
                 assert len(word) == lengths[q]
 

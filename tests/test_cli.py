@@ -7,6 +7,7 @@ import os
 import pkgutil
 import random
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -800,6 +801,25 @@ class TestEntryPoints:
         assert reused == fresh
         assert [code for code, _, _ in reused] == [1, 0, 0, 2, 0, 1]
         assert "--formula" in reused[3][2]
+
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["check", "sat", "--system", FIG2, "--formula", "G F result"])
+        assert exited.value.code == 1
+        assert json.loads(capsys.readouterr().out)["verdict"]["holds"] is False
+        # with no argv, main reads the process's arguments
+        monkeypatch.setattr(sys, "argv", ["faircheck", *self.ARGV])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == {"holds": True, "witness": None}
+
+    def test_package_runs_as_main_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["faircheck", *self.ARGV])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("faircheck", run_name="__main__")
+        assert exited.value.code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == {"holds": True, "witness": None}
 
     @pytest.mark.parametrize("module", ["faircheck", "faircheck.cli"])
     def test_python_dash_m(self, module):

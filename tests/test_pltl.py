@@ -30,7 +30,6 @@ from faircheck.pltl import (
     children,
     evaluate_lasso,
     format_formula,
-    is_pure_boolean,
     parse_formula,
     substitute_atom,
     to_buchi,
@@ -72,6 +71,12 @@ class TestParser:
     def test_true_and_eps_tokens(self):
         assert parse_formula("true") == TRUE
         assert parse_formula("eps") == EPS
+
+    def test_a_formula_equals_no_other_type(self):
+        # == leaves a non-formula to the other side, so a name is no atom
+        assert Atom("a").__eq__("a") is NotImplemented
+        assert not Atom("a") == "a"
+        assert Atom("a") != "a"
 
     def test_errors_carry_position(self):
         with pytest.raises(FormulaSyntaxError) as info:
@@ -360,7 +365,7 @@ def _mixes_boolean_and_temporal(f) -> bool:
     """Some Boolean connective has one purely Boolean and one temporal operand."""
     return any(
         isinstance(g, (And, Or, Implies, Iff))
-        and is_pure_boolean(g.left) != is_pure_boolean(g.right)
+        and oracles.is_boolean(g.left) != oracles.is_boolean(g.right)
         for g in _subformulas(f)
     )
 
@@ -425,11 +430,6 @@ class TestTransforms:
             transform(parse_formula("F eps"), "R")
         with pytest.raises(ValueError):
             transform(TRUE, "Q")
-
-    def test_pure_boolean_detection(self):
-        assert is_pure_boolean(parse_formula("a & (b -> !c)"))
-        assert is_pure_boolean(TRUE)
-        assert not is_pure_boolean(parse_formula("a & X b"))
 
     def test_substitute_atom(self):
         f = parse_formula("G (eps | F (eps U result))")
@@ -591,7 +591,6 @@ class TestDeepFormulas:
         assert format_formula(f) == "X " * self.DEPTH + "a"
         assert format_formula(to_positive_normal_form(Not(f))) == "X " * self.DEPTH + "!a"
         assert atoms_of(substitute_atom(f, "a", "b")) == {"b"}
-        assert not is_pure_boolean(f)
         assert check_normal_form(f, AB, "sigma")
         assert f == self.nexts(Atom("a")) and hash(f) == hash(self.nexts(Atom("a")))
 
@@ -665,7 +664,7 @@ class TestAbstractionLemmas:
         for _ in range(1000):
             f = gen.random_pnf_formula(rng, ("a", "b"), 3)
             boolean_implications += any(
-                isinstance(g, (Implies, Iff)) and is_pure_boolean(g)
+                isinstance(g, (Implies, Iff)) and oracles.is_boolean(g)
                 for g in _subformulas(f)
             )
             x = gen.random_lasso(rng, self.SIGMA)
