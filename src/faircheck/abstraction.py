@@ -24,13 +24,13 @@ from .automata import (
     FinAutomaton,
     InvariantError,
     LassoWord,
-    NotPrefixClosedError,
     _bfs,
     _closure,
     _explore,
     _marked,
     _moore_classes,
     _predecessors,
+    _prefix_closed,
     _quotient,
     _spelled,
     _subsets,
@@ -240,7 +240,7 @@ def abstract_behavior(L: FinAutomaton, h: Homomorphism) -> BuchiAutomaton:
     to be prefix-closed.
     """
     _check_side(L, h.source, "source")
-    _prefix_closed_canonical(L, "the abstract behavior is defined over")
+    _prefix_closed(L, "the abstract behavior is defined over prefix-closed languages")
     return limit(image_automaton(h, L))
 
 
@@ -268,13 +268,6 @@ class WccReport:
         return self.closed
 
 
-def _prefix_closed_canonical(L: FinAutomaton, what: str) -> FinAutomaton:
-    A = canonicalize(L)
-    if len(A.accepting) != A.n_states:
-        raise NotPrefixClosedError(f"{what} prefix-closed languages")
-    return A
-
-
 def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport:
     """Decide whether the abstraction is weakly continuation-closed on L.
 
@@ -294,7 +287,7 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
     share a class find which (q, d) admit a reconciling continuation.
     """
     _check_side(L, h.source, "source")
-    A = _prefix_closed_canonical(L, "weak continuation-closure is checked over")
+    A = _prefix_closed(L, "weak continuation-closure is checked over prefix-closed languages")
     return _wcc(h, A)[0]
 
 
@@ -433,7 +426,7 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
     abstraction, with the lifted map keeping the padding letter visible.
     """
     _check_side(L, h.source, "source")
-    A = _prefix_closed_canonical(L, "the preservation check is defined over")
+    A = _prefix_closed(L, "the preservation check is defined over prefix-closed languages")
     if not check_normal_form(f, h.target, "extended_sigma"):
         raise NotNormalFormError(
             "formula must be in extended normal form over the target alphabet: "

@@ -742,19 +742,23 @@ def prefix_automaton(b: BuchiAutomaton) -> FinAutomaton:
 def limit(a: FinAutomaton) -> BuchiAutomaton:
     """Omega-words all of whose prefixes stay in the given prefix-closed language.
 
-    The input is canonicalized and must come out with every state accepting
-    (the shape canonical prefix-closed automata always have); otherwise
-    NotPrefixClosedError is raised rather than guessing a semantics.
+    Built on the canonical form, every state of which accepts; any other
+    language raises NotPrefixClosedError rather than guessing a semantics.
     """
-    c = canonicalize(a)
-    if len(c.accepting) != c.n_states:
-        raise NotPrefixClosedError("limit requires a prefix-closed language")
+    c = _prefix_closed(a, "limit requires a prefix-closed language")
     return c._recast(BuchiAutomaton, accepting=c.states)
 
 
 def is_prefix_closed(a: FinAutomaton) -> bool:
     c = canonicalize(a)
     return len(c.accepting) == c.n_states
+
+
+def _prefix_closed(a: FinAutomaton, message: str) -> FinAutomaton:
+    """a's canonical form, computed once; NotPrefixClosedError(message) unless prefix-closed."""
+    if not is_prefix_closed(a):
+        raise NotPrefixClosedError(message)
+    return a._canonical_form
 
 
 class _Product(dict):

@@ -19,12 +19,12 @@ A `.hom` file maps every source letter to a target letter or to `eps`:
     request -> request
 
 Parsers report 1-based line numbers; printers emit files the parsers map
-back to the same object.
+back to the same object, and raise ``ValueError`` where they cannot.
 """
 
 from __future__ import annotations
 
-from .automata import EPS_TOKEN, HASH_TOKEN, Alphabet, BuchiAutomaton, FinAutomaton
+from .automata import EPS_TOKEN, Alphabet, BuchiAutomaton, FinAutomaton
 from .abstraction import Homomorphism
 
 __all__ = [
@@ -149,8 +149,11 @@ def format_automaton(a: FinAutomaton | BuchiAutomaton) -> str:
 
     The `accepting:` line is left out exactly when a finitary automaton
     accepts everywhere, so LTS files stay in LTS form; parsing the output
-    reproduces the input automaton.
+    reproduces the input automaton.  A letter holding whitespace is a ``ValueError``.
     """
+    for letter in a.alphabet:
+        if letter.split() != [letter]:
+            raise ValueError(f"a .aut letter may hold no whitespace: {letter!r}")
     lines = ["alphabet: " + " ".join(a.alphabet.symbols)]
     if isinstance(a, BuchiAutomaton):
         lines.append("acceptance: buchi")
@@ -179,7 +182,7 @@ def parse_homomorphism(text: str, alphabet: Alphabet | None = None) -> Homomorph
         if len(parts) != 2:
             raise HomFormatError(line_no, "expected 'letter -> letter' or 'letter -> eps'")
         src, dst = parts[0].strip(), parts[1].strip()
-        if not src or " " in src or not dst or " " in dst:
+        if src.split() != [src] or dst.split() != [dst]:
             raise HomFormatError(line_no, "letters must be single whitespace-free tokens")
         if src == EPS_TOKEN:
             raise HomFormatError(line_no, "'eps' cannot be a source letter")
@@ -211,10 +214,12 @@ def parse_homomorphism(text: str, alphabet: Alphabet | None = None) -> Homomorph
 def format_homomorphism(h: Homomorphism) -> str:
     """The `.hom` text of the map; ``ValueError`` where the parser would read
     another map back: some target letter is no letter's image (the parser
-    takes the images as the target), or ``#`` is a letter (a line that starts
-    with it is a comment)."""
-    if HASH_TOKEN in h.source or HASH_TOKEN in h.target:
-        raise ValueError("a .hom file cannot name the padding letter '#'")
+    takes the images as the target), or a letter holds whitespace or ``->``
+    or starts with ``#`` (a line that starts with it is a comment)."""
+    for letter in h.source.symbols + h.target.symbols:
+        if letter.split() != [letter] or "->" in letter or letter.startswith("#"):
+            rule = "may hold no whitespace, '->' or leading '#'"
+            raise ValueError(f"a .hom letter {rule}: {letter!r}")
     unused = set(h.target.symbols) - {img for _, img in h.entries}
     if unused:
         raise ValueError(

@@ -169,7 +169,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
         return (f.operand,)
     if isinstance(f, _BINARY):
         return (f.left, f.right)
-    return ()
+    if isinstance(f, (TrueFormula, Atom)):
+        return ()
+    raise TypeError(f"unknown formula node {f!r}")
 
 
 def _rebuild(f: Formula, parts: tuple[Formula, ...]) -> Formula:
@@ -407,9 +409,7 @@ def _pnf_step(item: tuple[Formula, bool], parts: list[Formula]) -> Formula:
     if isinstance(f, Iff):
         return Or(And(parts[0], parts[1]), And(parts[2], parts[3]))
     dual = {Next: Next, Eventually: Always, Always: Eventually, Until: Before, Before: Until}
-    if type(f) in dual:
-        return dual[type(f)](*parts)
-    raise TypeError(f"unknown formula node {f!r}")
+    return dual[type(f)](*parts)
 
 
 def _shape(f: Formula) -> tuple[bool, bool]:
@@ -443,16 +443,14 @@ def check_normal_form(f: Formula, alphabet: Alphabet, mode: str) -> bool:
 
 
 def _retime(f: Formula, parts: list[Formula]) -> Formula:
-    """The T/R step at an operator node, given its rewritten operands."""
+    """The T/R step at a node, given its rewritten operands."""
     if isinstance(f, Until):
         return Until(Or(EPS, parts[0]), parts[1])
     if isinstance(f, Always):
         return Always(Or(EPS, parts[0]))
     if isinstance(f, Next):
         return Until(EPS, And(Not(EPS), Next(Until(EPS, parts[0]))))
-    if isinstance(f, (And, Or, Implies, Iff, Before, Eventually)):
-        return _rebuild(f, parts)
-    raise TypeError(f"unknown formula node {f!r}")
+    return _rebuild(f, parts)
 
 
 def transform(f: Formula, mode: str) -> Formula:
@@ -490,8 +488,7 @@ def transform(f: Formula, mode: str) -> Formula:
             return (g if mode == "N" else Always(Or(EPS, EPS))), False
         boolean = not isinstance(g, _TEMPORAL) and all(b for _, b in parts)
         kids = [Until(EPS, r) if wrap and b and not boolean else r for r, b in parts]
-        leaf = isinstance(g, (TrueFormula, Atom, Not))  # Not only on atoms and true
-        out = _rebuild(g, kids) if leaf or mode == "N" else _retime(g, kids)
+        out = _rebuild(g, kids) if mode == "N" else _retime(g, kids)
         # each of these holds at every invisible step
         negated_atom = isinstance(g, Not) and isinstance(g.operand, Atom)
         if negated_atom or (boolean and isinstance(g, (Implies, Iff))):
@@ -585,10 +582,9 @@ def evaluate_lasso(x: LassoWord, labeling: Labeling, f: Formula) -> bool:
             return [l[i] == r[i] for i in range(n)]
         if isinstance(g, Until):
             return _lfp(n, nxt, lambda i, cur: r[i] or (l[i] and cur[nxt[i]]), [False] * n)
-        if isinstance(g, Before):  # !(!l U r)
-            u = _lfp(n, nxt, lambda i, cur: r[i] or (not l[i] and cur[nxt[i]]), [False] * n)
-            return [not b for b in u]
-        raise TypeError(f"unknown formula node {g!r}")
+        # Before: !(!l U r)
+        u = _lfp(n, nxt, lambda i, cur: r[i] or (not l[i] and cur[nxt[i]]), [False] * n)
+        return [not b for b in u]
 
     return _fold(f, arr)[0]
 
@@ -749,9 +745,8 @@ class _Translator:
             return self._temporal(_RELEASE, self.false, parts[0])
         if isinstance(f, Until):  # !(l U r) = !l R !r
             return self._temporal(_UNTIL if positive else _RELEASE, *parts)
-        if isinstance(f, Before):  # l B r = l R !r
-            return self._temporal(_RELEASE if positive else _UNTIL, *parts)
-        raise TypeError(f"unknown formula node {f!r}")
+        # Before: l B r = l R !r
+        return self._temporal(_RELEASE if positive else _UNTIL, *parts)
 
     def _expand(self, g: int) -> list:
         """Covers of one node: (letters allowed now, obligations for the next

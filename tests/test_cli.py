@@ -568,6 +568,7 @@ class TestErrors:
                 None,
                 "line 1: all letters are hidden; target alphabet would be empty",
             ),
+            ("a\tb -> c\n", None, "line 1: letters must be single whitespace-free tokens"),
         ],
     )
     def test_homomorphism_errors_name_the_first_fault(self, text, letters, message):
@@ -874,6 +875,24 @@ class TestRoundTrip:
         for h in (lifted, into_hash):
             with pytest.raises(ValueError, match="'#'"):
                 formats.format_homomorphism(h)
+
+    def test_automaton_with_a_spaced_letter_is_not_printed(self):
+        # "alphabet: a b c" and "trans: s0 a b s0" would read back as three
+        # letters and a four-field transition
+        a = FinAutomaton(Alphabet(("a b", "c")), 1, {0}, {0}, {(0, "a b", 0)})
+        with pytest.raises(ValueError, match="'a b'"):
+            format_automaton(a)
+
+    def test_homomorphism_letters_the_parser_reads_otherwise_are_not_printed(self):
+        # "a->b -> x" has two arrows, "a b -> x" a spaced letter, and
+        # "#x -> x" is a comment
+        for letter in ("a->b", "a b", "#x"):
+            h = Homomorphism.from_map(Alphabet((letter,)), Alphabet(("x",)), {letter: "x"})
+            with pytest.raises(ValueError, match=re.escape(repr(letter))):
+                formats.format_homomorphism(h)
+        h = Homomorphism.from_map(Alphabet(("a",)), Alphabet(("x y",)), {"a": "x y"})
+        with pytest.raises(ValueError, match="'x y'"):
+            formats.format_homomorphism(h)
 
     def test_documented_examples_parse_and_round_trip(self, tmp_path, capsys):
         readme = (ROOT / "README.md").read_text()

@@ -15,6 +15,7 @@ from faircheck.pltl import (
     Atom,
     Before,
     Eventually,
+    Formula,
     MAX_FORMULA_DEPTH,
     FormulaSyntaxError,
     Iff,
@@ -77,6 +78,31 @@ class TestParser:
         assert Atom("a").__eq__("a") is NotImplemented
         assert not Atom("a") == "a"
         assert Atom("a") != "a"
+
+    def test_a_foreign_node_raises_one_error_everywhere(self):
+        # children is the one check of the node types, so every entry point
+        # rejects a node type the package does not define with the same error
+        class Foreign(Formula):
+            __slots__ = ()
+
+            def __repr__(self):
+                return "Foreign()"
+
+        f = Foreign()
+        entries = [
+            lambda: to_positive_normal_form(f),
+            lambda: to_positive_normal_form(Not(f)),
+            lambda: transform(f, "T"),
+            lambda: to_buchi(f, AB),
+            lambda: evaluate_lasso(LassoWord((), ("a",)), Labeling.canonical(AB), f),
+            lambda: format_formula(f),
+            lambda: atoms_of(f),
+            lambda: substitute_atom(f, "a", "b"),
+            lambda: f == Foreign(),
+        ]
+        for entry in entries:
+            with pytest.raises(TypeError, match=r"^unknown formula node Foreign\(\)$"):
+                entry()
 
     def test_errors_carry_position(self):
         with pytest.raises(FormulaSyntaxError) as info:
