@@ -32,6 +32,7 @@ from .automata import (
     _predecessors,
     _prefix_closed,
     _quotient,
+    _sccs,
     _spelled,
     _subsets,
     canonicalize,
@@ -397,15 +398,25 @@ def _within_fairness(padded: FinAutomaton, labeling: Labeling, f: Formula) -> Ve
     return is_relative_liveness(limit(padded), spec)
 
 
+def _hidden_cycle(A: FinAutomaton, h: Homomorphism) -> bool:
+    # A is canonical, so trimmed: is some state on a cycle of hidden letters?
+    hidden = h.hidden
+    return bool(_sccs([[(c, q) for c, q in row if c in hidden] for row in A._succ], ())[0])
+
+
 @dataclass(frozen=True)
 class PreserveReport:
     """Two-sided outcome of the abstraction preservation pipeline.
 
     The abstract verdict concerns the formula on the image behavior, the
-    concrete verdict its retransformation on the original behavior.  The two
-    are interchangeable exactly when the abstraction is weakly
-    continuation-closed; otherwise ``note`` records which single direction,
-    if any, still transfers.
+    concrete verdict its retransformation on the original behavior.  Two
+    transfer rules hold when the abstraction is weakly continuation-closed:
+    a holding abstract verdict forces the concrete one, and when the system
+    also has no reachable cycle of hidden letters alone, the two verdicts
+    are equal.  Closure alone does not make them equal: a system that can
+    run forever on hidden letters can discharge an obligation on a future
+    its image cannot express.  When the abstraction is not closed, ``note``
+    records which single direction, if any, still transfers.
     """
 
     wcc: WccReport
@@ -424,6 +435,11 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
     padding letter, the formula is retransformed, and the result is checked
     within fairness on the source language padded relative to the
     abstraction, with the lifted map keeping the padding letter visible.
+
+    The concrete verdict is computed only where no transfer rule gives it.
+    Under a weakly continuation-closed abstraction it is the abstract
+    verdict when that holds, and also when it fails but the system has no
+    reachable cycle of hidden letters alone.
     """
     _check_side(L, h.source, "source")
     A = _prefix_closed(L, "the preservation check is defined over prefix-closed languages")
@@ -434,8 +450,11 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
         )
     wcc, image = _wcc(h, A)
     abstract = _within_fairness(_xtd(image, None), Labeling.canonical(h.target).eps_extension(), f)
-    retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
-    concrete = _within_fairness(_xtd(A, h), h.lift_hash().labeling(), retransformed)
+    if wcc.closed and (abstract or not _hidden_cycle(A, h)):
+        concrete = abstract
+    else:
+        retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
+        concrete = _within_fairness(_xtd(A, h), h.lift_hash().labeling(), retransformed)
 
     note = None
     if not wcc.closed:

@@ -9,6 +9,8 @@ import gen
 from oracles import brute_wcc, enumerate_words, nfa_accepts, relative_xtd_accepts
 from faircheck import abstraction
 from faircheck.automata import (
+    EPS_TOKEN,
+    HASH_TOKEN,
     Alphabet,
     AlphabetMismatchError,
     BuchiAutomaton,
@@ -31,7 +33,14 @@ from faircheck.automata import (
     product_fin,
 )
 from faircheck.formats import format_automaton
-from faircheck.pltl import Labeling, NotNormalFormError, parse_formula
+from faircheck.pltl import (
+    Labeling,
+    NotNormalFormError,
+    parse_formula,
+    substitute_atom,
+    transform,
+)
+from faircheck.relprops import PropertySpec, is_relative_liveness
 from faircheck.abstraction import (
     Homomorphism,
     WccReport,
@@ -595,6 +604,36 @@ class TestPreserveCheck:
                 if report.abstract_holds:
                     assert report.concrete_holds, (a, h.entries, f)
         assert closed_hits >= 25
+
+    def test_transfer_rules_give_the_computed_concrete_verdict(self, rng):
+        # preserve_check takes the concrete verdict from a rule where one
+        # applies: a closed abstraction whose abstract verdict holds, or a
+        # closed one over a system with no reachable hidden cycle.  Here the
+        # concrete verdict is computed on every draw, from the public pieces
+        # of its definition, so a rule applied beyond its hypotheses fails
+        fired = {"holds": 0, "no hidden cycle": 0}
+        hide_a = Homomorphism.hiding(AB, {"a"})
+        cases = [(FinAutomaton.empty(AB), hide_a, parse_formula("F G !b"))]
+        for _ in range(300):
+            alphabet = gen.letters(rng.randint(2, 3))
+            a = random_system(rng, alphabet, max_states=5)
+            h = gen.random_hom(rng, alphabet)
+            f = gen.random_extended_formula(rng, h.target.symbols, rng.randint(1, 3))
+            cases.append((a, h, f))
+        for a, h, f in cases:
+            report = preserve_check(a, h, f)
+            cycle = gen.has_hidden_cycle(a, h)
+            assert abstraction._hidden_cycle(canonicalize(a), h) == cycle, (a, h.entries)
+            padded = compute_xtd(a, h)
+            retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
+            labeling = h.lift_hash().labeling()
+            spec = PropertySpec.from_formula(retransformed, padded.alphabet, labeling)
+            concrete = is_relative_liveness(limit(padded), spec).holds
+            assert report.concrete_holds == concrete, (a, h.entries, f)
+            if report.wcc.closed and (report.abstract_holds or not cycle):
+                fired["holds" if report.abstract_holds else "no hidden cycle"] += 1
+                assert concrete == report.abstract_holds, (a, h.entries, f)
+        assert min(fired.values()) >= 25, fired
 
     def test_invisible_forever_branches_defeat_verdict_transfer(self):
         # the full shuffle over {a,b} with a hidden: the image b* is closed

@@ -2,7 +2,10 @@
 
 Renumbering a system's states and reordering its lines must leave every
 output alone, and a damaged input file must end in a verdict or a one-line
-error, never in a traceback or an unexpected exit code.
+error, never in a traceback or an unexpected exit code.  Two relations tie
+verdicts of different subcommands together: ``preserve`` under the identity
+map agrees with ``check rl``, and ``check sat`` holds exactly when
+``check rl`` and ``check rs`` both do.
 """
 
 import json
@@ -166,3 +169,65 @@ class TestMutatedInputs:
                 parse_automaton(out)
             else:
                 assert not err and isinstance(json.loads(out), dict)
+
+
+def verdict(argv, capsys):
+    code, out, err = outcome(argv, capsys)
+    assert code in (0, 1) and not err, (argv, err)
+    return json.loads(out)["verdict"]
+
+
+def check(kind, system, formula, capsys):
+    return verdict(["check", kind, "--system", str(system), "--formula", formula], capsys)["holds"]
+
+
+class TestVerdictRelations:
+    def test_preserve_under_the_identity_map_is_check_rl(self, rng, tmp_path, capsys):
+        # the identity map hides nothing, so the abstraction is closed, no
+        # hidden cycle exists and the concrete verdict is the abstract one;
+        # both are rl on the system as long as it has no maximal words,
+        # which the padding of the abstract side would keep and rl's limit
+        # drops, so draws with a state without successors are skipped
+        systems = [FIG2, FIG3]
+        while len(systems) < 14:
+            alphabet = gen.letters(rng.randint(1, 3))
+            a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=True)
+            if {p for p, _, _ in a.transitions} == set(a.states):
+                systems.append(format_automaton(a))
+        system, _, hom, _ = files(tmp_path)
+        seen = set()
+        for text in systems:
+            letters = parse_automaton(text).alphabet.symbols
+            system.write_text(text)
+            hom.write_text("".join(f"{c} -> {c}\n" for c in letters))
+            for _ in range(3):
+                formula = format_formula(gen.random_nf_formula(rng, letters, 2))
+                rl = check("rl", system, formula, capsys)
+                argv = ["preserve", "--system", str(system), "--hom", str(hom), "--formula", formula]
+                report = verdict(argv, capsys)
+                assert report["wcc_closed"] and report["equivalence_certified"], (text, formula)
+                assert report["abstract_holds"] == rl, (text, formula)
+                assert report["concrete_holds"] == rl, (text, formula)
+                seen.add(rl)
+        assert seen == {True, False}
+
+    def test_sat_holds_exactly_when_rl_and_rs_hold(self, rng, tmp_path, capsys):
+        # satisfaction is relative liveness and relative safety together;
+        # the draws go on until each of rl and rs has failed alone
+        system = files(tmp_path)[0]
+        alone = set()
+        for i in range(200):
+            if i >= 40 and alone == {(True, False), (False, True)}:
+                break
+            alphabet = gen.letters(rng.randint(2, 3))
+            if i % 2:
+                a = gen.random_buchi(rng, alphabet, max_states=5)
+            else:
+                a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=True)
+            system.write_text(format_automaton(a))
+            formula = format_formula(gen.random_formula(rng, alphabet.symbols, 3))
+            rl, rs, sat = (check(kind, system, formula, capsys) for kind in ("rl", "rs", "sat"))
+            assert sat == (rl and rs), (format_automaton(a), formula, rl, rs, sat)
+            if rl != rs:
+                alone.add((rl, rs))
+        assert alone == {(True, False), (False, True)}
