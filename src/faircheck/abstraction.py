@@ -411,12 +411,12 @@ class PreserveReport:
     The abstract verdict concerns the formula on the image behavior, the
     concrete verdict its retransformation on the original behavior.  Two
     transfer rules hold when the abstraction is weakly continuation-closed:
-    a holding abstract verdict forces the concrete one, and when the system
-    also has no reachable cycle of hidden letters alone, the two verdicts
-    are equal.  Closure alone does not make them equal: a system that can
-    run forever on hidden letters can discharge an obligation on a future
-    its image cannot express.  When the abstraction is not closed, ``note``
-    records which single direction, if any, still transfers.
+    a holding abstract verdict forces the concrete one, and with no reachable
+    cycle of hidden letters alone the two are equal.  Closure alone does not
+    make them equal: a system that can run forever on hidden letters can
+    discharge an obligation on a future its image cannot express.  So the
+    equivalence is certified exactly when the abstraction is closed and the
+    verdicts agree; otherwise ``note`` says which direction, if any, transfers.
     """
 
     wcc: WccReport
@@ -455,7 +455,7 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
     else:
         retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
         concrete = _within_fairness(_xtd(A, h), h.lift_hash().labeling(), retransformed)
-
+    abstract, concrete = bool(abstract), bool(concrete)
     note = None
     if not wcc.closed:
         if all(image._succ[p] for p in image.accepting):
@@ -465,4 +465,6 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
             )
         else:
             note = "not closed: the verdicts are not transferable"
-    return PreserveReport(wcc, bool(abstract), bool(concrete), wcc.closed, note)
+    elif abstract != concrete:
+        note = "closed, but the verdicts differ: only a holding abstract verdict transfers"
+    return PreserveReport(wcc, abstract, concrete, wcc.closed and abstract == concrete, note)

@@ -746,7 +746,7 @@ def limit(a: FinAutomaton) -> BuchiAutomaton:
     language raises NotPrefixClosedError rather than guessing a semantics.
     """
     c = _prefix_closed(a, "limit requires a prefix-closed language")
-    return c._recast(BuchiAutomaton, accepting=c.states)
+    return c._recast(BuchiAutomaton)
 
 
 def is_prefix_closed(a: FinAutomaton) -> bool:
@@ -765,15 +765,15 @@ class _Product(dict):
     """The synchronous product of ``a`` and ``b``, numbered as it is read.
 
     ``order`` lists the (p, q, phase) triples numbered so far, the sorted
-    initial ones first, and ``accepting`` those for which ``accepts`` holds.
-    ``row(i)`` walks the out-edges of ``a`` (by letter, then target) and
-    looks up ``b``'s targets for each letter, numbering new targets in the
-    order of letter, then p2, then q2; each takes the phase
-    ``next_phase(p, q, phase)``.  As its own ``_out``, the product turns a
-    row into moves on its first read, so ``n_states`` and
-    ``_accepting_mask`` cover the states numbered so far.  With
-    ``step_mask`` and ``_initial_mask``, that is all ``accepting_lasso``
-    reads.
+    initial ones first; ``_initial_mask`` holds those, and
+    ``_accepting_mask`` the numbered triples for which ``accepts`` holds,
+    each set as ``row`` numbers it.  ``row(i)`` walks the out-edges of
+    ``a`` (by letter, then target) and looks up ``b``'s targets for each
+    letter, numbering new targets in the order of letter, then p2, then q2;
+    each takes the phase ``next_phase(p, q, phase)``.  As its own ``_out``,
+    the product turns a row into moves on its first read, so ``n_states``
+    and the masks cover the states numbered so far.  With ``step_mask``,
+    that is all ``accepting_lasso`` reads.
     """
 
     step_mask = _Graph.step_mask
@@ -784,15 +784,13 @@ class _Product(dict):
         self.alphabet, self._a_succ, self._b_out = a.alphabet, a._succ, b._out
         self._next_phase, self._accepts = next_phase, accepts
         self.order = sorted((p, q, 0) for p in a.initial for q in b.initial)
-        self.n_initial = len(self.order)
         self._index = {t: i for i, t in enumerate(self.order)}
-        self.accepting = [i for i, t in enumerate(self.order) if accepts(t)]
-        self._initial_mask = (1 << self.n_initial) - 1
-        self._accepting_mask = _mask(self.accepting)
+        self._initial_mask = (1 << len(self.order)) - 1
+        self._accepting_mask = _mask(i for i, t in enumerate(self.order) if accepts(t))
 
     def row(self, i: int) -> list[tuple[str, int]]:
         """Triple i's sorted (letter, target) row, numbering new targets."""
-        order, index, accepting = self.order, self._index, self.accepting
+        order, index = self.order, self._index
         p, q, phase = order[i]
         nphase, b_out = self._next_phase(p, q, phase), self._b_out[q]
         row = []
@@ -807,7 +805,7 @@ class _Product(dict):
                     j = index[t] = len(order)
                     order.append(t)
                     if self._accepts(t):
-                        accepting.append(j)
+                        self._accepting_mask |= 1 << j
                 row.append((s, j))
         row.sort()  # targets of one letter come in (p2, q2) order, not index order
         return row
@@ -821,12 +819,10 @@ class _Product(dict):
         return self
 
     def __missing__(self, i: int) -> dict[str, int]:
-        """i's moves, from its row; the accepting states it numbers join the mask."""
-        marked, moves = len(self.accepting), {}
+        """i's moves, from its row, which numbers the triples it reaches."""
+        moves = {}
         for s, j in self.row(i):
             moves[s] = moves.get(s, 0) | 1 << j
-        for j in self.accepting[marked:]:
-            self._accepting_mask |= 1 << j
         self[i] = moves
         return moves
 
@@ -837,7 +833,7 @@ def _every_row(g: _Product):
     rows = []
     while len(rows) < len(g.order):  # order grows while we walk it
         rows.append(g.row(len(rows)))
-    return g.order, range(g.n_initial), g.accepting, rows
+    return g.order, _bit_indices(g._initial_mask), _bit_indices(g._accepting_mask), rows
 
 
 def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:

@@ -667,7 +667,6 @@ class _Translator:
         self.full = (1 << len(alphabet)) - 1
         self.nodes: list[tuple[int, int, int]] = []
         self.ids: dict[tuple[int, int, int], int] = {}
-        self.untils: list[int] = []
         self.atom_masks: dict[str, int] = {}
         self.dnf: list[list] = []  # covers of nodes 0, 1, ... in creation order
         self.cover_cache: dict[frozenset[int], list] = {}
@@ -680,8 +679,6 @@ class _Translator:
         if got is None:
             got = self.ids[key] = len(self.nodes)
             self.nodes.append(key)
-            if kind == _UNTIL:
-                self.untils.append(got)
             # a node's operands are created before it, so their covers are ready
             self.dnf.append(self._expand(got))
         return got
@@ -780,7 +777,7 @@ class _Translator:
 
     def automaton(self, root: int) -> BuchiAutomaton:
         """Reduced Buchi automaton for the words satisfying the node."""
-        untils = self.untils
+        untils = [g for g, (kind, _, _) in enumerate(self.nodes) if kind == _UNTIL]
         symbols = self.alphabet.symbols
 
         def moves(state):

@@ -1,5 +1,6 @@
 """Abstraction behavior: images, inverse images, closure checks, padding."""
 
+import json
 import random
 import re
 
@@ -32,7 +33,8 @@ from faircheck.automata import (
     product,
     product_fin,
 )
-from faircheck.formats import format_automaton
+from faircheck.cli import run
+from faircheck.formats import format_automaton, format_homomorphism
 from faircheck.pltl import (
     Labeling,
     NotNormalFormError,
@@ -630,12 +632,14 @@ class TestPreserveCheck:
             spec = PropertySpec.from_formula(retransformed, padded.alphabet, labeling)
             concrete = is_relative_liveness(limit(padded), spec).holds
             assert report.concrete_holds == concrete, (a, h.entries, f)
+            certified = report.wcc.closed and report.abstract_holds == concrete
+            assert report.equivalence_certified == certified, (a, h.entries, f)
             if report.wcc.closed and (report.abstract_holds or not cycle):
                 fired["holds" if report.abstract_holds else "no hidden cycle"] += 1
                 assert concrete == report.abstract_holds, (a, h.entries, f)
         assert min(fired.values()) >= 25, fired
 
-    def test_invisible_forever_branches_defeat_verdict_transfer(self):
+    def test_invisible_forever_branches_defeat_verdict_transfer(self, tmp_path, capsys):
         # the full shuffle over {a,b} with a hidden: the image b* is closed
         # under this abstraction and has no maximal words, so its padded
         # limit is the single computation b^omega and "F G !b" fails there.
@@ -651,6 +655,16 @@ class TestPreserveCheck:
         assert not report.abstract_holds
         assert report.concrete_holds
         assert gen.has_hidden_cycle(full, h)
+        # so the equivalence is not certified, and only the downward rule is left
+        note = "closed, but the verdicts differ: only a holding abstract verdict transfers"
+        assert not report.equivalence_certified and report.note == note
+        system, hom = tmp_path / "full.aut", tmp_path / "hide_a.hom"
+        system.write_text(format_automaton(full))
+        hom.write_text(format_homomorphism(h))
+        argv = ["preserve", "--system", str(system), "--hom", str(hom), "--formula", "F G !b"]
+        assert run(argv) == 1
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert not verdict["equivalence_certified"] and verdict["note"] == note
 
     def test_formula_must_be_in_extended_normal_form(self):
         with pytest.raises(NotNormalFormError):

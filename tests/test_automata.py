@@ -1061,6 +1061,36 @@ class TestProductOnDemand:
             outcomes["empty"] += expected is None
         assert min(outcomes.values()) >= 10, outcomes
 
+    def test_the_masks_record_what_the_rows_number(self, rng):
+        # the product keeps its initial and accepting states only as masks:
+        # after a partial read the accepting mask holds exactly the numbered
+        # triples that accept, and after every row is read on demand, in
+        # index order, both masks are those of the eagerly built product
+        seen = Counter()
+        for i in range(240):
+            if i % 8 < 4:
+                a, b = (_nondeterministic(rng, gen.random_buchi, 4) for _ in range(2))
+            else:
+                a, b = (gen.random_buchi(rng, gen.letters(3), max_states=5) for _ in range(2))
+            a, b = _close_in_rotation(i, a, b)
+            whole = product(a, b)
+            g = automata._counter_product(a, b)
+            stop = rng.randrange(whole.n_states + 1)
+            for q in range(stop):
+                g[q]
+            accepting = [j for j, t in enumerate(g.order) if g._accepts(t)]
+            assert g._accepting_mask == automata._mask(accepting)
+            while len(g) < g.n_states:
+                g[len(g)]
+            assert g._initial_mask == automata._mask(whole.initial)
+            assert g._accepting_mask == automata._mask(whole.accepting)
+            open_operands = 2 - sum(_closed_class(a, b))
+            seen[open_operands] += 1
+            seen["numbered after the initial states"] += max(accepting, default=-1) >= len(
+                whole.initial
+            )
+        assert len(seen) == 4 and min(seen.values()) >= 15, seen
+
     def test_a_pass_marks_the_states_it_discovers(self):
         # the walk stops at the graph witness b;c before state 1's row is
         # read; the refinement's first candidate, ;a, is accepted only

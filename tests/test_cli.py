@@ -312,6 +312,26 @@ class TestWccAndPreserve:
                 "note": None,
             }
 
+    def test_a_finitary_system_is_read_in_two_ways(self, tmp_path, capsys):
+        # README, "Command line": check reads a finitary system as the limit
+        # of its language, where the computation that stops after a is no
+        # behaviour, so G F b holds for want of any; preserve pads that
+        # maximal word with # first, and G F b fails on a #^omega
+        system, hom = tmp_path / "stops.aut", tmp_path / "identity.hom"
+        system.write_text("alphabet: a b\nstates: s0 s1\ninitial: s0\ntrans: s0 a s1\n")
+        hom.write_text("a -> a\nb -> b\n")
+        assert run(["check", "rl", "--system", str(system), "--formula", "G F b"]) == 0
+        assert report_of(capsys)["verdict"]["holds"] is True
+        code = run(["preserve", "--system", str(system), "--hom", str(hom), "--formula", "G F b"])
+        assert code == 0
+        assert report_of(capsys)["verdict"] == {
+            "wcc_closed": True,
+            "abstract_holds": False,
+            "concrete_holds": False,
+            "equivalence_certified": True,
+            "note": None,
+        }
+
 
 class TestOtherVerdicts:
     def test_machine_closed_against_own_fair_part(self, tmp_path, capsys):

@@ -187,7 +187,8 @@ class TestVerdictRelations:
         # hidden cycle exists and the concrete verdict is the abstract one;
         # both are rl on the system as long as it has no maximal words,
         # which the padding of the abstract side would keep and rl's limit
-        # drops, so draws with a state without successors are skipped
+        # drops (README, "Command line": a finitary system is read in two
+        # ways), so draws with a state without successors are skipped
         systems = [FIG2, FIG3]
         while len(systems) < 14:
             alphabet = gen.letters(rng.randint(1, 3))
