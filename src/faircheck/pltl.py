@@ -11,6 +11,7 @@ the reserved proposition ``eps``.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -803,21 +804,46 @@ class _Translator:
 
 
 @lru_cache(maxsize=512)
-def _to_buchi_cached(f: Formula, alphabet: Alphabet, labeling: Labeling):
+def _translated(f: Formula, alphabet: Alphabet, labeling: Labeling, positive: bool):
+    # node ids fix the order of the degeneralization counter and so the state
+    # numbering: the complement's translator interns the formula's own normal
+    # form first, as a translator of both sides does, and the formula's side
+    # does not depend on the nodes interned after it
     t = _Translator(alphabet, labeling)
-    positive, negative = t.nnf(f), t.nnf(f, False)
-    return t.automaton(positive), t.automaton(negative)
+    root = t.nnf(f)
+    return t.automaton(root if positive else t.nnf(f, False))
+
+
+class _BuchiPair(Sequence):
+    """The pair ``to_buchi`` returns: the formula's automaton, built at once,
+    and its negation's, built when index 1 is first read."""
+
+    def __init__(self, f: Formula, alphabet: Alphabet, labeling: Labeling) -> None:
+        self._key = (f, alphabet, labeling)
+        self._positive = _translated(f, alphabet, labeling, True)
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._positive if range(2)[i] == 0 else _translated(*self._key, False)
 
 
 def to_buchi(
     f: Formula, alphabet: Alphabet, labeling: Labeling | None = None
-) -> tuple[BuchiAutomaton, BuchiAutomaton]:
+) -> Sequence[BuchiAutomaton]:
     """Buchi automata for the formula and for its negation, both reduced.
 
     Each is built from its own negation normal form; the pair partitions the
     omega-words over the alphabet, which is what lets callers avoid
-    complementation entirely.
+    complementation entirely.  The pair is indexed and unpacked like a
+    tuple.  The formula's automaton is built at once, so a formula the
+    translator cannot read fails here; its negation's is built the first
+    time ``[1]`` is read (unpacking reads it), as relative liveness never
+    reads it.  The last 512 automata built, of either side, are kept.
     """
     if labeling is None:
         labeling = Labeling.canonical(alphabet)
-    return _to_buchi_cached(f, alphabet, labeling)
+    return _BuchiPair(f, alphabet, labeling)

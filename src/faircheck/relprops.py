@@ -57,23 +57,30 @@ class Verdict:
         return self.holds
 
 
-@dataclass(frozen=True)
 class PropertySpec:
     """A linear-time property packaged as a complementary automaton pair.
 
     positive accepts the property's computations, complement accepts exactly
-    the rest.
+    the rest.  A spec made by ``from_formula`` keeps ``to_buchi``'s pair, so
+    its complement is translated only when first read: relative liveness,
+    ``preserve`` and synthesis read the positive side alone.
     """
 
-    positive: BuchiAutomaton
-    complement: BuchiAutomaton
-
-    def __post_init__(self) -> None:
-        if self.positive.alphabet != self.complement.alphabet:
+    def __init__(self, positive: BuchiAutomaton, complement: BuchiAutomaton) -> None:
+        if positive.alphabet != complement.alphabet:
             raise AlphabetMismatchError(
                 "property automata disagree on the alphabet: "
-                f"{self.positive.alphabet.symbols} vs {self.complement.alphabet.symbols}"
+                f"{positive.alphabet.symbols} vs {complement.alphabet.symbols}"
             )
+        self._pair = (positive, complement)
+
+    @property
+    def positive(self) -> BuchiAutomaton:
+        return self._pair[0]
+
+    @property
+    def complement(self) -> BuchiAutomaton:
+        return self._pair[1]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -86,7 +93,10 @@ class PropertySpec:
         alphabet: Alphabet,
         labeling: Labeling | None = None,
     ) -> "PropertySpec":
-        return cls(*to_buchi(formula, alphabet, labeling))
+        # both sides are translated over the one alphabet, so there is nothing to check
+        spec = cls.__new__(cls)
+        spec._pair = to_buchi(formula, alphabet, labeling)
+        return spec
 
     @classmethod
     def from_automata(

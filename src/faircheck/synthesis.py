@@ -88,7 +88,7 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     witness search needs.
     """
     # a property over another alphabet is rejected before any obligation is reported
-    _check_same_alphabet(impl, p.complement)
+    _check_same_alphabet(impl, p.positive)
     # with every state accepting, the Buchi reading recognizes the limit of
     # the transition system's language (Konig's lemma)
     impl_prefixes = prefix_automaton(impl._recast(BuchiAutomaton, accepting=impl.states))

@@ -31,7 +31,7 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
-from faircheck import cli, formats, relprops
+from faircheck import cli, formats, pltl, relprops
 from faircheck.cli import run
 from faircheck.formats import (
     AutFormatError,
@@ -769,6 +769,59 @@ class TestInputCache:
         assert len(parsed) == 17
         check(1)
         assert len(parsed) == 18 and parsed[-1] == paths[1].read_text()
+
+
+class TestComplementOnDemand:
+    """A subcommand translates its formula's negation only if its check reads it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the side of each automaton the translator builds, in build order,
+        # starting from an empty translation cache
+        sides = []
+        real_nnf, real_automaton = pltl._Translator.nnf, pltl._Translator.automaton
+
+        def nnf(self, f, positive=True):
+            root = real_nnf(self, f, positive)
+            if not positive:
+                self.negated = root
+            return root
+
+        def automaton(self, root):
+            sides.append("complement" if root == getattr(self, "negated", None) else "positive")
+            return real_automaton(self, root)
+
+        monkeypatch.setattr(pltl._Translator, "nnf", nnf)
+        monkeypatch.setattr(pltl._Translator, "automaton", automaton)
+        pltl._translated.cache_clear()
+        return sides
+
+    def test_only_the_checks_that_read_it_build_the_complement(self, tmp_path, capsys, built):
+        formula = "G (request -> F result)"
+        impl = tmp_path / "impl.aut"
+        assert run(["synthesize", "--system", FIG2, "--formula", formula]) == 0
+        impl.write_text(capsys.readouterr().out)
+        cases = [
+            (["check", "rl", "--system", FIG2, "--formula", formula], 0),
+            (["preserve", "--system", FIG2, "--hom", HIDE, "--formula", "G F result"], 0),
+            (["synthesize", "--system", FIG2, "--formula", formula], 0),
+            (["check", "sat", "--system", FIG2, "--formula", formula], 1),
+            (["check", "rs", "--system", FIG2, "--formula", formula], 1),
+            (["verify-impl", "--impl", str(impl), "--system", FIG2, "--formula", formula], 1),
+            (["safety-class", "--system", FIG2, "--formula", formula], 1),
+        ]
+        for argv, complements in cases:
+            pltl._translated.cache_clear()
+            built.clear()
+            code = run(argv)
+            capsys.readouterr()
+            assert built.count("complement") == complements, argv
+            assert "positive" in built, argv
+            built.clear()
+            # a repeated formula is answered from the cache
+            assert run(argv) == code
+            capsys.readouterr()
+            assert built == [], argv
 
 
 def test_every_package_error_but_the_precondition_one_is_an_input_error():

@@ -5,13 +5,19 @@ output alone, and a damaged input file must end in a verdict or a one-line
 error, never in a traceback or an unexpected exit code.  Two relations tie
 verdicts of different subcommands together: ``preserve`` under the identity
 map agrees with ``check rl``, and ``check sat`` holds exactly when
-``check rl`` and ``check rs`` both do.
+``check rl`` and ``check rs`` both do.  Two more check what a command prints:
+every lasso that ``check sat`` or ``check rs`` prints is a computation of the
+system that ``eval`` finds false, and ``synthesize`` succeeds exactly when
+``check rl`` holds, with an implementation that passes ``verify-impl`` and
+``machine-closed`` and satisfies the formula outright.
 """
 
 import json
 from pathlib import Path
 
 import gen
+import oracles
+from faircheck.automata import BuchiAutomaton, LassoWord
 from faircheck.cli import run
 from faircheck.formats import (
     format_automaton,
@@ -232,3 +238,79 @@ class TestVerdictRelations:
             if rl != rs:
                 alone.add((rl, rs))
         assert alone == {(True, False), (False, True)}
+
+
+def random_system(rng, i):
+    """A random system over 1 to 3 letters, finitary on even draws and
+    Buchi on odd ones, with its behaviour built without faircheck's
+    ``limit``: a finitary system here is prefix-closed with every state
+    accepting, so its behaviour is the Buchi reading of the same rows with
+    every state accepting (Konig's lemma)."""
+    alphabet = gen.letters(rng.randint(1, 3))
+    if i % 2:
+        a = gen.random_buchi(rng, alphabet, max_states=5)
+        return a, a
+    a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=True)
+    return a, BuchiAutomaton(alphabet, a.n_states, a.initial, a.accepting, a.transitions)
+
+
+class TestPrintedArtifacts:
+    def test_every_printed_lasso_replays(self, rng, tmp_path, capsys):
+        # a failing sat or rs verdict prints a lasso: the formula is false on
+        # it, and it is a computation of the system; the draws go on until
+        # each check has printed a few
+        system = files(tmp_path)[0]
+        printed = {"sat": 0, "rs": 0}
+        for i in range(300):
+            if i >= 40 and min(printed.values()) >= 5:
+                break
+            a, behaviour = random_system(rng, i)
+            text = format_automaton(a)
+            system.write_text(text)
+            letters = " ".join(a.alphabet.symbols)
+            formula = format_formula(gen.random_formula(rng, a.alphabet.symbols, 3))
+            for kind in printed:
+                argv = ["check", kind, "--system", str(system), "--formula", formula]
+                witness = verdict(argv, capsys)["witness"]
+                if witness is None:
+                    continue
+                lasso = witness["lasso"]
+                argv = ["eval", "--formula", formula, "--lasso", lasso, "--alphabet", letters]
+                assert not verdict(argv, capsys)["holds"], (kind, text, formula, lasso)
+                stem, cycle = (tuple(part.split()) for part in lasso.split(";"))
+                accepted = oracles.buchi_accepts_lasso(behaviour, LassoWord(stem, cycle))
+                assert accepted, (kind, text, formula, lasso)
+                printed[kind] += 1
+        assert min(printed.values()) >= 5, printed
+
+    def test_synthesize_succeeds_exactly_when_rl_holds(self, rng, tmp_path, capsys):
+        # synthesis needs relative liveness and nothing more; what it prints
+        # implements the system fairly, every system prefix extends into it,
+        # and it satisfies the formula outright.
+        # The fixtures' recurrences hold within fairness on fig2 only, and
+        # fig2 can also run forever without a result, which the marks exclude
+        cases = [(FIG2, "G F result"), (FIG2, "G (request -> F result)"), (FIG3, "G F result")]
+        for _ in range(30):
+            alphabet = gen.letters(rng.randint(1, 3))
+            a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=True)
+            formula = gen.random_formula(rng, alphabet.symbols, 3)
+            cases.append((format_automaton(a), format_formula(formula)))
+        system, _, _, impl = files(tmp_path)
+        seen = set()
+        for text, formula in cases:
+            system.write_text(text)
+            rl = check("rl", system, formula, capsys)
+            argv = ["synthesize", "--system", str(system), "--formula", formula]
+            code, out, err = outcome(argv, capsys)
+            assert code == (0 if rl else 1), (text, formula, err)
+            seen.add(rl)
+            if not rl:
+                assert err.startswith("synthesis precondition failed: ")
+                continue
+            impl.write_text(out)
+            argv = ["verify-impl", "--impl", str(impl), "--system", str(system), "--formula", formula]
+            assert verdict(argv, capsys)["holds"], (text, formula, out)
+            argv = ["machine-closed", "--system", str(system), "--sub", str(impl)]
+            assert verdict(argv, capsys)["holds"], (text, formula, out)
+            assert check("sat", impl, formula, capsys), (text, formula, out)
+        assert seen == {True, False}

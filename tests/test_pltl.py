@@ -6,6 +6,7 @@ import pytest
 
 import gen
 import oracles
+from faircheck import pltl
 from faircheck.automata import Alphabet, LassoWord, is_empty
 from faircheck.pltl import (
     EPS,
@@ -38,6 +39,7 @@ from faircheck.pltl import (
     transform,
 )
 from faircheck.automata import lasso_membership
+from faircheck.relprops import PropertySpec
 
 AB = Alphabet(("a", "b"))
 
@@ -590,6 +592,50 @@ class TestToBuchi:
                     truth = evaluate_lasso(x, lab, f)
                     assert lasso_membership(x, pos) == truth
                     assert lasso_membership(x, neg) == (not truth)
+
+    def test_sides_built_apart_equal_the_pair_built_together(self, rng):
+        # the complement is translated only when read, in a translator of its
+        # own; node ids fix the counter order and the state numbering, so each
+        # side must equal, state for state, what one translator that interned
+        # both normal forms first builds, whichever side is built first
+        def together(f, alphabet, lab):
+            t = pltl._Translator(alphabet, lab)
+            positive, negative = t.nnf(f), t.nnf(f, False)
+            return t.automaton(positive), t.automaton(negative)
+
+        labelings = [
+            (AB, Labeling.canonical(AB)),
+            (AB.with_hash(), Labeling.canonical(AB).eps_extension()),
+        ]
+        # without the formula's own normal form first, the complement of
+        # G F a would have 2 states, not 3: its counter would skip no until
+        formulas = [parse_formula("G F a"), parse_formula("G (a -> F b)")]
+        for i in range(30):
+            if i % 2:
+                formulas.append(transform(gen.random_nf_formula(rng, ("a", "b"), 3), "R"))
+            else:
+                formulas.append(gen.random_formula(rng, ("a", "b"), 3))
+        for f in formulas:
+            for alphabet, lab in labelings:
+                expected = together(f, alphabet, lab)
+                pltl._translated.cache_clear()
+                pair = to_buchi(f, alphabet, lab)
+                assert (pair[0], pair[1]) == expected, f
+                pltl._translated.cache_clear()
+                complement = pltl._translated(f, alphabet, lab, False)
+                assert tuple(to_buchi(f, alphabet, lab)) == (expected[0], complement), f
+                assert complement == expected[1], f
+                pltl._translated.cache_clear()
+                spec = PropertySpec.from_formula(f, alphabet, lab)
+                assert (spec.complement, spec.positive) == expected[::-1], f
+
+    def test_the_pair_reads_like_a_tuple(self):
+        pair = to_buchi(parse_formula("G F a"), AB)
+        pos, neg = pair
+        assert len(pair) == 2 and (pair[-2], pair[-1]) == (pos, neg)
+        assert pair[:] == (pos, neg) and pair[1:] == (neg,)
+        with pytest.raises(IndexError):
+            pair[2]
 
 
 def _image(x: LassoWord, hidden: set[str]) -> LassoWord | None:
