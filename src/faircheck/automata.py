@@ -59,7 +59,9 @@ only the rows the search reads are computed, and none twice.
 canonical form.  The memo takes no part in ``==`` or ``hash``.  ``_marked``
 records a canonical automaton as its own form: ``canonicalize`` on its
 result, and ``abstraction._xtd`` on padding that keeps a canonical input
-canonical.  Automata are immutable, so the memo never goes stale.
+canonical.  Two more views are kept the same way: a canonical form keeps
+its ``limit`` and a Buchi automaton its ``prefix_automaton``.  Automata are
+immutable, so no memo goes stale.
 """
 
 from __future__ import annotations
@@ -365,9 +367,21 @@ class FinAutomaton(_Graph):
     def _canonical_form(self) -> "FinAutomaton":
         return _marked(_minimal_dfa(self))
 
+    @cached_property
+    def _limit(self) -> "BuchiAutomaton":
+        # read by ``limit`` on canonical prefix-closed forms only
+        return self._recast(BuchiAutomaton)
+
 
 class BuchiAutomaton(_Graph):
     """Automaton over omega-words; a run accepts when it visits accepting states infinitely often."""
+
+    @cached_property
+    def _prefix_automaton(self) -> FinAutomaton:
+        r = reduce_buchi(self)
+        if not r.initial:
+            return FinAutomaton.empty(self.alphabet)
+        return r._recast(FinAutomaton, accepting=r.states)
 
 
 def _run(a: FinAutomaton, word: Iterable[str]) -> int:
@@ -732,11 +746,9 @@ def prefix_automaton(b: BuchiAutomaton) -> FinAutomaton:
 
     After reduction every remaining state starts some accepted omega-word, so
     marking all states accepting yields exactly the prefix language.
+    Computed once per automaton object, which keeps it as a view.
     """
-    r = reduce_buchi(b)
-    if not r.initial:
-        return FinAutomaton.empty(b.alphabet)
-    return r._recast(FinAutomaton, accepting=r.states)
+    return b._prefix_automaton
 
 
 def limit(a: FinAutomaton) -> BuchiAutomaton:
@@ -744,9 +756,10 @@ def limit(a: FinAutomaton) -> BuchiAutomaton:
 
     Built on the canonical form, every state of which accepts; any other
     language raises NotPrefixClosedError rather than guessing a semantics.
+    Computed once per canonical form, which keeps it as a view, so inputs
+    with one canonical form share one limit.
     """
-    c = _prefix_closed(a, "limit requires a prefix-closed language")
-    return c._recast(BuchiAutomaton)
+    return _prefix_closed(a, "limit requires a prefix-closed language")._limit
 
 
 def is_prefix_closed(a: FinAutomaton) -> bool:

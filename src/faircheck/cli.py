@@ -70,20 +70,31 @@ INPUT_ERRORS = (ValueError, OSError)
 # malformed file contents, reported with the file's path
 _CONTENT_ERRORS = (AutFormatError, HomFormatError, UnicodeDecodeError)
 
-# Automata parsed in this process, by the digest of their file's bytes, least
-# recently used first.  Automata are immutable, so a repeated check against
-# one system reuses the parse and every view derived from it, such as its
-# canonical form.  Sixteen entries hold every system a stream of checks on a
-# few systems returns to; only successful parses are stored.
+# Automata parsed in this process, by the digest of their file's bytes, and
+# homomorphisms, by that digest and their source alphabet, each table least
+# recently used first.  Both are immutable, so a repeated check against one
+# system reuses the parse and every view derived from it: its canonical form,
+# its behavior (the limit) and that behavior's prefix automaton.  Sixteen
+# entries per table hold every input a stream of checks on a few systems
+# returns to; only successful parses are stored.
 _AUTOMATA: dict[str, FinAutomaton | BuchiAutomaton] = {}
-_AUTOMATA_KEPT = 16
+_HOMOMORPHISMS: dict[tuple[str, Alphabet], Homomorphism] = {}
+_KEPT = 16
 
 
-def _parse(path: str, data: bytes, parse, *args):
-    try:
-        return parse(data.decode("utf-8"), *args)
-    except _CONTENT_ERRORS as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _kept(table: dict, key, path: str, data: bytes, parse, *args):
+    """The value ``table`` keeps under ``key``, parsed from ``data`` on a miss;
+    malformed contents raise ValueError naming ``path`` and are not kept."""
+    value = table.pop(key, None)
+    if value is None:
+        try:
+            value = parse(data.decode("utf-8"), *args)
+        except _CONTENT_ERRORS as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if len(table) == _KEPT:
+            del table[next(iter(table))]
+    table[key] = value  # now the most recently used
+    return value
 
 
 class _Inputs:
@@ -99,13 +110,7 @@ class _Inputs:
 
     def automaton(self, path: str) -> FinAutomaton | BuchiAutomaton:
         digest, data = self.read(path)
-        a = _AUTOMATA.pop(digest, None)
-        if a is None:
-            a = _parse(path, data, parse_automaton)
-            if len(_AUTOMATA) == _AUTOMATA_KEPT:
-                del _AUTOMATA[next(iter(_AUTOMATA))]
-        _AUTOMATA[digest] = a  # now the most recently used
-        return a
+        return _kept(_AUTOMATA, digest, path, data, parse_automaton)
 
     def finitary(self, path: str) -> FinAutomaton:
         a = self.automaton(path)
@@ -114,7 +119,10 @@ class _Inputs:
         return a
 
     def homomorphism(self, path: str, alphabet: Alphabet) -> Homomorphism:
-        return _parse(path, self.read(path)[1], parse_homomorphism, alphabet)
+        digest, data = self.read(path)
+        return _kept(
+            _HOMOMORPHISMS, (digest, alphabet), path, data, parse_homomorphism, alphabet
+        )
 
 
 def _behavior(a: FinAutomaton | BuchiAutomaton) -> BuchiAutomaton:

@@ -66,18 +66,24 @@ class NotNormalFormError(ValueError):
 
 
 class Formula:
-    """Formula node; equality and hashing use a flat preorder, safe at any depth."""
+    """Formula node; equality and hashing use a flat preorder, safe at any depth.
+
+    Nodes are immutable, so a node walks its preorder once and keeps it.
+    """
 
     __slots__ = ()
 
     def _preorder(self) -> tuple:
-        out: list = []
-        stack: list[Formula] = [self]
-        while stack:
-            g = stack.pop()
-            out.append(g.name if isinstance(g, Atom) else type(g))
-            stack.extend(reversed(children(g)))
-        return tuple(out)
+        kept = getattr(self, "__dict__", {})  # a node with no __dict__ keeps nothing
+        if "_walk" not in kept:
+            out: list = []
+            stack: list[Formula] = [self]
+            while stack:
+                g = stack.pop()
+                out.append(g.name if isinstance(g, Atom) else type(g))
+                stack.extend(reversed(children(g)))
+            kept["_walk"] = tuple(out)  # stored only once children accepted every node
+        return kept["_walk"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):

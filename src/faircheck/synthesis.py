@@ -100,7 +100,9 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     closed = Verdict(*language_subset(impl_prefixes, prefix_automaton(impl)))
     if not closed:
         return closed
-    del impl_prefixes, system_prefixes  # freed before the product is built
+    # freed before the product is built; the system's prefix automaton stays
+    # with the system, as a view of its limit
+    del impl_prefixes
     if not _pair_prefixes(impl, p.complement).n_states:
         return Verdict(True)
     return Verdict(False, _product_lasso(impl, p.complement))

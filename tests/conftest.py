@@ -20,9 +20,10 @@ def rng() -> random.Random:
 
 @pytest.fixture(autouse=True)
 def cold_input_cache():
-    """Each test starts with no parsed automaton cached by ``cli``, so no
-    earlier test can decide what a later one parses."""
+    """Each test starts with no parsed automaton or homomorphism cached by
+    ``cli``, so no earlier test can decide what a later one parses."""
     cli._AUTOMATA.clear()
+    cli._HOMOMORPHISMS.clear()
 
 
 @pytest.fixture

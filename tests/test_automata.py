@@ -679,6 +679,29 @@ class TestLimitAndPrefix:
         dead = BuchiAutomaton(AB, 1, frozenset({0}), frozenset(), frozenset({(0, "a", 0)}))
         assert prefix_automaton(dead) == FinAutomaton.empty(AB)
 
+    def test_views_are_kept_and_equal_the_automata_built_afresh(self, rng):
+        # limit is kept by the canonical form and prefix_automaton by its
+        # argument; inputs of one size are interleaved, so a view answered
+        # from another input's result would differ from the fresh build
+        def fresh_prefixes(b):
+            r = reduce_buchi(b)
+            if not r.initial:
+                return FinAutomaton.empty(b.alphabet)
+            return r._recast(FinAutomaton, accepting=r.states)
+
+        sizes, empty = set(), 0
+        for _ in range(80):
+            a = gen.random_fin(rng, gen.letters(2), max_states=5, all_accepting=True)
+            lim = limit(a)
+            assert limit(a) is lim and limit(canonicalize(a)) is lim
+            assert lim == canonicalize(a)._recast(BuchiAutomaton)
+            for b in (lim, gen.random_buchi(rng, gen.letters(2), max_states=5)):
+                p = prefix_automaton(b)
+                assert prefix_automaton(b) is p and p == fresh_prefixes(b)
+                sizes.add(p.n_states)
+                empty += not p.n_states
+        assert len(sizes) >= 5 and empty >= 5
+
     def test_limit_of_prefix_closed_randoms(self, rng):
         # every prefix of an accepted omega-word stays in the language
         for _ in range(20):

@@ -31,7 +31,7 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
-from faircheck import cli, formats, pltl, relprops
+from faircheck import automata, cli, formats, pltl, relprops
 from faircheck.cli import run
 from faircheck.formats import (
     AutFormatError,
@@ -769,6 +769,101 @@ class TestInputCache:
         assert len(parsed) == 17
         check(1)
         assert len(parsed) == 18 and parsed[-1] == paths[1].read_text()
+
+    def test_a_kept_system_derives_its_prefix_automaton_once(self, tmp_path, capsys, monkeypatch):
+        # check rl, synthesize and verify-impl all read the prefix automaton
+        # of the system's behavior; the kept system keeps both
+        reduced = []
+        real = automata.reduce_buchi
+
+        def counted(b):
+            reduced.append(b)
+            return real(b)
+
+        monkeypatch.setattr(automata, "reduce_buchi", counted)
+        formula = "G (request -> F result)"
+        impl = tmp_path / "impl.aut"
+        assert run(["synthesize", "--system", FIG2, "--formula", formula]) == 0
+        impl.write_text(capsys.readouterr().out)
+        for argv in (
+            ["check", "rl", "--system", FIG2, "--formula", formula],
+            ["verify-impl", "--impl", str(impl), "--system", FIG2, "--formula", formula],
+            ["synthesize", "--system", FIG2, "--formula", formula],
+            ["check", "rl", "--system", FIG2, "--formula", "G F result"],
+        ):
+            assert run(argv) == 0
+            capsys.readouterr()
+        behavior = limit(cli._AUTOMATA[digest(FIG2)])
+        assert [b for b in reduced if b == behavior] == [behavior]
+
+    @pytest.fixture
+    def homs(self, monkeypatch):
+        parses = []  # (text, source alphabet) of each .hom parse
+        real = cli.parse_homomorphism
+
+        def counted(text, alphabet):
+            parses.append((text, alphabet))
+            return real(text, alphabet)
+
+        monkeypatch.setattr(cli, "parse_homomorphism", counted)
+        return parses
+
+    def test_a_repeated_hom_is_parsed_once(self, tmp_path, capsys, homs):
+        argv = ["preserve", "--system", FIG2, "--hom", HIDE, "--formula", "G F result"]
+        assert run(argv) == 0
+        first = report_of(capsys)
+        assert run(argv) == 0
+        assert report_of(capsys) == first
+        assert len(homs) == 1
+        # the key is the content: a copy of the same bytes is a hit, and the
+        # same path with new bytes is parsed again
+        hom = tmp_path / "h.hom"
+        argv = ["wcc", "--system", FIG2, "--hom", str(hom)]
+        text = Path(HIDE).read_text()
+        for copy in (text, text.replace("no -> eps", "no -> no")):
+            hom.write_text(copy)
+            assert run(argv) == 0
+            assert report_of(capsys)["inputs"][str(hom)] == digest(str(hom))
+        assert len(homs) == 2 and homs[-1][0] == hom.read_text()
+
+    def test_the_key_holds_the_source_alphabet(self, tmp_path, capsys, homs):
+        # the same bytes against a system over another alphabet are parsed
+        # against that alphabet, and its error is not kept
+        other = tmp_path / "other.aut"
+        other.write_text(Path(FIG2).read_text().replace("reject", "refuse"))
+        argv = ["abstract", "--system", FIG2, "--hom", HIDE]
+        assert run(argv) == 0
+        image = capsys.readouterr().out
+        for _ in range(2):
+            assert run(["abstract", "--system", str(other), "--hom", HIDE]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {HIDE}: line 1: not total: no image for ['refuse']")
+        assert run(argv) == 0
+        assert capsys.readouterr().out == image
+        alphabets = [alphabet for _, alphabet in homs]
+        assert len(alphabets) == 3 and alphabets[1] == alphabets[2] != alphabets[0]
+
+    def test_the_seventeenth_hom_evicts_the_least_recently_used(self, tmp_path, capsys, homs):
+        paths = []
+        for i in range(17):  # seventeen distinct homs over one alphabet
+            paths.append(tmp_path / f"h{i}.hom")
+            paths[-1].write_text(f"# copy {i}\n" + Path(HIDE).read_text())
+
+        def wcc(i):
+            assert run(["wcc", "--system", FIG2, "--hom", str(paths[i])]) == 0
+            capsys.readouterr()
+
+        for i in range(16):
+            wcc(i)
+        wcc(0)  # a hit: now h1 is the least recently used
+        assert len(homs) == 16
+        wcc(16)  # parsed, evicting h1
+        wcc(0)
+        assert len(homs) == 17
+        wcc(1)
+        assert len(homs) == 18 and homs[-1][0] == paths[1].read_text()
+        # the homs took no automaton slots
+        assert list(cli._AUTOMATA) == [digest(FIG2)]
 
 
 class TestComplementOnDemand:

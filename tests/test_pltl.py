@@ -629,6 +629,26 @@ class TestToBuchi:
                 spec = PropertySpec.from_formula(f, alphabet, lab)
                 assert (spec.complement, spec.positive) == expected[::-1], f
 
+    def test_a_cache_hit_walks_a_new_formula_once(self, monkeypatch):
+        # a node keeps its preorder: the hit hashes the new formula and
+        # compares it with the kept key, and only the hash walks it
+        text = "G (request -> F (result & X !no))"
+        alphabet = Alphabet(("no", "request", "result"))
+        to_buchi(parse_formula(text), alphabet)
+        f = parse_formula(text)
+        walked = []
+        real = pltl.children
+
+        def counted(g):
+            walked.append(g)
+            return real(g)
+
+        monkeypatch.setattr(pltl, "children", counted)
+        to_buchi(f, alphabet)
+        # by identity: comparing nodes by == could walk them again
+        roots = [g is f for g in walked]
+        assert sum(roots) == 1 and len(roots) == 9  # one walk of f's 9 nodes
+
     def test_the_pair_reads_like_a_tuple(self):
         pair = to_buchi(parse_formula("G F a"), AB)
         pos, neg = pair
