@@ -327,24 +327,81 @@ class TestWcc:
 
     def test_one_subset_construction_per_check(self, rng, subset_runs):
         # the canonical image is read off the construction seeded at every
-        # system state, so the image NFA is determinized once; padding a
-        # canonical automaton over a #-free alphabet keeps it canonical, so
-        # neither padded side is determinized again
-        for _ in range(30):
+        # system state, so the first check on a (canonical system, hom) pair
+        # determinizes the image NFA once, and the pair's view keeps the
+        # result for every later check; padding a canonical automaton over a
+        # #-free alphabet keeps it canonical, so neither padded side is
+        # determinized again
+        checks = [
+            lambda c, h, f: is_weakly_continuation_closed(c, h),
+            lambda c, h, f: preserve_check(c, h, f),
+            lambda c, h, f: abstract_behavior(c, h),
+            lambda c, h, f: compute_xtd(c, hom=h),
+        ]
+        for i in range(30):
             alphabet = gen.letters(rng.randint(2, 3))
             c = canonicalize(random_system(rng, alphabet, max_states=6))
             h = gen.random_hom(rng, alphabet, p_hide=0.5)
+            f = gen.random_extended_formula(rng, h.target.symbols, 2)
             seeded = (abstraction._image_nfa(h, c), [1 << q for q in c.states])
             subset_runs.clear()
-            is_weakly_continuation_closed(c, h)
+            checks[i % 3](c, h, f)
             assert subset_runs == [seeded]
             subset_runs.clear()
-            preserve_check(c, h, gen.random_extended_formula(rng, h.target.symbols, 2))
-            assert subset_runs == [seeded]
-            subset_runs.clear()
+            # a hom built afresh with an equal value shares the view
+            for hom in (h, Homomorphism(h.source, h.target, h.entries)):
+                for check in checks:
+                    check(c, hom, f)
             compute_xtd(c)
-            compute_xtd(c, hom=h)
             assert subset_runs == []
+            # a fresh canonical object runs its own construction
+            fresh = canonicalize(c._recast(FinAutomaton))
+            assert fresh == c and fresh is not c
+            checks[(i + 1) % 3](fresh, h, f)
+            assert subset_runs == [seeded]
+
+    def test_views_are_kept_and_equal_the_values_computed_afresh(self, rng):
+        # each system is read with two homs of one target alphabet, so a view
+        # answered from another hom's result would differ from the fresh
+        # computation on a new canonical copy
+        def read(view):
+            return view.wcc, view.padded_image, view.padded, view.hidden_cycle
+
+        closed = differ = 0
+        for i in range(80):
+            if i % 2 == 0:
+                alphabet = gen.letters(rng.randint(2, 3))
+                a = random_system(rng, alphabet, max_states=6)
+                h = gen.random_hom(rng, alphabet, p_hide=0.5)
+                first = None
+            else:  # the first hom's images, rotated over the source letters
+                images = [img for _, img in h.entries]
+                rotated = zip(h.source.symbols, images[1:] + images[:1])
+                h = Homomorphism(h.source, h.target, tuple(rotated))
+            c = canonicalize(a)
+            view = abstraction._abstraction(c, h)
+            fields = read(view)
+            # a second read, through a hom built afresh, gives the same objects
+            again = abstraction._abstraction(c, Homomorphism(h.source, h.target, h.entries))
+            assert again is view and all(x is y for x, y in zip(read(again), fields))
+            assert is_weakly_continuation_closed(a, h) is view.wcc[0]
+            assert compute_xtd(a, hom=h) is view.padded
+            assert abstract_behavior(a, h) is limit(view.wcc[1])
+            copy = canonicalize(c._recast(FinAutomaton))
+            assert copy == c and copy is not c
+            report, image = abstraction._wcc(h, copy)
+            afresh = (
+                (report, image),
+                abstraction._xtd(image, None),
+                abstraction._xtd(copy, h),
+                abstraction._hidden_cycle(copy, h),
+            )
+            assert fields == afresh, (a, h.entries)
+            assert report.closed == brute_wcc(a, h), (a, h.entries)
+            closed += report.closed
+            differ += first is not None and first != afresh
+            first = afresh
+        assert closed >= 20 and 80 - closed >= 5 and differ >= 15
 
     def test_canonical_image_comes_from_the_seeded_construction(self, rng):
         _, d = abstraction._wcc(HIDE_B, canonicalize(FinAutomaton.empty(AB)))

@@ -31,7 +31,7 @@ from faircheck.automata import (
     limit,
 )
 from faircheck.abstraction import Homomorphism, abstract_behavior
-from faircheck import automata, cli, formats, pltl, relprops
+from faircheck import abstraction, automata, cli, formats, pltl, relprops
 from faircheck.cli import run
 from faircheck.formats import (
     AutFormatError,
@@ -864,6 +864,37 @@ class TestInputCache:
         assert len(homs) == 18 and homs[-1][0] == paths[1].read_text()
         # the homs took no automaton slots
         assert list(cli._AUTOMATA) == [digest(FIG2)]
+
+    def test_a_kept_pair_builds_its_image_once(self, capsys, monkeypatch):
+        # preserve, wcc, xtd --hom and abstract on one (system, hom) pair
+        # read one view of the kept system's canonical form
+        built = []
+        real = abstraction._image_nfa
+
+        def counted(h, a):
+            built.append(a)
+            return real(h, a)
+
+        monkeypatch.setattr(abstraction, "_image_nfa", counted)
+        argvs = [
+            ["preserve", "--system", FIG2, "--hom", HIDE, "--formula", "G F result"],
+            ["wcc", "--system", FIG2, "--hom", HIDE],
+            ["xtd", "--system", FIG2, "--hom", HIDE],
+            ["abstract", "--system", FIG2, "--hom", HIDE],
+        ]
+
+        def output(argv):
+            code = run(argv)
+            got = capsys.readouterr()
+            return code, re.sub(r'"elapsed_ms": \d+', "", got.out), got.err
+
+        kept = [output(argv) for argv in argvs]
+        assert len(built) == 1 and [code for code, _, _ in kept] == [0] * 4
+        for argv, out in zip(argvs, kept):
+            cli._AUTOMATA.clear()
+            cli._HOMOMORPHISMS.clear()
+            assert output(argv) == out
+        assert len(built) == 4  # preserve, wcc and abstract each build it cold
 
 
 class TestComplementOnDemand:
