@@ -10,11 +10,11 @@ reserved letter ``#``, and runs the two-sided preservation check that ties
 an abstract formula to its retransformed concrete counterpart.
 
 What depends only on a canonical system and a homomorphism, the closure
-report, the canonical image, both ``#``-paddings and the hidden-cycle test,
-is computed once per canonical system and hom: ``_abstraction`` keeps it as
-a view in the canonical form, in a table keyed by the hom's value, the way
-``automata`` keeps a canonical form's ``limit``.  Automata and homs are
-immutable, so no view goes stale.
+report, the canonical image, the ``#``-paddings and the hidden-cycle test,
+is computed once: ``_view`` keeps each value in the canonical form, keyed by
+the function that computes it and the hom's value, the way ``automata``
+keeps a canonical form's ``limit``.  Automata and homs are immutable, so no
+view goes stale.
 """
 
 from __future__ import annotations
@@ -245,12 +245,12 @@ def abstract_behavior(L: FinAutomaton, h: Homomorphism) -> BuchiAutomaton:
     the limit and the image commute, which is what makes this construction
     the abstract behavior.  Non-prefix-closed input is rejected outright
     since the commutation can fail there even when the image itself happens
-    to be prefix-closed.  The image is computed once per canonical system
-    and hom.
+    to be prefix-closed.  The image is the one the closure decision builds,
+    kept with its report.
     """
     _check_side(L, h.source, "source")
     A = _prefix_closed(L, "the abstract behavior is defined over prefix-closed languages")
-    return limit(_abstraction(A, h).wcc[1])
+    return limit(_view(A, _wcc, h)[1])
 
 
 @dataclass(frozen=True)
@@ -294,14 +294,14 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
     classes.  On the synchronized D x Y pair graph, a forward pass from the
     pairs (d, seed(q)) and a backward pass from the pairs whose two states
     share a class find which (q, d) admit a reconciling continuation.
-    The report is computed once per canonical system and hom.
+    The report and D are computed once per canonical system and hom value.
     """
     _check_side(L, h.source, "source")
     A = _prefix_closed(L, "weak continuation-closure is checked over prefix-closed languages")
-    return _abstraction(A, h).wcc[0]
+    return _view(A, _wcc, h)[0]
 
 
-def _wcc(h: Homomorphism, A: FinAutomaton) -> tuple[WccReport, FinAutomaton]:
+def _wcc(A: FinAutomaton, h: Homomorphism) -> tuple[WccReport, FinAutomaton]:
     # A is canonical and prefix-closed; also returns D, the canonical image
     if A.n_states == 0:
         return WccReport(True, ()), FinAutomaton.empty(h.target)
@@ -363,14 +363,13 @@ def compute_xtd(L: FinAutomaton, hom: Homomorphism | None = None) -> FinAutomato
     both variants, whether or not any loop was added.  The result is
     canonical; when ``#`` is not a letter of ``L`` the padded canonical
     automaton already is, with the same states and numbering, and only
-    input alphabets holding ``#`` are canonicalized again.  The relative
-    padding is computed once per canonical system and hom.
+    input alphabets holding ``#`` are canonicalized again.  Each variant is
+    computed once per canonical automaton (and hom value).
     """
     A = canonicalize(L)
-    if hom is None:
-        return _xtd(A, None)
-    _check_side(A, hom.source, "source")
-    return _abstraction(A, hom).padded
+    if hom is not None:
+        _check_side(A, hom.source, "source")
+    return _view(A, _xtd, hom)
 
 
 def _xtd(A: FinAutomaton, hom: Homomorphism | None) -> FinAutomaton:
@@ -415,39 +414,15 @@ def _hidden_cycle(A: FinAutomaton, h: Homomorphism) -> bool:
     return bool(_sccs([[(c, q) for c, q in row if c in hidden] for row in A._succ], ())[0])
 
 
-class _Abstraction:
-    """What the canonical system A and the hom h decide, each field computed
-    on first read; ``wcc`` and ``hidden_cycle`` are read only when A is
-    prefix-closed."""
-
-    def __init__(self, A: FinAutomaton, h: Homomorphism):
-        self.A, self.h = A, h
-
-    @cached_property
-    def wcc(self) -> tuple[WccReport, FinAutomaton]:
-        return _wcc(self.h, self.A)
-
-    @cached_property
-    def padded_image(self) -> FinAutomaton:
-        return _xtd(self.wcc[1], None)
-
-    @cached_property
-    def padded(self) -> FinAutomaton:
-        return _xtd(self.A, self.h)
-
-    @cached_property
-    def hidden_cycle(self) -> bool:
-        return _hidden_cycle(self.A, self.h)
-
-
-def _abstraction(A: FinAutomaton, h: Homomorphism) -> _Abstraction:
-    """The view of (A, h), kept in the canonical form A by the hom's value
-    for as long as A lives."""
-    views = A.__dict__.setdefault("_abstractions", {})
-    view = views.get(h)
-    if view is None:
-        view = views[h] = _Abstraction(A, h)
-    return view
+def _view(A: FinAutomaton, f, h):
+    """``f(A, h)`` for the canonical automaton A, computed on the first call
+    and kept in A by ``f`` and the value of ``h`` for as long as A lives;
+    no ``f`` returns None."""
+    views = A.__dict__.setdefault("_views", {})
+    value = views.get((f, h))
+    if value is None:
+        value = views[f, h] = f(A, h)
+    return value
 
 
 @dataclass(frozen=True)
@@ -494,14 +469,15 @@ def preserve_check(L: FinAutomaton, h: Homomorphism, f: Formula) -> PreserveRepo
             "formula must be in extended normal form over the target alphabet: "
             + format_formula(f)
         )
-    view = _abstraction(A, h)
-    wcc, image = view.wcc
-    abstract = _within_fairness(view.padded_image, Labeling.canonical(h.target).eps_extension(), f)
-    if wcc.closed and (abstract or not view.hidden_cycle):
+    wcc, image = _view(A, _wcc, h)
+    abstract = _within_fairness(
+        _view(image, _xtd, None), Labeling.canonical(h.target).eps_extension(), f
+    )
+    if wcc.closed and (abstract or not _view(A, _hidden_cycle, h)):
         concrete = abstract
     else:
         retransformed = transform(substitute_atom(f, EPS_TOKEN, HASH_TOKEN), "R")
-        concrete = _within_fairness(view.padded, h.lift_hash().labeling(), retransformed)
+        concrete = _within_fairness(_view(A, _xtd, h), h.lift_hash().labeling(), retransformed)
     abstract, concrete = bool(abstract), bool(concrete)
     note = None
     if not wcc.closed:

@@ -74,10 +74,10 @@ _CONTENT_ERRORS = (AutFormatError, HomFormatError, UnicodeDecodeError)
 # homomorphisms, by that digest and their source alphabet, each table least
 # recently used first.  Both are immutable, so a repeated check against one
 # system reuses the parse and every view derived from it: its canonical form,
-# its behavior (the limit), that behavior's prefix automaton and, per hom,
-# the closure report, image and paddings.  Sixteen entries per table hold
-# every input a stream of checks on a few systems returns to; only
-# successful parses are stored.
+# its behavior (the limit), that behavior's prefix automaton, its padding
+# and, per hom, the closure report, image and paddings.  Sixteen entries
+# per table hold every input a stream of checks on a few systems returns
+# to; only successful parses are stored.
 _AUTOMATA: dict[str, FinAutomaton | BuchiAutomaton] = {}
 _HOMOMORPHISMS: dict[tuple[str, Alphabet], Homomorphism] = {}
 _KEPT = 16

@@ -34,7 +34,6 @@ __all__ = [
     "is_relative_safety",
     "is_safety_property",
     "satisfies",
-    "satisfies_within_fairness",
 ]
 
 
@@ -130,9 +129,6 @@ def is_relative_liveness(system: BuchiAutomaton, p: PropertySpec) -> Verdict:
     is the least shortest system prefix with no conforming continuation.
     """
     return is_machine_closed(system, p.positive)
-
-
-satisfies_within_fairness = is_relative_liveness
 
 
 def is_relative_safety(system: BuchiAutomaton, p: PropertySpec) -> Verdict:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from faircheck import abstraction, automata, cli
+from faircheck import abstraction, automata, cli, pltl
 
 DEFAULT_SEED = 20260816
 
@@ -21,9 +21,11 @@ def rng() -> random.Random:
 @pytest.fixture(autouse=True)
 def cold_input_cache():
     """Each test starts with no parsed automaton or homomorphism cached by
-    ``cli``, so no earlier test can decide what a later one parses."""
+    ``cli`` and no formula translated, so no earlier test can decide what a
+    later one parses or translates."""
     cli._AUTOMATA.clear()
     cli._HOMOMORPHISMS.clear()
+    pltl._translated.cache_clear()
 
 
 @pytest.fixture

@@ -363,11 +363,18 @@ class TestWcc:
     def test_views_are_kept_and_equal_the_values_computed_afresh(self, rng):
         # each system is read with two homs of one target alphabet, so a view
         # answered from another hom's result would differ from the fresh
-        # computation on a new canonical copy
-        def read(view):
-            return view.wcc, view.padded_image, view.padded, view.hidden_cycle
+        # computation on a new canonical copy; the plain padding, read after
+        # the relative one, would differ from it if answered in its place
+        def read(c, h):
+            wcc = abstraction._view(c, abstraction._wcc, h)
+            return (
+                wcc,
+                abstraction._view(wcc[1], abstraction._xtd, None),
+                abstraction._view(c, abstraction._xtd, h),
+                abstraction._view(c, abstraction._hidden_cycle, h),
+            )
 
-        closed = differ = 0
+        closed = differ = padded_apart = 0
         for i in range(80):
             if i % 2 == 0:
                 alphabet = gen.letters(rng.randint(2, 3))
@@ -379,17 +386,18 @@ class TestWcc:
                 rotated = zip(h.source.symbols, images[1:] + images[:1])
                 h = Homomorphism(h.source, h.target, tuple(rotated))
             c = canonicalize(a)
-            view = abstraction._abstraction(c, h)
-            fields = read(view)
+            fields = read(c, h)
             # a second read, through a hom built afresh, gives the same objects
-            again = abstraction._abstraction(c, Homomorphism(h.source, h.target, h.entries))
-            assert again is view and all(x is y for x, y in zip(read(again), fields))
-            assert is_weakly_continuation_closed(a, h) is view.wcc[0]
-            assert compute_xtd(a, hom=h) is view.padded
-            assert abstract_behavior(a, h) is limit(view.wcc[1])
+            again = read(c, Homomorphism(h.source, h.target, h.entries))
+            assert all(x is y for x, y in zip(again, fields))
+            assert is_weakly_continuation_closed(a, h) is fields[0][0]
+            assert compute_xtd(a, hom=h) is fields[2]
+            assert abstract_behavior(a, h) is limit(fields[0][1])
+            plain = compute_xtd(a)
+            assert compute_xtd(c) is plain
             copy = canonicalize(c._recast(FinAutomaton))
             assert copy == c and copy is not c
-            report, image = abstraction._wcc(h, copy)
+            report, image = abstraction._wcc(copy, h)
             afresh = (
                 (report, image),
                 abstraction._xtd(image, None),
@@ -397,21 +405,23 @@ class TestWcc:
                 abstraction._hidden_cycle(copy, h),
             )
             assert fields == afresh, (a, h.entries)
+            assert plain == abstraction._xtd(copy, None), (a, h.entries)
             assert report.closed == brute_wcc(a, h), (a, h.entries)
             closed += report.closed
             differ += first is not None and first != afresh
+            padded_apart += plain != afresh[2]
             first = afresh
-        assert closed >= 20 and 80 - closed >= 5 and differ >= 15
+        assert closed >= 20 and 80 - closed >= 5 and differ >= 15 and padded_apart >= 5
 
     def test_canonical_image_comes_from_the_seeded_construction(self, rng):
-        _, d = abstraction._wcc(HIDE_B, canonicalize(FinAutomaton.empty(AB)))
+        _, d = abstraction._wcc(canonicalize(FinAutomaton.empty(AB)), HIDE_B)
         assert d == image_automaton(HIDE_B, FinAutomaton.empty(AB))
         hidden_cycles = renamings = 0
         for _ in range(240):
             alphabet = gen.letters(rng.randint(2, 3))
             a = random_system(rng, alphabet, max_states=6)
             h = gen.random_hom(rng, alphabet, p_hide=0.5)
-            _, d = abstraction._wcc(h, canonicalize(a))
+            _, d = abstraction._wcc(canonicalize(a), h)
             assert format_automaton(d) == format_automaton(image_automaton(h, a))
             hidden_cycles += gen.has_hidden_cycle(a, h)
             renamings += any(img not in (sym, "eps") for sym, img in h.entries)

@@ -919,7 +919,6 @@ class TestComplementOnDemand:
 
         monkeypatch.setattr(pltl._Translator, "nnf", nnf)
         monkeypatch.setattr(pltl._Translator, "automaton", automaton)
-        pltl._translated.cache_clear()
         return sides
 
     def test_only_the_checks_that_read_it_build_the_complement(self, tmp_path, capsys, built):

@@ -37,7 +37,6 @@ from faircheck.relprops import (
     is_relative_safety,
     is_safety_property,
     satisfies,
-    satisfies_within_fairness,
 )
 from faircheck.synthesis import synthesize_fair_impl, verify_fair_impl
 
@@ -147,9 +146,6 @@ class TestRelativeLiveness:
     def test_full_property_always_holds(self):
         v = is_relative_liveness(releasing_system(), prop("true", gen.SERVER_SIGMA))
         assert v.holds
-
-    def test_alias(self):
-        assert satisfies_within_fairness is is_relative_liveness
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):

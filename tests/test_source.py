@@ -1,6 +1,7 @@
 """Source hygiene: every module-level private name in the package is used,
-every exported name is bound and declared once, next to its definition, and
-the package imports nothing outside the standard library."""
+every exported name is bound and declared once, next to its definition, an
+exported name the package never reads is named in README's "Library use",
+and the package imports nothing outside the standard library."""
 
 import ast
 import re
@@ -104,3 +105,27 @@ def test_only_the_automata_kernel_shares_private_names():
         if alias.name.startswith("_")
     ]
     assert borrowed == []
+
+
+def _unread_and_unnamed(sources: list[str], public: list[str], library_use: str) -> list[str]:
+    # the public names that no source reads and the README section does not name
+    read = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [n for n in public if n not in read and not re.search(rf"\b{n}\b", library_use)]
+
+
+def test_each_public_name_no_module_reads_is_named_in_library_use():
+    # a public function the package never calls is public for its own sake,
+    # and README's "Library use" says why; one nothing reads or names is dead
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readme = (SRC.parent.parent / "README.md").read_text()
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    assert _unread_and_unnamed(sources, faircheck.__all__, library_use) == []
+    planted = "def planted_public(x):\n    return x\n"
+    public = faircheck.__all__ + ["planted_public"]
+    assert _unread_and_unnamed(sources + [planted], public, library_use) == ["planted_public"]
