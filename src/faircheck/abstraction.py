@@ -304,7 +304,7 @@ def is_weakly_continuation_closed(L: FinAutomaton, h: Homomorphism) -> WccReport
 def _wcc(A: FinAutomaton, h: Homomorphism) -> tuple[WccReport, FinAutomaton]:
     # A is canonical and prefix-closed; also returns D, the canonical image
     if A.n_states == 0:
-        return WccReport(True, ()), FinAutomaton.empty(h.target)
+        return WccReport(True, ()), _marked(FinAutomaton.empty(h.target))
     # Y state q is the seed of system state q: the quotient image from q
     subsets, y_rows = _subsets(_image_nfa(h, A), [1 << q for q in range(A.n_states)], -1)
     # every Y state accepts, as every state of the image of a trimmed

@@ -26,13 +26,14 @@ first set in a fair component, one with a cycle meeting every set), where
 witnesses are anchored, and live states (those that reach a core state).
 So the emptiness and live prefixes of an intersection are decided on the
 plain pair product (``_pair_prefixes``).  ``product`` builds the
-witness-shaped form, whose phase counts only over the operands that do not
-accept in every state: with one such operand it is the pair product too.
-Every product is one ``_Product``, whose (p, q, phase) triples are numbered
-as their rows are computed, the sorted initial triples first.  ``product``,
-``product_fin`` and ``_pair_prefixes`` compute every row in index order,
-which numbers the states breadth-first; a search reads the product as its
-own ``_out`` and computes each row when it first reads it.
+witness-shaped form, whose phase counts over the accepting sets of the
+operands ``_open`` names: with one such operand it is the pair product
+too.  Every product is one ``_Product``, which reads that list of sets and
+numbers its (p, q, phase) triples as their rows are computed, the sorted
+initial triples first.  ``product``, ``product_fin`` and
+``_pair_prefixes`` compute every row in index order, which numbers the
+states breadth-first; a search reads the product as its own ``_out`` and
+computes each row when it first reads it.
 
 Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states (a deterministic left side
@@ -57,9 +58,9 @@ only the rows the search reads are computed, and none twice.
 ``canonicalize`` computes an automaton's canonical form once, as the
 ``_canonical_form`` view of that object, and a canonical automaton is its own
 canonical form.  The memo takes no part in ``==`` or ``hash``.  ``_marked``
-records a canonical automaton as its own form: ``canonicalize`` on its
-result, and ``abstraction._xtd`` on padding that keeps a canonical input
-canonical.  Two more views are kept the same way: a canonical form keeps
+records a canonical automaton as its own form: ``_quotient`` on what it
+builds (``canonicalize``'s result and the image of ``abstraction._wcc``),
+and ``abstraction._xtd`` on padding that keeps a canonical input canonical.  Two more views are kept the same way: a canonical form keeps
 its ``limit`` and a Buchi automaton its ``prefix_automaton``.  Automata are
 immutable, so no memo goes stale.
 """
@@ -365,7 +366,7 @@ class FinAutomaton(_Graph):
 
     @cached_property
     def _canonical_form(self) -> "FinAutomaton":
-        return _marked(_minimal_dfa(self))
+        return _minimal_dfa(self)
 
     @cached_property
     def _limit(self) -> "BuchiAutomaton":
@@ -539,7 +540,8 @@ def _quotient(alphabet: Alphabet, rows, classes, acc):
 
     ``rows`` and ``acc`` are a subset construction's successor rows and
     accepting states, ``classes`` its equal-residual classes; states are
-    numbered breadth-first over sorted letters.
+    numbered breadth-first over sorted letters, so the automaton is
+    canonical and comes back marked as its own canonical form.
     """
     class_rows: dict[int, list[tuple[str, int]]] = {}
     for q, c in enumerate(classes):
@@ -548,7 +550,7 @@ def _quotient(alphabet: Alphabet, rows, classes, acc):
     order, qrows = _explore(class_rows.__getitem__, [classes[0]])
     cacc = {classes[q] for q in acc}
     accepting = {i for i, c in enumerate(order) if c in cacc}
-    return FinAutomaton._from_rows(alphabet, len(order), {0}, accepting, qrows), order
+    return _marked(FinAutomaton._from_rows(alphabet, len(order), {0}, accepting, qrows)), order
 
 
 def canonicalize(a: FinAutomaton) -> FinAutomaton:
@@ -577,7 +579,7 @@ def _minimal_dfa(a: FinAutomaton) -> FinAutomaton:
     keep = _closure(_predecessors(a._succ), a.accepting)
     init = a.initial & keep
     if not init:
-        return FinAutomaton.empty(a.alphabet)
+        return _marked(FinAutomaton.empty(a.alphabet))
     if a.deterministic:
         # every reachable subset holds one state: the kept rows, walked by
         # index, discover states in the order the subset walk would
@@ -777,42 +779,50 @@ def _prefix_closed(a: FinAutomaton, message: str) -> FinAutomaton:
 class _Product(dict):
     """The synchronous product of ``a`` and ``b``, numbered as it is read.
 
-    ``order`` lists the (p, q, phase) triples numbered so far, the sorted
-    initial ones first; ``_initial_mask`` holds those, and
-    ``_accepting_mask`` the numbered triples for which ``accepts`` holds,
-    each set as ``row`` numbers it.  ``row(i)`` walks the out-edges of
+    ``sets`` lists the (operand index, accepting set) pairs the phase counts
+    over, as ``_open`` gives them: a (p, q, phase) triple steps to the next
+    phase when the state of ``sets[phase]``'s operand is in its set, and
+    accepts in the last phase at a state of the last set; with no set, no
+    triple accepts.  ``order``
+    lists the triples numbered so far, the sorted initial ones first;
+    ``_initial_mask`` holds those, and ``_accepting_mask`` the accepting
+    ones, each set as ``row`` numbers it.  ``row(i)`` walks the out-edges of
     ``a`` (by letter, then target) and looks up ``b``'s targets for each
-    letter, numbering new targets in the order of letter, then p2, then q2;
-    each takes the phase ``next_phase(p, q, phase)``.  As its own ``_out``,
-    the product turns a row into moves on its first read, so ``n_states``
-    and the masks cover the states numbered so far.  With ``step_mask``,
-    that is all ``accepting_lasso`` reads.
+    letter, numbering new targets in the order of letter, then p2, then q2.
+    As its own ``_out``, the product turns a row into moves on its first
+    read, so ``n_states`` and the masks cover the states numbered so far.
+    With ``step_mask``, that is all ``accepting_lasso`` reads.
     """
 
     step_mask = _Graph.step_mask
 
-    def __init__(self, a, b, next_phase, accepts):
+    def __init__(self, a, b, sets=()):
         _check_same_alphabet(a, b)
         super().__init__()
-        self.alphabet, self._a_succ, self._b_out = a.alphabet, a._succ, b._out
-        self._next_phase, self._accepts = next_phase, accepts
+        self.alphabet, self._a_succ, self._b_out, self._sets = a.alphabet, a._succ, b._out, sets
         self.order = sorted((p, q, 0) for p in a.initial for q in b.initial)
         self._index = {t: i for i, t in enumerate(self.order)}
         self._initial_mask = (1 << len(self.order)) - 1
-        self._accepting_mask = _mask(i for i, t in enumerate(self.order) if accepts(t))
+        self._accepting_mask = _mask(i for i, t in enumerate(self.order) if self._accepts(t))
+
+    def _accepts(self, t) -> bool:
+        """In the last phase at a state of the last set; never with no set."""
+        sets = self._sets
+        return t[2] == len(sets) - 1 and t[sets[-1][0]] in sets[-1][1]
 
     def row(self, i: int) -> list[tuple[str, int]]:
         """Triple i's sorted (letter, target) row, numbering new targets."""
-        order, index = self.order, self._index
+        order, index, sets = self.order, self._index, self._sets
         p, q, phase = order[i]
-        nphase, b_out = self._next_phase(p, q, phase), self._b_out[q]
-        row = []
+        if sets and (p, q)[sets[phase][0]] in sets[phase][1]:
+            phase = (phase + 1) % len(sets)
+        b_out, row = self._b_out[q], []
         for s, p2 in self._a_succ[p]:
             m = b_out.get(s, 0)
             while m:
                 low = m & -m
                 m ^= low
-                t = (p2, low.bit_length() - 1, nphase)
+                t = (p2, low.bit_length() - 1, phase)
                 j = index.get(t)
                 if j is None:
                     j = index[t] = len(order)
@@ -851,28 +861,29 @@ def _every_row(g: _Product):
 
 def product_fin(a: FinAutomaton, b: FinAutomaton) -> FinAutomaton:
     """Synchronous product for finite words: accepts the intersection."""
-    order, initial, accepting, rows = _every_row(
-        _Product(a, b, lambda *_: 0, lambda t: t[0] in a.accepting and t[1] in b.accepting)
-    )
+    order, initial, _, rows = _every_row(_Product(a, b))
+    accepting = [i for i, (p, q, _) in enumerate(order) if p in a.accepting and q in b.accepting]
     return FinAutomaton._from_rows(a.alphabet, len(order), initial, accepting, rows)
+
+
+def _open(a, b) -> list:
+    """The (operand index, accepting set) pairs of the operands that do not
+    accept in every state: only these add a condition to an intersection."""
+    return [(k, g.accepting) for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
 
 
 def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
     """The prefixes of L(a) & L(b), decided on the plain pair product.
 
-    Each operand that does not accept in every state contributes its
-    accepting set to the acceptance list of the (p, q) pairs; the live
-    pairs, all accepting, recognize the prefixes.  Every pair is reachable,
-    so the intersection is empty exactly when the result has no state.  It
-    recognizes the language of ``prefix_automaton(product(a, b))``; when an
-    operand accepts in every state, it is that automaton, shape and all.
+    The accepting set of each operand in ``_open(a, b)`` is one acceptance
+    set of the (p, q) pairs; the live pairs, all accepting, recognize the
+    prefixes.  Every pair is reachable, so the intersection is empty exactly
+    when the result has no state.  It recognizes the language of
+    ``prefix_automaton(product(a, b))``; when an operand accepts in every
+    state, it is that automaton, shape and all.
     """
-    order, initial, _, rows = _every_row(_Product(a, b, lambda *_: 0, lambda t: False))
-    sets = tuple(
-        {i for i, pair in enumerate(order) if pair[k] in g.accepting}
-        for k, g in enumerate((a, b))
-        if len(g.accepting) < g.n_states
-    )
+    order, initial, _, rows = _every_row(_Product(a, b))
+    sets = tuple({i for i, t in enumerate(order) if t[k] in acc} for k, acc in _open(a, b))
     live = _sccs(rows, sets)[1]
     return _live_part(FinAutomaton, a.alphabet, rows, initial, live, live)
 
@@ -880,35 +891,21 @@ def _pair_prefixes(a: BuchiAutomaton, b: BuchiAutomaton) -> FinAutomaton:
 def product(a: BuchiAutomaton, b: BuchiAutomaton) -> BuchiAutomaton:
     """Intersection of omega-languages via the phase-counter construction.
 
-    Only an operand that does not accept in every state (an open one) adds
-    a condition, so the phase counts over the open operands in order: it
-    advances to the next one's accepting set when the current one is met,
-    and the product accepts in the last phase where that operand accepts.
-    Two open operands give the two-phase counter, which forces both to
-    accept infinitely often; one keeps phase 0; with none, every pair
-    accepts.  This is the witness-shaped form: lassos and printed automata
-    read its states.  Emptiness and live prefixes alone are decided on the
-    pair product, by ``_pair_prefixes``.
+    The phase counts over the operands of ``_open(a, b)`` in order (see
+    ``_Product``).  Two open operands give the two-phase counter, which
+    forces both to accept infinitely often; one keeps phase 0; with none,
+    the phase counts over a's accepting set, so every pair accepts.  This
+    is the witness-shaped form: lassos and printed automata read its
+    states.  Emptiness and live prefixes alone are decided on the pair
+    product, by ``_pair_prefixes``.
     """
     order, initial, accepting, rows = _every_row(_counter_product(a, b))
     return BuchiAutomaton._from_rows(a.alphabet, len(order), initial, accepting, rows)
 
 
 def _counter_product(a, b) -> _Product:
-    """``product(a, b)`` before any row is computed, with its phase rule."""
-    sets = [(k, g.accepting) for k, g in enumerate((a, b)) if len(g.accepting) < g.n_states]
-    sets = sets or [(0, a.accepting)]  # no open operand: a accepts everywhere
-    last = len(sets) - 1
-
-    def next_phase(p: int, q: int, phase: int) -> int:
-        k, acc = sets[phase]
-        return (phase + 1) % len(sets) if (p, q)[k] in acc else phase
-
-    def accepts(triple) -> bool:
-        k, acc = sets[last]
-        return triple[2] == last and triple[k] in acc
-
-    return _Product(a, b, next_phase, accepts)
+    """``product(a, b)`` before any row is computed."""
+    return _Product(a, b, _open(a, b) or [(0, a.accepting)])
 
 
 def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:

@@ -105,8 +105,7 @@ class PropertySpec:
 
         Disjointness is decided exactly, by emptiness of the pair product;
         only when they share a computation is the witness-shaped ``product``
-        read (with its phase counter when neither accepts in every state),
-        as far as its witness search needs, and ValueError names its
+        read, as far as its witness search needs, and ValueError names its
         smallest accepted lasso.  Coverage
         (every computation accepted by one of the two) is not checked: it
         would need a complement construction.

@@ -83,9 +83,8 @@ def verify_fair_impl(impl: BuchiAutomaton, system: FinAutomaton, p: PropertySpec
     must conform to p, which holds exactly when the pair product of impl
     and p's complement is empty.  The witness is the least shortest finite
     behavior that breaks one of the first two, or a violating fair lasso of
-    the witness-shaped ``product``, read only when the last one fails (with
-    its phase counter, unless impl marks every state) and only as far as the
-    witness search needs.
+    the witness-shaped ``product``, read only when the last one fails and
+    only as far as the witness search needs.
     """
     # a property over another alphabet is rejected before any obligation is reported
     _check_same_alphabet(impl, p.positive)

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,12 @@ from faircheck.automata import (
     product_fin,
 )
 from faircheck.cli import run
-from faircheck.formats import format_automaton, format_homomorphism
+from faircheck.formats import (
+    format_automaton,
+    format_homomorphism,
+    parse_automaton,
+    parse_homomorphism,
+)
 from faircheck.pltl import (
     Labeling,
     NotNormalFormError,
@@ -60,6 +66,7 @@ AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
 HIDE_B = Homomorphism.hiding(AB, {"b"})
 SERVER_HIDE = Homomorphism.hiding(gen.SERVER_SIGMA, {"lock", "free", "no"})
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def a_star_b() -> FinAutomaton:
@@ -412,6 +419,17 @@ class TestWcc:
             padded_apart += plain != afresh[2]
             first = afresh
         assert closed >= 20 and 80 - closed >= 5 and differ >= 15 and padded_apart >= 5
+
+    def test_the_canonical_image_is_not_canonicalized_again(self, minimal_dfa_runs):
+        # the image D comes out of the seeded construction marked as its own
+        # canonical form, so the limit that abstract_behavior takes of it
+        # determinizes nothing: only the system itself is canonicalized
+        system = parse_automaton((FIXTURES / "fig2.aut").read_text())
+        hom = parse_homomorphism((FIXTURES / "hide.hom").read_text(), system.alphabet)
+        is_weakly_continuation_closed(system, hom)
+        abstract_behavior(system, hom)
+        assert len(minimal_dfa_runs) == 1 and minimal_dfa_runs[0] is system
+        assert system.n_states == 5
 
     def test_canonical_image_comes_from_the_seeded_construction(self, rng):
         _, d = abstraction._wcc(canonicalize(FinAutomaton.empty(AB)), HIDE_B)
