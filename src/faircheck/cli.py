@@ -155,7 +155,11 @@ def _letters(text: str) -> Alphabet:
 
 
 def _spec(formula: str, alphabet: Alphabet) -> PropertySpec:
-    return PropertySpec.from_formula(parse_formula(formula), alphabet)
+    f = parse_formula(formula)
+    unknown = sorted(atoms_of(f).difference(alphabet.symbols, {EPS_TOKEN}))
+    if unknown:
+        raise ValueError("formula atoms that are not letters of the alphabet: " + " ".join(unknown))
+    return PropertySpec.from_formula(f, alphabet)
 
 
 def _system_and_hom(args, inputs: _Inputs) -> tuple[FinAutomaton, Homomorphism | None]:

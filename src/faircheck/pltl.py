@@ -211,10 +211,8 @@ def _fold(root, combine, kids=children, key=id):
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    def atoms(g: Formula, parts: list) -> frozenset[str]:
-        return frozenset({g.name}) if isinstance(g, Atom) else frozenset().union(*parts)
-
-    return _fold(f, atoms)
+    # the kept preorder names each atom, and only an atom, by a string
+    return frozenset(x for x in f._preorder() if isinstance(x, str))
 
 
 def substitute_atom(f: Formula, old: str, new: str) -> Formula:
@@ -657,15 +655,16 @@ def _nnf_kids(item: tuple[Formula, bool]) -> list[tuple[Formula, bool]]:
 
 
 class _Translator:
-    """Buchi automata for formulas over one labeled alphabet.
+    """The Buchi automaton of one side of a formula over one labeled alphabet.
 
-    A formula is put in negation normal form over letter sets, and, or, X, U
-    and R (release: ``x R y`` is ``!(!x U !y)``), with every node interned as
-    a small integer.  A state is the set of obligations the rest of the word
-    must meet, a degeneralization counter over the untils, and whether the
-    step into the state completed a round of that counter (the accepting
-    states).  Each obligation set is expanded once into covers, and only the
-    states reachable from the formula are built.
+    The formula, or its negation, is put in negation normal form over letter
+    sets, and, or, X, U and R (release: ``x R y`` is ``!(!x U !y)``), with
+    every node interned as a small integer; a translator interns that one
+    root and nothing else.  A state is the set of obligations the rest of
+    the word must meet, a degeneralization counter over the root's untils,
+    and whether the step into the state completed a round of that counter
+    (the accepting states).  Each obligation set is expanded once into
+    covers, and only the states reachable from the root are built.
     """
 
     def __init__(self, alphabet: Alphabet, labeling: Labeling):
@@ -782,8 +781,9 @@ class _Translator:
             self.cover_cache[obligations] = got
         return got
 
-    def automaton(self, root: int) -> BuchiAutomaton:
-        """Reduced Buchi automaton for the words satisfying the node."""
+    def automaton(self, f: Formula, positive: bool = True) -> BuchiAutomaton:
+        """Reduced Buchi automaton for the words satisfying f, or !f if not positive."""
+        root = self.nnf(f, positive)
         untils = [g for g, (kind, _, _) in enumerate(self.nodes) if kind == _UNTIL]
         symbols = self.alphabet.symbols
 
@@ -811,13 +811,7 @@ class _Translator:
 
 @lru_cache(maxsize=512)
 def _translated(f: Formula, alphabet: Alphabet, labeling: Labeling, positive: bool):
-    # node ids fix the order of the degeneralization counter and so the state
-    # numbering: the complement's translator interns the formula's own normal
-    # form first, as a translator of both sides does, and the formula's side
-    # does not depend on the nodes interned after it
-    t = _Translator(alphabet, labeling)
-    root = t.nnf(f)
-    return t.automaton(root if positive else t.nnf(f, False))
+    return _Translator(alphabet, labeling).automaton(f, positive)
 
 
 class _BuchiPair(Sequence):

@@ -660,6 +660,29 @@ class TestErrors:
     def test_formula_syntax_error(self, capsys):
         assert run(["check", "rl", "--system", FIG2, "--formula", "G ("]) == 2
 
+    def test_formula_atoms_must_be_letters(self, tmp_path, capsys):
+        # a misspelt atom is bad input, as for preserve; eps names the
+        # reserved proposition, not a letter, and is accepted
+        impl = tmp_path / "impl.aut"
+        assert run(["synthesize", "--system", FIG2, "--formula", "G F result"]) == 0
+        impl.write_text(capsys.readouterr().out)
+        typo = "G F resutl"
+        for argv in [
+            ["check", "rl", "--system", FIG2, "--formula", typo],
+            ["check", "sat", "--system", FIG2, "--formula", typo],
+            ["synthesize", "--system", FIG2, "--formula", typo],
+            ["verify-impl", "--impl", str(impl), "--system", FIG2, "--formula", typo],
+            ["safety-class", "--system", FIG2, "--formula", typo],
+        ]:
+            assert run(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", "error: formula atoms that are not letters of the alphabet: resutl\n"
+            )
+        argv = ["safety-class", "--alphabet", "a b", "--formula", "G (a | c) U (d & eps)"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.endswith("not letters of the alphabet: c d\n")
+        assert run(["safety-class", "--alphabet", "a b", "--formula", "G (a | eps)"]) == 0
+
     def test_deep_nesting_is_a_syntax_error(self, capsys):
         formula = "!" * 3000 + "a"
         assert run(["eval", "--formula", formula, "--lasso", ";a"]) == 2
@@ -905,19 +928,12 @@ class TestComplementOnDemand:
         # the side of each automaton the translator builds, in build order,
         # starting from an empty translation cache
         sides = []
-        real_nnf, real_automaton = pltl._Translator.nnf, pltl._Translator.automaton
+        real_automaton = pltl._Translator.automaton
 
-        def nnf(self, f, positive=True):
-            root = real_nnf(self, f, positive)
-            if not positive:
-                self.negated = root
-            return root
+        def automaton(self, f, positive=True):
+            sides.append("positive" if positive else "complement")
+            return real_automaton(self, f, positive)
 
-        def automaton(self, root):
-            sides.append("complement" if root == getattr(self, "negated", None) else "positive")
-            return real_automaton(self, root)
-
-        monkeypatch.setattr(pltl._Translator, "nnf", nnf)
         monkeypatch.setattr(pltl._Translator, "automaton", automaton)
         return sides
 

@@ -38,7 +38,7 @@ from faircheck.pltl import (
     to_positive_normal_form,
     transform,
 )
-from faircheck.automata import lasso_membership
+from faircheck.automata import BuchiAutomaton, accepted_lassos, lasso_membership
 from faircheck.relprops import PropertySpec
 
 AB = Alphabet(("a", "b"))
@@ -593,41 +593,42 @@ class TestToBuchi:
                     assert lasso_membership(x, pos) == truth
                     assert lasso_membership(x, neg) == (not truth)
 
-    def test_sides_built_apart_equal_the_pair_built_together(self, rng):
-        # the complement is translated only when read, in a translator of its
-        # own; node ids fix the counter order and the state numbering, so each
-        # side must equal, state for state, what one translator that interned
-        # both normal forms first builds, whichever side is built first
-        def together(f, alphabet, lab):
-            t = pltl._Translator(alphabet, lab)
-            positive, negative = t.nnf(f), t.nnf(f, False)
-            return t.automaton(positive), t.automaton(negative)
-
+    def test_each_side_is_translated_alone(self, rng):
+        # a translator interns one side's normal form and nothing else, so
+        # each side is, state for state, what a translator of its own builds,
+        # whichever side is read first and through whichever entry
         labelings = [
             (AB, Labeling.canonical(AB)),
             (AB.with_hash(), Labeling.canonical(AB).eps_extension()),
         ]
-        # without the formula's own normal form first, the complement of
-        # G F a would have 2 states, not 3: its counter would skip no until
         formulas = [parse_formula("G F a"), parse_formula("G (a -> F b)")]
         for i in range(30):
             if i % 2:
                 formulas.append(transform(gen.random_nf_formula(rng, ("a", "b"), 3), "R"))
             else:
                 formulas.append(gen.random_formula(rng, ("a", "b"), 3))
-        for f in formulas:
-            for alphabet, lab in labelings:
-                expected = together(f, alphabet, lab)
+        for alphabet, lab in labelings:
+            every = BuchiAutomaton(alphabet, 1, {0}, {0}, {(0, c, 0) for c in alphabet})
+            lassos = set(accepted_lassos(every, 4))
+            for f in formulas:
+                alone = tuple(
+                    pltl._Translator(alphabet, lab).automaton(f, side) for side in (True, False)
+                )
                 pltl._translated.cache_clear()
                 pair = to_buchi(f, alphabet, lab)
-                assert (pair[0], pair[1]) == expected, f
+                assert (pair[0], pair[1]) == alone, f
                 pltl._translated.cache_clear()
                 complement = pltl._translated(f, alphabet, lab, False)
-                assert tuple(to_buchi(f, alphabet, lab)) == (expected[0], complement), f
-                assert complement == expected[1], f
+                assert complement == alone[1], f
+                assert tuple(to_buchi(f, alphabet, lab)) == alone, f
                 pltl._translated.cache_clear()
                 spec = PropertySpec.from_formula(f, alphabet, lab)
-                assert (spec.complement, spec.positive) == expected[::-1], f
+                assert (spec.complement, spec.positive) == alone[::-1], f
+                PropertySpec.from_automata(*alone)  # decides disjointness exactly
+                accepted = [set(accepted_lassos(side, 4)) for side in alone]
+                assert not accepted[0] & accepted[1] and accepted[0] | accepted[1] == lassos, f
+        # the complement counts only its own untils: no position is idle
+        assert to_buchi(parse_formula("G F a"), AB)[1].n_states == 2
 
     def test_a_cache_hit_walks_a_new_formula_once(self, monkeypatch):
         # a node keeps its preorder: the hit hashes the new formula and
