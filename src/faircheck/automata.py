@@ -908,13 +908,14 @@ def _counter_product(a, b) -> _Product:
     return _Product(a, b, _open(a, b) or [(0, a.accepting)])
 
 
-def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
-    """One whole-cycle step of the (state, seen-accepting) pair relation.
+def _cycle_pass(b: BuchiAutomaton, q: int, cycle) -> tuple[int, int]:
+    """The (unmarked, marked) masks one whole-cycle pass leads to from state q:
+    the states it reaches without, and with, an accepting state on the way.
 
     The accepting mask is read after each letter: an on-demand product
     numbers the states a step discovers, and marks the accepting ones, then.
     """
-    out = b._out
+    out, m0, m1 = b._out, 1 << q, 0
     for s in cycle:
         # an empty or one-state mask, the usual case, steps by one lookup
         n0 = m0 and out[m0.bit_length() - 1].get(s, 0) if not m0 & (m0 - 1) else b.step_mask(m0, s)
@@ -925,25 +926,21 @@ def _cycle_pass(b: BuchiAutomaton, m0: int, m1: int, cycle) -> tuple[int, int]:
     return m0, m1
 
 
-def _accepts_periodic(b: BuchiAutomaton, start: int, cycle, passes) -> bool:
+def _accepts_periodic(b: BuchiAutomaton, start: int, cycle) -> bool:
     """Does ``b`` accept cycle^omega from some state in the ``start`` mask?
 
-    ``passes`` lists, for the states of ``start`` in increasing order, the
-    (unmarked, marked) masks that ``_cycle_pass`` gives from each state alone;
-    it may be empty.  The mask is closed under whole-cycle passes, computing
-    those not given; the word is accepted exactly when some marked pass
-    u -> v leads back to u in zero or more passes, so a closure with no
+    The mask is closed under whole-cycle passes, each ``_cycle_pass`` from
+    one state, computed once; the word is accepted exactly when some marked
+    pass u -> v leads back to u in zero or more passes, so a closure with no
     marked pass rejects at once.
     """
-    known = dict(zip(_bit_indices(start), passes))
+    known = {}
     reach, frontier, marks = 0, start, 0
     while frontier:
         reach |= frontier
         nxt = 0
         for q in _bit_indices(frontier):
-            if q not in known:
-                known[q] = _cycle_pass(b, 1 << q, 0, cycle)
-            unmarked, marked = known[q]
+            known[q] = unmarked, marked = _cycle_pass(b, q, cycle)
             nxt |= unmarked | marked
             marks |= marked
         frontier = nxt & ~reach
@@ -1127,30 +1124,34 @@ def _denotation_minimal_lasso(
     range is an ``InvariantError``.  Cycles grow one letter at a time from
     the previous length's live cycles (those on which some run from the
     stem survives), each charging its length to the budget; the baseline
-    is returned once the budget runs out.  Each live cycle
-    carries the whole-cycle pass of every state of its stem's set, from
-    which ``_accepts_periodic`` decides it.
+    is returned once the budget runs out.  A normal form whose set
+    after = post(stem set, cycle) cannot read the cycle again has no run on
+    cycle^omega, so that second pass rejects it; ``_accepts_periodic``
+    decides the rest.
     """
     p_cap = max(len(baseline.cycle), 8)
     for stems in levels[: len(baseline.stem) + 1]:
         # per stem: the live cycles of the current length, in lex order, each
-        # with the state set it leads to and the passes of the stem's states
-        live = [[((), mask, [(1 << q, 0) for q in _bit_indices(mask)])] for _, mask in stems]
+        # with the state set it leads to
+        live = [[((), mask)] for _, mask in stems]
         for p in range(1, p_cap + 1):
             for i, (stem, mask) in enumerate(stems):
                 longer = []
-                for word, reached, passes in live[i]:
+                for word, reached in live[i]:
                     for s, after in _post(b, reached).items():
                         cycle = (*word, s)
-                        grown = [_cycle_pass(b, m0, m1, (s,)) for m0, m1 in passes]
-                        longer.append((cycle, after, grown))
+                        longer.append((cycle, after))
                         budget -= p
                         if budget < 0:
                             return baseline
                         if not _is_normal_form(stem, cycle):
                             continue
-                        if _accepts_periodic(b, mask, cycle, grown):
-                            return LassoWord(stem, cycle)
+                        for t in cycle:  # the second pass, while some run survives
+                            if not (after := b.step_mask(after, t)):
+                                break
+                        else:
+                            if _accepts_periodic(b, mask, cycle):
+                                return LassoWord(stem, cycle)
                 live[i] = longer
     raise InvariantError(f"no accepted lasso up to the witness {baseline.as_text()}")
 
@@ -1197,7 +1198,7 @@ def lasso_membership(x: LassoWord, b: BuchiAutomaton) -> bool:
     for letter in x.cycle:  # _run checks the stem's
         if letter not in b.alphabet:
             raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
-    return _accepts_periodic(b, _run(b, x.stem), x.cycle, ())
+    return _accepts_periodic(b, _run(b, x.stem), x.cycle)
 
 
 def accepted_lassos(b: BuchiAutomaton, max_len: int) -> list[LassoWord]:

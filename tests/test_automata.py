@@ -883,6 +883,32 @@ class TestEmptinessAndWitness:
             assert automata._denotation_minimal_lasso(b, levels, baseline, 0) == baseline
 
 
+def _refinement_inputs(rng, draws: int):
+    """(b, levels, baseline) for each of ``draws`` random automata that has a
+    graph witness: some with several initial states, some products."""
+    for _ in range(draws):
+        letters = gen.letters(rng.randint(2, 3))
+        b = gen.random_buchi(rng, letters, max_states=5)
+        draw = rng.random()
+        if draw < 0.3:  # several initial states
+            starts = rng.sample(range(b.n_states), rng.randint(1, b.n_states))
+            b = BuchiAutomaton(letters, b.n_states, starts, b.accepting, b.transitions)
+        elif draw < 0.6:  # a product, with two open operands when both are
+            b = product(b, gen.random_buchi(rng, letters, max_states=2))
+        if (found := automata._graph_witness(b)) is not None:
+            yield b, *found
+
+
+def _assert_least_lasso_at_every_budget(b, levels, baseline) -> LassoWord:
+    """The refinement gives the brute-force least lasso on each side of the
+    charge at which the answer is decided; returns that answer."""
+    best, spent = oracles.least_lasso(b, baseline, 24_000)
+    for budget in sorted({0, spent // 2, spent - 1, spent, 24_000}):
+        expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
+        assert automata._denotation_minimal_lasso(b, levels, baseline, budget) == expected
+    return best
+
+
 class TestWitnessSearch:
     def test_cyclic_states_against_the_oracle(self, rng):
         for _ in range(250):
@@ -920,15 +946,14 @@ class TestWitnessSearch:
             n = b.n_states
             starts = sorted(rng.sample(range(n), rng.randint(min(2, n), n)))
             cycle = tuple(rng.choice("ab") for _ in range(rng.randint(1, 5)))
-            passes = [automata._cycle_pass(b, 1 << q, 0, cycle) for q in starts]
-            got = automata._accepts_periodic(b, automata._mask(starts), cycle, passes)
+            got = automata._accepts_periodic(b, automata._mask(starts), cycle)
             from_starts = BuchiAutomaton(AB, n, starts, b.accepting, b.transitions)
             assert got == oracles.buchi_accepts_lasso(from_starts, LassoWord((), cycle))
             closure, todo, marked = set(), list(starts), False
             while todo:
                 if (q := todo.pop()) not in closure:
                     closure.add(q)
-                    unmarked, to_marked = automata._cycle_pass(b, 1 << q, 0, cycle)
+                    unmarked, to_marked = automata._cycle_pass(b, q, cycle)
                     marked |= bool(to_marked)
                     todo.extend(automata._bit_indices(unmarked | to_marked))
             outcomes["accepted" if got else "marked" if marked else "unmarked"] += 1
@@ -937,26 +962,36 @@ class TestWitnessSearch:
 
     def test_least_lasso_against_brute_force(self, rng):
         improved = 0
-        for _ in range(60):
-            letters = gen.letters(rng.randint(2, 3))
-            b = gen.random_buchi(rng, letters, max_states=5)
-            draw = rng.random()
-            if draw < 0.3:  # several initial states
-                starts = rng.sample(range(b.n_states), rng.randint(1, b.n_states))
-                b = BuchiAutomaton(letters, b.n_states, starts, b.accepting, b.transitions)
-            elif draw < 0.6:  # a product, with two open operands when both are
-                b = product(b, gen.random_buchi(rng, letters, max_states=2))
-            found = automata._graph_witness(b)
-            if found is None:
-                continue
-            levels, baseline = found
-            best, spent = oracles.least_lasso(b, baseline, 24_000)
-            improved += best != baseline
-            # on each side of the charge at which the answer is decided
-            for budget in sorted({0, spent // 2, spent - 1, spent, 24_000}):
-                expected = best if budget >= spent else oracles.least_lasso(b, baseline, budget)[0]
-                assert automata._denotation_minimal_lasso(b, levels, baseline, budget) == expected
+        for b, levels, baseline in _refinement_inputs(rng, 60):
+            improved += _assert_least_lasso_at_every_budget(b, levels, baseline) != baseline
         assert improved >= 5
+
+    def test_a_cycle_that_dies_on_its_second_pass_gets_no_acceptance_check(self, rng, monkeypatch):
+        # a normal form whose stem set cannot read its cycle twice has no run
+        # on cycle^omega: it alone is rejected before the acceptance check
+        met = []  # [stem, cycle, checked] per normal form the search meets
+        real_filter, real_check = automata._is_normal_form, automata._accepts_periodic
+
+        def normal_form(stem, cycle):
+            if kept := real_filter(stem, cycle):
+                met.append([stem, cycle, False])
+            return kept
+
+        def check(b, start, cycle):
+            assert cycle == met[-1][1]
+            met[-1][2] = True
+            return real_check(b, start, cycle)
+
+        monkeypatch.setattr(automata, "_is_normal_form", normal_form)
+        monkeypatch.setattr(automata, "_accepts_periodic", check)
+        rejected = 0
+        for b, levels, baseline in _refinement_inputs(rng, 200):
+            met.clear()
+            _assert_least_lasso_at_every_budget(b, levels, baseline)
+            for stem, cycle, checked in met:
+                assert checked == bool(oracles.states_reached(b, b.initial, stem + cycle + cycle))
+            rejected += not all(checked for _, _, checked in met)
+        assert rejected >= 15
 
     def test_least_lasso_does_not_depend_on_state_numbering(self, rng):
         # at the default budget; a spent budget falls back to the graph

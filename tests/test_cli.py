@@ -108,6 +108,21 @@ class TestCheckReports:
         labeling = Labeling.canonical(gen.SERVER_SIGMA)
         assert not evaluate_lasso(x, labeling, parse_formula(formula))
 
+    def test_the_rs_witness_checks_the_acceptance_of_few_cycles(self, capsys, monkeypatch):
+        # the refinement meets many cycles before the witness, and most die
+        # on their second pass: those get no acceptance check
+        real, checked = automata._accepts_periodic, []
+
+        def check(*args):  # (b, start mask, cycle)
+            checked.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(automata, "_accepts_periodic", check)
+        formula = "G (request -> F result)"
+        assert run(["check", "rs", "--system", FIG2, "--formula", formula]) == 1
+        assert report_of(capsys)["verdict"]["witness"]["lasso"] == ";lock request no reject free"
+        assert len(checked) <= 5
+
     def test_witness_on_a_ring_longer_than_the_recursion_limit(self, tmp_path, capsys):
         # one computation, the ring word repeated: the refinement walks one
         # live cycle per length and must reach the ring's length (beyond
