@@ -39,21 +39,23 @@ Every finitary language compare is one inclusion search, ``_pair_search``,
 a breadth-first walk over pairs of subset states (a deterministic left side
 is a state index) whose first bad pair gives the least shortest word of the
 difference; equality runs it both ways.  Every search tree, ``_bfs``'s as
-well as ``_least_words``'s levels, holds a word as a link, (previous word,
-letter) or None for the empty word, and ``_spelled`` alone spells one out.
-``accepted_lassos`` lists every accepted lasso up to a length, in one fixed
-order; ``accepting_lasso`` finds one small witness.
+well as the levels of ``_new_levels`` and ``_least_cycle``, holds a word as
+a link, (previous word, letter) or None for the empty word, and
+``_spelled`` alone spells one out.  ``accepted_lassos`` lists every
+accepted lasso up to a length, in one fixed order; ``accepting_lasso``
+finds one small witness.
 
 With one acceptance set, a core state is an accepting state that lies on a
 cycle, so ``accepting_lasso`` decides core states on the fly, depth by depth
 from the initial states (``_graph_witness``): a search from an accepting
-state either returns to it or reads a region closed under successors, whose
-cyclic states one ``_sccs`` pass marks and which no later search enters
-(Couvreur, FM 1999).  The walk reads only rows, so ``_product_lasso``, the
-witness of ``product(a, b)`` that ``satisfies`` (and through it
-``is_relative_safety``), ``verify_fair_impl`` and
-``PropertySpec.from_automata`` take, runs it over the ``_Product`` itself:
-only the rows the search reads are computed, and none twice.
+state, ``_least_cycle``, either returns to it, spelling its least cycle, or
+reads a region closed under successors, whose cyclic states one ``_sccs``
+pass marks and which no later search enters (Couvreur, FM 1999).  The walk
+reads only rows, so ``_product_lasso``, the witness of ``product(a, b)``
+that ``satisfies`` (and through it ``is_relative_safety``),
+``verify_fair_impl`` and ``PropertySpec.from_automata`` take, runs it over
+the ``_Product`` itself: only the rows the search reads are computed, and
+none twice.
 
 ``canonicalize`` computes an automaton's canonical form once, as the
 ``_canonical_form`` view of that object, and a canonical automaton is its own
@@ -411,8 +413,8 @@ def _bfs(moves, starts, tree: dict):
     """Breadth-first search, yielding each node when it is discovered.
 
     ``moves(u)`` lists the (letter, node) edges of ``u`` in the order to
-    explore them.  ``tree`` maps each discovered node to its word, a
-    ``_least_words`` link: (its parent's word, letter), or None for a start;
+    explore them.  ``tree`` maps each discovered node to its word as a
+    link: (its parent's word, letter), or None for a start;
     nodes already in it are not discovered again.  Nodes come out in
     breadth-first order, so a caller may stop at the first one it wants and
     spell its shortest word, ``_spelled(tree[node])``.
@@ -931,21 +933,17 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle) -> bool:
 
     The mask is closed under whole-cycle passes, each ``_cycle_pass`` from
     one state, computed once; the word is accepted exactly when some marked
-    pass u -> v leads back to u in zero or more passes, so a closure with no
-    marked pass rejects at once.
+    pass u -> v leads back to u in zero or more passes.
     """
     known = {}
-    reach, frontier, marks = 0, start, 0
+    reach, frontier = 0, start
     while frontier:
         reach |= frontier
         nxt = 0
         for q in _bit_indices(frontier):
             known[q] = unmarked, marked = _cycle_pass(b, q, cycle)
             nxt |= unmarked | marked
-            marks |= marked
         frontier = nxt & ~reach
-    if not marks:
-        return False
     onward = {q: unmarked | marked for q, (unmarked, marked) in known.items()}
     for u, (_, marked) in known.items():
         seen = frontier = marked
@@ -960,33 +958,8 @@ def _accepts_periodic(b: BuchiAutomaton, start: int, cycle) -> bool:
     return False
 
 
-def _least_words(b: BuchiAutomaton, start: int):
-    """Per length k = 0, 1, ..., the least length-k words from the ``start`` mask.
-
-    Each level lists (word, state set it reaches) entries in word order.
-    Each state that length-k words reach takes the first entry holding it,
-    whose word is the least length-k word reaching the state: that word
-    extends the least word reaching a predecessor, so a level steps the
-    previous one's entries in (word, letter) order and keeps each step that
-    reaches a state no earlier step did.  A level thus lists at most
-    ``n_states`` entries.  Endless while some word is live.  A word is a
-    link, (previous word, letter) or None for the empty word, so a step
-    copies no letters; ``_spelled`` spells one out.
-    """
-    entries = [(None, start)]
-    while entries:
-        yield entries
-        claimed, steps = 0, []
-        for word, mask in entries:
-            for s, after in _post(b, mask).items():
-                if after & ~claimed:
-                    claimed |= after
-                    steps.append(((word, s), after))
-        entries = steps
-
-
 def _spelled(word) -> tuple[str, ...]:
-    """The letters of a ``_least_words`` link."""
+    """The letters of a word link, (previous word, letter) or None for the empty word."""
     letters = []
     while word is not None:
         word, s = word
@@ -994,19 +967,33 @@ def _spelled(word) -> tuple[str, ...]:
     return tuple(reversed(letters))
 
 
-def _least_cycle(b: BuchiAutomaton, f: int):
-    """f's entry in the first level k >= 1 of ``_least_words`` from f that
-    holds f, within ``n_states`` levels, spelled out, or None off every
-    cycle: its word is the least of the shortest non-empty words leading
-    from f back to f.
+def _least_cycle(b, f: int, decided: int = 0):
+    """f's least cycle, the least of the shortest non-empty words leading
+    from f back to f, spelled out; or, when f lies on no cycle, the mask of
+    f and the states it reaches outside ``decided``.
+
+    ``decided`` must be closed under successors and miss f, so no path
+    through it leads back to f and the search does not enter it.  Each
+    level lists (word, states) groups in word order: the states first
+    reached at that length whose least word from f is the group's word.
+    Along a shortest cycle each state is first reached at its position and
+    its least word is the cycle's prefix, so the first step that reaches f,
+    groups taken in word order and letters in order, spells the least
+    cycle.  ``claimed``, never reset, puts each state in one group, so each
+    is stepped once; without a return to f the claimed states together
+    with ``decided`` are closed under successors.
     """
-    levels = _least_words(b, 1 << f)
-    next(levels)
-    for entries in islice(levels, b.n_states):
-        for word, mask in entries:
-            if mask >> f & 1:
-                return _spelled(word), mask
-    return None
+    claimed, steps = decided | 1 << f, [(None, 1 << f)]
+    while steps:
+        level, steps = steps, []
+        for word, mask in level:
+            for s, after in _post(b, mask).items():
+                if after >> f & 1:
+                    return _spelled((word, s))
+                if after := after & ~claimed:
+                    claimed |= after
+                    steps.append(((word, s), after))
+    return claimed & ~decided
 
 
 def _graph_witness(b: BuchiAutomaton):
@@ -1014,41 +1001,42 @@ def _graph_witness(b: BuchiAutomaton):
 
     A breadth-first pass from the initial set, one depth at a time, finds
     the first depth d that holds a core state: with one acceptance set, an
-    accepting state on a cycle.  ``_acyclic_region`` decides each accepting
-    state the pass reaches, unless an earlier search has decided it; with
-    no core state at any depth the answer is None, and nothing is walked.
-    ``levels[k]`` lists, for k up to d, in word order, the entries of
-    ``_least_words``'s level k from the initial set whose state set no
-    earlier level lists, spelled out: each is (the least length-k word
-    reaching some state, the state set it reaches).  A state's depth is the
-    first level holding it, so level d is the first to hold a core state.
-    Each core state there takes the first entry holding it, whose word is
-    the least reaching that state, and ``_least_cycle``'s word through it;
-    the witness is the least (cycle length, stem, cycle) of these,
-    normalized.  Every row the pass and the searches read is read through
-    ``_out``, so over a ``_Product`` only those rows are computed.
+    accepting state on a cycle.  ``_least_cycle`` decides each accepting
+    state the pass reaches, unless an earlier search has decided it, and
+    spells its least cycle; with no core state at any depth the answer is
+    None, and nothing is walked.  ``levels`` are ``_new_levels``' first
+    d + 1: per length k, (the least length-k word reaching some state, the
+    state set it reaches), for each set no earlier level lists.  A state's
+    depth is the first level holding it, so level d is the first to hold a
+    core state.  Each core state there takes the first entry holding it,
+    whose word is the least reaching that state, and its least cycle; the
+    witness is the least (cycle length, stem, cycle) of these, normalized.
+    Every row the pass and the searches read is read through ``_out``, so
+    over a ``_Product`` only those rows are computed.
     """
     out = b._out
     reached = frontier = b._initial_mask
-    decided = cyclic = core = depth = 0
+    decided = cyclic = depth = 0
+    cycles: dict = {}  # per core state, its least cycle, or None until it is searched
     while frontier:
         for f in _bit_indices(frontier & b._accepting_mask):
             if decided >> f & 1:
-                core |= cyclic & 1 << f
-            elif not (region := _acyclic_region(b, f, decided)):
-                core |= 1 << f
+                if cyclic >> f & 1:
+                    cycles[f] = None
+            elif isinstance(found := _least_cycle(b, f, decided), tuple):
+                cycles[f] = found
             else:
-                # every cycle through the region lies inside it: mark its
-                # cyclic states, and let no later search enter it
+                # found is f's acyclic region; every cycle through it lies
+                # inside it: mark its cyclic states, and let no later search enter it
                 states, rows = _explore(
-                    lambda q: [(s, t) for s, m in out[q].items() for t in _bit_indices(m & region)],
-                    list(_bit_indices(region)),
+                    lambda q: [(s, t) for s, m in out[q].items() for t in _bit_indices(m & found)],
+                    list(_bit_indices(found)),
                 )
                 cyclic |= _mask(states[i] for i in _sccs(rows, ())[0])
-                decided |= region
-        if core:
+                decided |= found
+        if cycles:
             levels = list(islice(_new_levels(b), depth + 1))
-            return levels, _anchored_witness(b, levels[-1], core)
+            return levels, _anchored_witness(b, levels[-1], cycles)
         after = 0
         for q in _bit_indices(frontier):
             for m in out[q].values():
@@ -1059,46 +1047,44 @@ def _graph_witness(b: BuchiAutomaton):
     return None
 
 
-def _acyclic_region(b, f: int, decided: int) -> int:
-    """The mask of f and the states it reaches outside ``decided`` when f
-    lies on no cycle, or 0 when it does.
-
-    ``decided`` must be closed under successors and miss f, so no path
-    through it leads back to f and the search does not enter it.  A
-    breadth-first search from f's successors that stops when it returns to
-    f; without that return, the states it read together with ``decided``
-    are closed under successors.
-    """
-    out, seen, queue = b._out, decided | 1 << f, deque([f])
-    while queue:
-        for after in out[queue.popleft()].values():
-            if after >> f & 1:
-                return 0
-            if after := after & ~seen:
-                seen |= after
-                queue.extend(_bit_indices(after))
-    return seen & ~decided
-
-
 def _new_levels(b):
-    """Per length k, the entries of ``_least_words``'s level k from the
-    initial set whose state set no earlier level lists, spelled out."""
-    seen: set[int] = set()
-    for entries in _least_words(b, b._initial_mask):
+    """Per length k = 0, 1, ..., the least length-k words from the initial
+    set, spelled out with the state set each reaches, unless an earlier
+    level lists that set.
+
+    Each state that length-k words reach takes the first entry holding it,
+    whose word is the least length-k word reaching the state: that word
+    extends the least word reaching a predecessor, so a level steps all of
+    the previous one's entries in (word, letter) order and keeps each step
+    that reaches a state no earlier step did.  A level thus holds at most
+    ``n_states`` entries.  Endless while some word is live.  A word is held
+    as a link, (previous word, letter) or None, so a step copies no letters.
+    """
+    entries, seen = [(None, b._initial_mask)], set()
+    while entries:
         level = [(_spelled(word), mask) for word, mask in entries if mask not in seen]
         seen.update(mask for _, mask in level)
         yield level
+        claimed, steps = 0, []
+        for word, mask in entries:
+            for s, after in _post(b, mask).items():
+                if after & ~claimed:
+                    claimed |= after
+                    steps.append(((word, s), after))
+        entries = steps
 
 
-def _anchored_witness(b, level, core: int) -> LassoWord:
-    """The least (cycle length, stem, cycle), normalized, over the ``core``
-    states that ``level``'s entries hold: each takes the first entry holding
-    it as its stem and ``_least_cycle``'s word through it as its cycle."""
+def _anchored_witness(b, level, cycles: dict) -> LassoWord:
+    """The least (cycle length, stem, cycle), normalized, over the core
+    states ``cycles`` maps to their least cycles (None where an SCC pass
+    marked the state, which is searched here): each takes the first entry
+    of ``level`` holding it as its stem."""
     anchors: dict[int, tuple[str, ...]] = {}
+    core = _mask(cycles)
     for stem, mask in level:
         for f in _bit_indices(mask & core):
             anchors.setdefault(f, stem)
-    cycles = {f: _least_cycle(b, f)[0] for f in anchors}
+    cycles = {f: cycles[f] or _least_cycle(b, f) for f in anchors}
     _, stem, cycle = min((len(cycles[f]), stem, cycles[f]) for f, stem in anchors.items())
     return LassoWord(stem, cycle).normalize()
 
@@ -1118,7 +1104,7 @@ def _denotation_minimal_lasso(
     set new at its level, and cycles up to max(baseline cycle length, 8).
     The first accepted normal form met is the answer.  The range holds one:
     a prefix of a state's least word is the least word reaching a state too,
-    so the baseline's stem is an entry of ``_least_words``, and an entry
+    so the baseline's stem is a word ``_new_levels`` steps, and an entry
     whose set an earlier level lists leads to an accepted lasso with a
     shorter stem.  So the search stops by the baseline; running off the
     range is an ``InvariantError``.  Cycles grow one letter at a time from

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .automata import (
     Alphabet,
-    AlphabetMismatchError,
     BuchiAutomaton,
     InvariantError,
     LassoWord,
+    _check_same_alphabet,
     _pair_prefixes,
     _product_lasso,
     language_subset,
@@ -66,11 +66,7 @@ class PropertySpec:
     """
 
     def __init__(self, positive: BuchiAutomaton, complement: BuchiAutomaton) -> None:
-        if positive.alphabet != complement.alphabet:
-            raise AlphabetMismatchError(
-                "property automata disagree on the alphabet: "
-                f"{positive.alphabet.symbols} vs {complement.alphabet.symbols}"
-            )
+        _check_same_alphabet(positive, complement)
         self._pair = (positive, complement)
 
     @property

@@ -509,9 +509,12 @@ class TestXtd:
 
     def test_padding_keeps_the_canonical_form(self, rng):
         # the padded canonical automaton is returned without canonicalizing
-        # it again; canonicalizing an unmarked copy gives it back
+        # it again; canonicalizing an unmarked copy gives it back; the draws
+        # go on past 120 until 20 have padding, so that no seed falls short
         padded_hits = 0
-        for i in range(120):
+        for i in range(360):
+            if i >= 120 and padded_hits >= 20:
+                break
             alphabet = gen.letters(rng.randint(2, 3))
             a = gen.random_fin(rng, alphabet, max_states=5, all_accepting=i % 2 == 0)
             h = gen.random_hom(rng, alphabet, p_hide=0.5) if i % 3 else None

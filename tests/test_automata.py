@@ -354,9 +354,13 @@ class TestCanonicalize:
         self, rng, minimal_dfa_runs
     ):
         # a recast is a new object, so it carries no memo of the canonical
-        # automaton it was made from, even where they share every row
+        # automaton it was made from, even where they share every row; the
+        # draws go on past 60 until 20 recasts have changed, so that no seed
+        # falls short
         changed = 0
-        for _ in range(60):
+        for i in range(180):
+            if i >= 60 and changed >= 20:
+                break
             c = canonicalize(gen.random_fin(rng, gen.letters(2), max_states=5))
             if not c.accepting:
                 continue
@@ -763,9 +767,9 @@ class TestEmptinessAndWitness:
         calls = []
         real = automata._least_cycle
 
-        def counted(b, f):
+        def counted(b, f, decided=0):
             calls.append(f)
-            return real(b, f)
+            return real(b, f, decided)
 
         monkeypatch.setattr(automata, "_least_cycle", counted)
         n = 300
@@ -795,13 +799,13 @@ class TestEmptinessAndWitness:
 
     def test_no_search_without_a_core_state(self, monkeypatch):
         calls = []
-        real = automata._least_words
+        real = automata._new_levels
 
-        def counted(b, start):
-            calls.append(start)
-            return real(b, start)
+        def counted(b):
+            calls.append(b)
+            return real(b)
 
-        monkeypatch.setattr(automata, "_least_words", counted)
+        monkeypatch.setattr(automata, "_new_levels", counted)
         # accepting states only off every cycle, and a non-accepting cycle
         chain = BuchiAutomaton(
             AB, 3, {0}, {0, 1}, {(0, "a", 1), (1, "b", 2), (2, "a", 2)}
@@ -812,13 +816,13 @@ class TestEmptinessAndWitness:
 
     def test_no_search_when_no_initial_state_reaches_the_core(self, monkeypatch):
         calls = []
-        real = automata._least_words
+        real = automata._new_levels
 
-        def counted(b, start):
-            calls.append(start)
-            return real(b, start)
+        def counted(b):
+            calls.append(b)
+            return real(b)
 
-        monkeypatch.setattr(automata, "_least_words", counted)
+        monkeypatch.setattr(automata, "_new_levels", counted)
         # state 2's accepting loop is a core state no run reaches; without
         # the live check the walk would go on as long as some word is live
         loop = BuchiAutomaton(AB, 3, {0}, {2}, {(0, "a", 1), (1, "b", 0), (2, "a", 2)})
@@ -831,27 +835,35 @@ class TestEmptinessAndWitness:
             found = automata._graph_witness(b)
             assert (None if found is None else found[1]) == _least_over_all_anchors(b)
 
-    def test_one_walk_plus_one_per_cycle_search(self, monkeypatch):
+    def test_one_walk_and_one_cycle_search_per_anchor(self, monkeypatch):
         calls = []
-        real_walk, real_cycle = automata._least_words, automata._least_cycle
+        real_walk, real_cycle = automata._new_levels, automata._least_cycle
 
-        def counted_walk(b, start):
+        def counted_walk(b):
             calls.append("walk")
-            return real_walk(b, start)
+            return real_walk(b)
 
-        def counted_cycle(b, f):
+        def counted_cycle(b, f, decided=0):
             calls.append(f)
-            return real_cycle(b, f)
+            return real_cycle(b, f, decided)
 
-        monkeypatch.setattr(automata, "_least_words", counted_walk)
+        monkeypatch.setattr(automata, "_new_levels", counted_walk)
         monkeypatch.setattr(automata, "_least_cycle", counted_cycle)
-        # anchors 1 and 2 both one letter deep, and 3 two letters deep
+        # anchors 1 and 2 both one letter deep, and 3 two letters deep: the
+        # depth pass searches from 1 and 2, keeps both cycles and walks the
+        # levels once; no anchor is searched again
         edges = {(0, "a", 1), (0, "b", 2), (1, "a", 1), (2, "b", 2), (1, "b", 3), (3, "a", 3)}
         b = BuchiAutomaton(AB, 4, {0}, {1, 2, 3}, edges)
         assert accepting_lasso(b) == LassoWord((), ("a",))
-        # each cycle search is one walk from its anchor, after the walk from
-        # the initial set
-        assert calls == ["walk", 1, "walk", 2, "walk"]
+        assert calls == [1, 2, "walk"]
+        # the search from the accepting state 0 finds no way back and reads
+        # the region {0, 1}; the SCC pass over it marks 1, which the depth
+        # pass takes as an anchor one letter deep and searches once, after
+        # the walk
+        calls.clear()
+        b = BuchiAutomaton(AB, 2, {0}, {0, 1}, {(0, "a", 1), (1, "b", 1)})
+        assert accepting_lasso(b) == LassoWord(("a",), ("b",))
+        assert calls == [0, "walk", 1]
 
     def test_walk_levels_list_at_most_one_stem_per_state(self):
         # a chain 0 -a-> ... -a-> 30 with an accepting a-loop at its end, and
@@ -1174,6 +1186,18 @@ class TestProductOnDemand:
         assert automata._product_lasso(a, b) == LassoWord((), ("a",))
         assert whole > n and sum(product_rows.values()) < 0.05 * whole
 
+    def test_a_cycle_the_depth_pass_finds_is_not_searched_again(self, product_rows):
+        # 0 -a-> 1 -b-> 0, and 0 -b-> 2 -a-> ... -a-> 9 -a-> 9, accepting at
+        # 0: the search from 0 returns to it from 1 and spells a b, having
+        # read the rows of 0 and 1; a second search from 0 would step 2 too
+        edges = {(0, "a", 1), (1, "b", 0), (0, "b", 2), (9, "a", 9)}
+        edges |= {(q, "a", q + 1) for q in range(2, 9)}
+        a = BuchiAutomaton(AB, 10, {0}, {0}, edges)
+        everything = BuchiAutomaton(AB, 1, {0}, {0}, {(0, s, 0) for s in AB})
+        _, baseline = automata._graph_witness(automata._counter_product(a, everything))
+        assert baseline == LassoWord((), ("a", "b"))
+        assert len(product_rows) == sum(product_rows.values()) == 2
+
     def test_a_holding_product_computes_each_row_once(self, product_rows):
         # a visits its accepting state 0 once, on no cycle: the search from
         # it reads the whole product, finds no cycle back, and no later
@@ -1207,7 +1231,7 @@ class TestProductOnDemand:
             reads.append(q)
             return dict.__getitem__(g, q)
 
-        monkeypatch.setattr(automata, "_least_words", lambda *args: walks.append(args))
+        monkeypatch.setattr(automata, "_new_levels", lambda *args: walks.append(args))
         monkeypatch.setattr(automata._Product, "__getitem__", read)
         assert automata._product_lasso(a, many_c) is None
         # a row is computed on its first read: each was read exactly once
@@ -1391,21 +1415,32 @@ class TestGraphSearch:
         edges = {(q, "a", q + 1) for q in range(n - 1)} | {(n - 1, "b", 0)}
         ring = BuchiAutomaton(AB, n, {0}, {0}, edges)
         word = ("a",) * (n - 1) + ("b",)
-        assert automata._least_cycle(ring, 0) == (word, 1)
-        assert automata._least_cycle(ring, m) == (word[m:] + word[:m], 1 << m)
+        assert automata._least_cycle(ring, 0) == word
+        assert automata._least_cycle(ring, m) == word[m:] + word[:m]
         assert accepting_lasso(ring) == LassoWord((), word)
 
     def test_least_cycle_against_brute_force(self, rng):
+        # each state is searched with no decided set and with one closed
+        # under successors that misses it: what some states that do not
+        # reach f reach; off every cycle the answer is the mask of the states
+        # f reaches outside that set
+        decided_off_cycle = 0
         for _ in range(120):
             a = _random_graph(rng)
+            reach = {q: oracles.shortest_word_lengths(a, [q]).keys() for q in a.states}
             for f in a.states:
+                off = [q for q in a.states if f not in reach[q]]
+                seeds = rng.sample(off, rng.randint(min(1, len(off)), len(off)))
+                decided = set().union(*(reach[q] for q in seeds))
                 expected = oracles.least_cycle(a, f)
-                found = automata._least_cycle(a, f)
-                if expected is None:
-                    assert found is None
-                else:
-                    reached = oracles.states_reached(a, {f}, expected)
-                    assert found == (expected, automata._mask(reached))
+                for d in {frozenset(), frozenset(decided)}:
+                    found = automata._least_cycle(a, f, automata._mask(d))
+                    if expected is None:
+                        assert found == automata._mask(reach[f] - d)
+                    else:
+                        assert found == expected
+                decided_off_cycle += bool(decided) and expected is None
+        assert decided_off_cycle >= 20
 
 
 def _brute_nonempty(b) -> bool:
