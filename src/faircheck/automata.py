@@ -50,12 +50,12 @@ cycle, so ``accepting_lasso`` decides core states on the fly, depth by depth
 from the initial states (``_graph_witness``): a search from an accepting
 state, ``_least_cycle``, either returns to it, spelling its least cycle, or
 reads a region closed under successors, whose cyclic states one ``_sccs``
-pass marks and which no later search enters (Couvreur, FM 1999).  The walk
-reads only rows, so ``_product_lasso``, the witness of ``product(a, b)``
-that ``satisfies`` (and through it ``is_relative_safety``),
+pass marks and which no later search enters (Couvreur, FM 1999); a marked
+accepting state is searched over the whole graph when the walk meets it.
+The walk reads only rows, so ``_product_lasso``, the witness of
+``product(a, b)`` that ``satisfies`` (and through it ``is_relative_safety``),
 ``verify_fair_impl`` and ``PropertySpec.from_automata`` take, runs it over
-the ``_Product`` itself: only the rows the search reads are computed, and
-none twice.
+the ``_Product`` itself, computing only the rows it reads, none twice.
 
 ``canonicalize`` computes an automaton's canonical form once, as the
 ``_canonical_form`` view of that object, and a canonical automaton is its own
@@ -1002,27 +1002,27 @@ def _graph_witness(b: BuchiAutomaton):
     A breadth-first pass from the initial set, one depth at a time, finds
     the first depth d that holds a core state: with one acceptance set, an
     accepting state on a cycle.  ``_least_cycle`` decides each accepting
-    state the pass reaches, unless an earlier search has decided it, and
-    spells its least cycle; with no core state at any depth the answer is
-    None, and nothing is walked.  ``levels`` are ``_new_levels``' first
-    d + 1: per length k, (the least length-k word reaching some state, the
-    state set it reaches), for each set no earlier level lists.  A state's
-    depth is the first level holding it, so level d is the first to hold a
-    core state.  Each core state there takes the first entry holding it,
-    whose word is the least reaching that state, and its least cycle; the
-    witness is the least (cycle length, stem, cycle) of these, normalized.
-    Every row the pass and the searches read is read through ``_out``, so
-    over a ``_Product`` only those rows are computed.
+    state the pass reaches and spells its least cycle; one inside a region
+    an earlier search read is searched over the whole graph when met, if
+    that region's SCC pass marked it.  With no core state at any depth the
+    answer is None, and nothing is walked.  ``levels`` are
+    ``_new_levels``' first d + 1: per length k, (the least length-k word
+    reaching some state, the state set it reaches), for each set no earlier
+    level lists.  A state's depth is the first level holding it, so level
+    d holds every core state found.  The witness is the least (cycle
+    length, stem, cycle), normalized, over them and the level-d entries
+    holding them.  Every row the pass and the searches read is read
+    through ``_out``, so over a ``_Product`` only those rows are computed.
     """
     out = b._out
     reached = frontier = b._initial_mask
     decided = cyclic = depth = 0
-    cycles: dict = {}  # per core state, its least cycle, or None until it is searched
+    cycles: dict = {}  # per core state, its least cycle
     while frontier:
         for f in _bit_indices(frontier & b._accepting_mask):
             if decided >> f & 1:
                 if cyclic >> f & 1:
-                    cycles[f] = None
+                    cycles[f] = _least_cycle(b, f)
             elif isinstance(found := _least_cycle(b, f, decided), tuple):
                 cycles[f] = found
             else:
@@ -1035,8 +1035,13 @@ def _graph_witness(b: BuchiAutomaton):
                 cyclic |= _mask(states[i] for i in _sccs(rows, ())[0])
                 decided |= found
         if cycles:
-            levels = list(islice(_new_levels(b), depth + 1))
-            return levels, _anchored_witness(b, levels[-1], cycles)
+            levels, core = list(islice(_new_levels(b), depth + 1)), _mask(cycles)
+            _, stem, cycle = min(
+                (len(cycles[f]), stem, cycles[f])
+                for stem, mask in levels[-1]
+                for f in _bit_indices(mask & core)
+            )
+            return levels, LassoWord(stem, cycle).normalize()
         after = 0
         for q in _bit_indices(frontier):
             for m in out[q].values():
@@ -1072,21 +1077,6 @@ def _new_levels(b):
                     claimed |= after
                     steps.append(((word, s), after))
         entries = steps
-
-
-def _anchored_witness(b, level, cycles: dict) -> LassoWord:
-    """The least (cycle length, stem, cycle), normalized, over the core
-    states ``cycles`` maps to their least cycles (None where an SCC pass
-    marked the state, which is searched here): each takes the first entry
-    of ``level`` holding it as its stem."""
-    anchors: dict[int, tuple[str, ...]] = {}
-    core = _mask(cycles)
-    for stem, mask in level:
-        for f in _bit_indices(mask & core):
-            anchors.setdefault(f, stem)
-    cycles = {f: cycles[f] or _least_cycle(b, f) for f in anchors}
-    _, stem, cycle = min((len(cycles[f]), stem, cycles[f]) for f, stem in anchors.items())
-    return LassoWord(stem, cycle).normalize()
 
 
 def _product_lasso(a: BuchiAutomaton, b: BuchiAutomaton) -> LassoWord | None:

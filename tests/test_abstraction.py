@@ -367,6 +367,7 @@ class TestWcc:
             checks[(i + 1) % 3](fresh, h, f)
             assert subset_runs == [seeded]
 
+    @pytest.mark.seed_sweep
     def test_views_are_kept_and_equal_the_values_computed_afresh(self, rng):
         # each system is read with two homs of one target alphabet, so a view
         # answered from another hom's result would differ from the fresh
@@ -507,6 +508,7 @@ class TestXtd:
             ok, witness = language_equal(plain, relative)
             assert ok, witness
 
+    @pytest.mark.seed_sweep
     def test_padding_keeps_the_canonical_form(self, rng):
         # the padded canonical automaton is returned without canonicalizing
         # it again; canonicalizing an unmarked copy gives it back; the draws
@@ -695,6 +697,7 @@ class TestPreserveCheck:
                     assert report.concrete_holds, (a, h.entries, f)
         assert closed_hits >= 25
 
+    @pytest.mark.seed_sweep
     def test_transfer_rules_give_the_computed_concrete_verdict(self, rng):
         # preserve_check takes the concrete verdict from a rule where one
         # applies: a closed abstraction whose abstract verdict holds, or a

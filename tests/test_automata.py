@@ -350,6 +350,7 @@ class TestCanonicalize:
             assert canonicalize(a) is c and canonicalize(c) is c
             assert minimal_dfa_runs == [a]
 
+    @pytest.mark.seed_sweep
     def test_recast_with_other_accepting_states_is_canonicalized_afresh(
         self, rng, minimal_dfa_runs
     ):
@@ -557,6 +558,7 @@ def _closed_class(a, b):
 class TestProductStructure:
     """Both products number states exactly as the per-letter reference does."""
 
+    @pytest.mark.seed_sweep
     def test_product_fin_matches_reference(self, rng):
         nondeterministic = 0
         for _ in range(150):
@@ -566,6 +568,7 @@ class TestProductStructure:
             assert _structure(product_fin(a, b)) == oracles.reference_product(a, b, buchi=False)
         assert nondeterministic >= 100
 
+    @pytest.mark.seed_sweep
     def test_buchi_product_matches_reference(self, rng):
         classes = set()
         for i in range(160):
@@ -683,6 +686,7 @@ class TestLimitAndPrefix:
         dead = BuchiAutomaton(AB, 1, frozenset({0}), frozenset(), frozenset({(0, "a", 0)}))
         assert prefix_automaton(dead) == FinAutomaton.empty(AB)
 
+    @pytest.mark.seed_sweep
     def test_views_are_kept_and_equal_the_automata_built_afresh(self, rng):
         # limit is kept by the canonical form and prefix_automaton by its
         # argument; inputs of one size are interleaved, so a view answered
@@ -829,6 +833,7 @@ class TestEmptinessAndWitness:
         assert accepting_lasso(loop) is None
         assert calls == []
 
+    @pytest.mark.seed_sweep
     def test_graph_witness_is_the_least_over_all_anchors(self, rng):
         for _ in range(150):
             b = gen.random_buchi(rng, gen.letters(2), max_states=6)
@@ -858,12 +863,20 @@ class TestEmptinessAndWitness:
         assert calls == [1, 2, "walk"]
         # the search from the accepting state 0 finds no way back and reads
         # the region {0, 1}; the SCC pass over it marks 1, which the depth
-        # pass takes as an anchor one letter deep and searches once, after
-        # the walk
+        # pass takes as an anchor one letter deep and searches once, when it
+        # meets it, before the walk
         calls.clear()
         b = BuchiAutomaton(AB, 2, {0}, {0, 1}, {(0, "a", 1), (1, "b", 1)})
         assert accepting_lasso(b) == LassoWord(("a",), ("b",))
-        assert calls == [0, "walk", 1]
+        assert calls == [0, 1, "walk"]
+        # the region {0, 1, 2, 3} read from 0 holds two marked anchors one
+        # letter deep, 1 on the cycle a;b through 3 and 2 on a b-loop: each
+        # is searched once, over the whole graph, and the shorter cycle wins
+        calls.clear()
+        edges = {(0, "a", 1), (0, "b", 2), (1, "a", 3), (3, "b", 1), (2, "b", 2)}
+        b = BuchiAutomaton(AB, 4, {0}, {0, 1, 2}, edges)
+        assert accepting_lasso(b) == LassoWord((), ("b",))
+        assert calls == [0, 1, 2, "walk"]
 
     def test_walk_levels_list_at_most_one_stem_per_state(self):
         # a chain 0 -a-> ... -a-> 30 with an accepting a-loop at its end, and
@@ -949,6 +962,7 @@ class TestWitnessSearch:
         chain = [(("a", q + 1),) for q in range(n - 1)] + [(("a", n - 1),)]
         assert automata._sccs(chain, (everything,)) == ({n - 1}, everything)
 
+    @pytest.mark.seed_sweep
     def test_periodic_acceptance_against_the_oracle(self, rng):
         # a rejection is decided either without a cycle search, when no pass
         # from the closure of the starts is marked, or by one
@@ -972,12 +986,14 @@ class TestWitnessSearch:
         assert 50 < outcomes["accepted"] < 250
         assert outcomes["marked"] >= 10 and outcomes["unmarked"] >= 10
 
+    @pytest.mark.seed_sweep
     def test_least_lasso_against_brute_force(self, rng):
         improved = 0
         for b, levels, baseline in _refinement_inputs(rng, 60):
             improved += _assert_least_lasso_at_every_budget(b, levels, baseline) != baseline
         assert improved >= 5
 
+    @pytest.mark.seed_sweep
     def test_a_cycle_that_dies_on_its_second_pass_gets_no_acceptance_check(self, rng, monkeypatch):
         # a normal form whose stem set cannot read its cycle twice has no run
         # on cycle^omega: it alone is rejected before the acceptance check
@@ -1066,6 +1082,7 @@ class TestSetListAcceptance:
             live_by_count[len(sets)] += bool(live)
         assert min(live_by_count) >= 20
 
+    @pytest.mark.seed_sweep
     def test_pair_product_against_the_counter_product(self, rng):
         outcomes = []
         for i in range(240):
@@ -1091,6 +1108,7 @@ class TestProductOnDemand:
     ``_Product``: it answers ``accepting_lasso(product(a, b))`` and computes
     only the product rows its search reads, each once."""
 
+    @pytest.mark.seed_sweep
     def test_against_the_oracles(self, rng, monkeypatch):
         # the reference product is built one letter at a time, its graph
         # witness by the brute-force anchor rule, and the least lasso in the
@@ -1419,6 +1437,7 @@ class TestGraphSearch:
         assert automata._least_cycle(ring, m) == word[m:] + word[:m]
         assert accepting_lasso(ring) == LassoWord((), word)
 
+    @pytest.mark.seed_sweep
     def test_least_cycle_against_brute_force(self, rng):
         # each state is searched with no decided set and with one closed
         # under successors that misses it: what some states that do not

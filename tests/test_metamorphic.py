@@ -15,6 +15,8 @@ system that ``eval`` finds false, and ``synthesize`` succeeds exactly when
 import json
 from pathlib import Path
 
+import pytest
+
 import gen
 import oracles
 from faircheck.automata import BuchiAutomaton, LassoWord
@@ -26,6 +28,8 @@ from faircheck.formats import (
     parse_homomorphism,
 )
 from faircheck.pltl import format_formula
+
+pytestmark = pytest.mark.seed_sweep
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIG2 = (FIXTURES / "fig2.aut").read_text()

@@ -593,6 +593,7 @@ class TestToBuchi:
                     assert lasso_membership(x, pos) == truth
                     assert lasso_membership(x, neg) == (not truth)
 
+    @pytest.mark.seed_sweep
     def test_each_side_is_translated_alone(self, rng):
         # a translator interns one side's normal form and nothing else, so
         # each side is, state for state, what a translator of its own builds,

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level private name in the package is used,
 every exported name is bound and declared once, next to its definition, an
-exported name the package never reads is named in README's "Library use",
-and the package imports nothing outside the standard library."""
+exported name the package never reads is named in a code span of README's
+"Library use", and the package imports nothing outside the standard library."""
 
 import ast
 import re
@@ -116,7 +116,8 @@ def _unread_and_unnamed(sources: list[str], public: list[str], library_use: str)
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [n for n in public if n not in read and not re.search(rf"\b{n}\b", library_use)]
+    # a name counts as named only in a code span, `name` or `name(...)`, not in prose
+    return [n for n in public if n not in read and not re.search(rf"`{n}[`(]", library_use)]
 
 
 def test_each_public_name_no_module_reads_is_named_in_library_use():
@@ -129,3 +130,5 @@ def test_each_public_name_no_module_reads_is_named_in_library_use():
     planted = "def planted_public(x):\n    return x\n"
     public = faircheck.__all__ + ["planted_public"]
     assert _unread_and_unnamed(sources + [planted], public, library_use) == ["planted_public"]
+    prose = library_use + "\nThe word planted_public here is prose, not a code span.\n"
+    assert _unread_and_unnamed(sources + [planted], public, prose) == ["planted_public"]
